@@ -80,8 +80,9 @@ INCDB_BENCH(sql_tuple_eq) {
 }
 
 /// Condition evaluation two ways over the same condition and tuples: the
-/// row-at-a-time compiled closure (compiled_cond_eval_row, the legacy
-/// interpreter's per-tuple cost) and the columnar BatchPredicate program
+/// row-at-a-time compiled closure (compiled_cond_eval_row, what
+/// PhysNode::pred pays per joint tuple in the hash-join, semijoin and IN
+/// residual tests) and the columnar BatchPredicate program
 /// over 256-row windows including the per-window transposition, exactly
 /// what the vectorized filter path pays (compiled_cond_eval — the record
 /// the ≥1.5× acceptance bar tracks).
@@ -192,8 +193,8 @@ INCDB_BENCH(hash_join) {
 }
 
 /// Batch-size sweep of the vectorized filter path: a selective condition
-/// over a mostly-unique 64k-row relation, evaluated at batch_size 0 (the
-/// legacy tuple-at-a-time interpreter) and 256 / 1024 / 4096. Reports
+/// over a mostly-unique 64k-row relation, evaluated at batch_size 256 /
+/// 1024 / 4096. Reports
 /// ns/row of input; the knee of the curve is where transposition cost is
 /// amortised and the column loops take over.
 INCDB_BENCH(filter_batch) {
@@ -212,7 +213,7 @@ INCDB_BENCH(filter_batch) {
                                         CNeqc("d", Value::Int(3))),
                                     CIsConst("b")));
   std::printf("\n%-24s %10s %12s\n", "filter_batch", "batch", "ns/row");
-  for (size_t batch : {size_t{0}, size_t{256}, size_t{1024}, size_t{4096}}) {
+  for (size_t batch : {size_t{256}, size_t{1024}, size_t{4096}}) {
     EvalOptions o;
     o.batch_size = batch;
     double ms = ctx.TimeMs([&] { EvalSql(q, db, o).ok(); });
@@ -239,7 +240,7 @@ INCDB_BENCH(hash_join_batch) {
                   CAnd(CEq("c_custkey", "o_custkey"),
                        CGtc("o_totalprice", Value::Int(25000))));
   std::printf("%-24s %10s %12s\n", "hash_join_batch", "batch", "ns/row");
-  for (size_t batch : {size_t{0}, size_t{256}, size_t{1024}, size_t{4096}}) {
+  for (size_t batch : {size_t{256}, size_t{1024}, size_t{4096}}) {
     EvalOptions o;
     o.batch_size = batch;
     double ms = ctx.TimeMs([&] { EvalSet(q, db, o).ok(); });

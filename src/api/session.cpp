@@ -16,8 +16,8 @@
 
 #include "approx/approx.h"
 #include "core/fault.h"
-#include "eval/batch.h"
 #include "eval/delta.h"
+#include "eval/kernel.h"
 #include "sql/translate.h"
 
 namespace incdb {
@@ -149,7 +149,7 @@ struct Cursor::Impl {
   Database snapshot;
   ScanResolver scans;
   RelationView base;
-  /// Root operator chain, root first; applied bottom-up per pulled row.
+  /// Root operator chain, root first; applied bottom-up per window.
   std::vector<const PhysNode*> stages;
   /// Per-stage dedup state for kDistinct stages (indexed like `stages`).
   std::vector<std::unordered_set<Tuple>> distinct_seen;
@@ -162,12 +162,10 @@ struct Cursor::Impl {
   Tuple current;
   uint64_t current_count = 0;
   /// Deadline / cancellation context the cursor was opened with; covers
-  /// the whole drain. `limited` caches ctx.limited() so an inert context
-  /// costs one predictable branch per pulled row.
+  /// the whole drain, checked once per refill window. `limited` caches
+  /// ctx.limited() so an inert context costs one predictable branch.
   ExecContext ctx;
   bool limited = false;
-  /// Amortized-check counter: base rows pulled since the last ctx check.
-  uint64_t visited = 0;
   /// Streaming row budget: deliveries so far vs EvalOptions::max_tuples
   /// (the materialised remainder below the chain is budgeted separately
   /// inside ExecuteNode; this bounds what the lazy chain itself emits).
@@ -175,29 +173,19 @@ struct Cursor::Impl {
   uint64_t max_tuples = 0;
   /// Terminal status (Cursor::status()); non-OK latches Next() to false.
   Status status = Status::OK();
-  /// Vectorized drain (EvalOptions::batch_size at OpenCursor; 0 = legacy
-  /// row-at-a-time pulls). RefillBatch pulls `batch` base rows at a time
-  /// and pushes them through the stage chain column-wise with the same
-  /// predicate programs the bulk executor uses; delivery-side dedup and
-  /// the max_tuples budget still run per pop, so the delivered stream is
-  /// bit-identical — only the deadline/cancel checkpoint cadence moves to
-  /// batch granularity.
-  size_t batch = 0;
-  /// Columnar programs per stage (indexed like `stages`; null for the
-  /// non-predicate stages).
-  std::vector<std::unique_ptr<BatchPredicate>> stage_preds;
-  /// Rows that survived the stage chain, not yet delivered.
-  std::vector<Relation::Row> buf;
-  size_t buf_pos = 0;
-  /// Progressive refill window: starts small (a top-k caller that drains
-  /// ten rows must not pay for a 1024-row transposition) and grows 8×
-  /// per refill up to `batch` (16 → 128 → 1024), so full drains amortize
-  /// to the configured batch size after two windows.
+  /// Windowed drain: RefillBatch pulls a window of base rows and pushes it
+  /// through the stage chain with the executor's window kernel
+  /// (eval/kernel.h); delivery-side dedup and the max_tuples budget run
+  /// per pop. The window starts small (a top-k caller that drains ten
+  /// rows must not pay for a 1024-row window) and grows 8× per refill up
+  /// to EvalOptions::batch_size (16 → 128 → 1024), so full drains amortize
+  /// to the configured window after two refills.
   size_t window = 0;
-  BatchGather gather;
-  Batch colbatch;
-  BatchPredicate::Scratch scratch;
-  SelVector sel;
+  WindowKernel kernel;
+  /// Rows that survived the stage chain, not yet delivered; `spare` is
+  /// the other half of the stage-to-stage ping-pong.
+  std::vector<Relation::Row> buf, spare;
+  size_t buf_pos = 0;
 
   Impl(std::shared_ptr<SessionState> s, PlanPtr p, Database snap)
       : state(std::move(s)),
@@ -207,73 +195,53 @@ struct Cursor::Impl {
 };
 
 namespace {
-/// Cursor pulls are row-at-a-time with caller code between pulls, so the
-/// check cadence is much tighter than the executor's bulk interval.
-constexpr uint64_t kCursorCheckInterval = 256;
-
-/// Pulls windows of I.batch base rows and pushes each through the stage
-/// chain bottom-up, column-at-a-time, until some rows survive or the base
-/// is drained. One deadline/cancel check per window. Returns non-OK only
-/// for a ctx failure (the caller latches it; buffered-but-undelivered
-/// rows are dropped, matching the executor's partial-result semantics).
-/// Template so the (private) Cursor::Impl type is deduced, never named.
+/// Pulls windows of base rows and pushes each through the stage chain
+/// bottom-up until some rows survive or the base is drained. One
+/// deadline/cancel check per window. Returns non-OK only for a ctx
+/// failure (the caller latches it; buffered-but-undelivered rows are
+/// dropped, matching the executor's partial-result semantics). Template
+/// so the (private) Cursor::Impl type is deduced, never named.
 template <typename ImplT>
 Status RefillBatch(ImplT& I) {
   const std::vector<Relation::Row>& rows = I.base.rows();
   while (I.buf_pos >= I.buf.size() && I.next_row < rows.size()) {
     if (I.limited) INCDB_RETURN_IF_ERROR(I.ctx.Check());
-    I.window = I.window == 0 ? std::min<size_t>(I.batch, 16)
-                             : std::min(I.batch, I.window * 8);
-    const size_t begin = I.next_row;
-    const size_t end = std::min(rows.size(), begin + I.window);
-    I.next_row = end;
-    I.buf.assign(rows.begin() + begin, rows.begin() + end);
+    const size_t cap = I.plan->opts.batch_size;
+    I.window = I.window == 0 ? std::min<size_t>(cap, 16)
+                             : std::min(cap, I.window * 8);
+    // The span [b, e) of *src moves up the chain: each stage reads it
+    // (the base rows themselves for the first) and writes its survivors
+    // to whichever buffer the span is not in.
+    const std::vector<Relation::Row>* src = &rows;
+    size_t b = I.next_row;
+    size_t e = std::min(rows.size(), b + I.window);
+    I.next_row = e;
     I.buf_pos = 0;
-    for (size_t si = I.stages.size(); si-- > 0 && !I.buf.empty();) {
+    for (size_t si = I.stages.size(); si-- > 0;) {
       const PhysNode* n = I.stages[si];
-      switch (n->op) {
-        case PhysOp::kFilterSel:
-        case PhysOp::kFusedProjectFilter: {
-          const bool fused = n->op == PhysOp::kFusedProjectFilter;
-          const BatchPredicate& bp = *I.stage_preds[si];
-          const size_t arity =
-              fused ? n->left->attrs.size() : n->attrs.size();
-          I.gather.Gather(I.buf, 0, I.buf.size(), bp.referenced(), arity,
-                          &I.colbatch);
-          I.sel.clear();
-          bp.SelectTrue(I.colbatch, &I.scratch, &I.sel);
-          size_t w = 0;
-          for (uint32_t s : I.sel) {
-            if (fused) {
-              I.buf[w] = {I.buf[s].first.Project(n->proj_pos),
-                          I.buf[s].second};
-            } else if (w != s) {
-              I.buf[w] = std::move(I.buf[s]);
-            }
-            ++w;
-          }
-          I.buf.resize(w);
-          break;
+      if (n->op == PhysOp::kRename) continue;  // positional: nothing to do
+      std::vector<Relation::Row>* dst = src == &I.buf ? &I.spare : &I.buf;
+      dst->clear();
+      if (n->op == PhysOp::kDistinct) {
+        for (size_t i = b; i < e; ++i) {
+          const Tuple& t = (*src)[i].first;
+          if (I.distinct_seen[si].insert(t).second) dst->emplace_back(t, 1);
         }
-        case PhysOp::kProject:
-          for (auto& [t, c] : I.buf) t = t.Project(n->proj_pos);
-          break;
-        case PhysOp::kRename:
-          break;  // positional: nothing to do per row
-        case PhysOp::kDistinct: {
-          size_t w = 0;
-          for (size_t i = 0; i < I.buf.size(); ++i) {
-            if (!I.distinct_seen[si].insert(I.buf[i].first).second) continue;
-            if (w != i) I.buf[w] = std::move(I.buf[i]);
-            I.buf[w].second = 1;
-            ++w;
-          }
-          I.buf.resize(w);
-          break;
-        }
-        default:
-          break;  // unreachable: OpenCursor only chains the above
+      } else {
+        INCDB_RETURN_IF_ERROR(I.kernel.Run(
+            *n, *src, b, e, [dst](const Tuple& t, uint64_t c) {
+              dst->emplace_back(t, c);
+              return Status::OK();
+            }));
       }
+      src = dst;
+      b = 0;
+      e = dst->size();
+    }
+    if (src == &rows) {
+      I.buf.assign(rows.begin() + b, rows.begin() + e);
+    } else if (src == &I.spare) {
+      I.buf.swap(I.spare);
     }
   }
   return Status::OK();
@@ -284,77 +252,18 @@ bool Cursor::Next() {
   if (!impl_) return false;
   Impl& I = *impl_;
   if (!I.status.ok()) return false;
-  if (I.batch > 0 && !I.stages.empty()) {
-    for (;;) {
-      if (I.buf_pos >= I.buf.size()) {
-        Status rst = RefillBatch(I);
-        if (!rst.ok()) {
-          I.status = std::move(rst);
-          return false;
-        }
-        if (I.buf_pos >= I.buf.size()) return false;  // base drained
-      }
-      Tuple t = std::move(I.buf[I.buf_pos].first);
-      uint64_t c = I.buf[I.buf_pos].second;
-      ++I.buf_pos;
-      if (I.dedup) {
-        if (!I.seen.insert(t).second) continue;
-        c = 1;
-      }
-      if (++I.emitted > I.max_tuples) {
-        StatusDetail d;
-        d.budget_used = I.emitted;
-        d.budget_limit = I.max_tuples;
-        I.status = Status::ResourceExhausted(
-                       "cursor stream exceeded max_tuples=" +
-                       std::to_string(I.max_tuples))
-                       .WithDetail(std::move(d));
+  for (;;) {
+    if (I.buf_pos >= I.buf.size()) {
+      Status rst = RefillBatch(I);
+      if (!rst.ok()) {
+        I.status = std::move(rst);
         return false;
       }
-      I.current = std::move(t);
-      I.current_count = c;
-      return true;
+      if (I.buf_pos >= I.buf.size()) return false;  // base drained
     }
-  }
-  const std::vector<Relation::Row>& rows = I.base.rows();
-  while (I.next_row < rows.size()) {
-    if (I.limited && ++I.visited >= kCursorCheckInterval) {
-      I.visited = 0;
-      Status cst = I.ctx.Check();
-      if (!cst.ok()) {
-        I.status = std::move(cst);
-        return false;
-      }
-    }
-    Tuple t = rows[I.next_row].first;
-    uint64_t c = rows[I.next_row].second;
-    ++I.next_row;
-    bool keep = true;
-    for (size_t si = I.stages.size(); keep && si-- > 0;) {
-      const PhysNode* n = I.stages[si];
-      switch (n->op) {
-        case PhysOp::kFilterSel:
-          keep = n->pred(t) == TV3::kT;
-          break;
-        case PhysOp::kFusedProjectFilter:
-          keep = n->pred(t) == TV3::kT;
-          if (keep) t = t.Project(n->proj_pos);
-          break;
-        case PhysOp::kProject:
-          t = t.Project(n->proj_pos);
-          break;
-        case PhysOp::kRename:
-          break;  // positional: nothing to do per row
-        case PhysOp::kDistinct:
-          keep = I.distinct_seen[si].insert(t).second;
-          c = 1;
-          break;
-        default:
-          keep = false;  // unreachable: OpenCursor only chains the above
-          break;
-      }
-    }
-    if (!keep) continue;
+    Tuple t = std::move(I.buf[I.buf_pos].first);
+    uint64_t c = I.buf[I.buf_pos].second;
+    ++I.buf_pos;
     if (I.dedup) {
       if (!I.seen.insert(t).second) continue;
       c = 1;
@@ -373,7 +282,6 @@ bool Cursor::Next() {
     I.current_count = c;
     return true;
   }
-  return false;
 }
 
 const Status& Cursor::status() const {
@@ -548,7 +456,7 @@ StatusOr<Cursor> PreparedQuery::OpenCursor(const std::vector<Value>& params,
   impl->max_tuples = impl->plan->opts.max_tuples;
   const bool set_semantics = impl->plan->mode != EvalMode::kBagNaive;
 
-  // The maximal chain of row-at-a-time operators hanging off the root.
+  // The maximal chain of streamable operators hanging off the root.
   auto streamable = [](PhysOp op) {
     switch (op) {
       case PhysOp::kFilterSel:
@@ -572,32 +480,6 @@ StatusOr<Cursor> PreparedQuery::OpenCursor(const std::vector<Value>& params,
   }
   impl->distinct_seen.resize(impl->stages.size());
 
-  // Compile the columnar program for every predicate stage up front; any
-  // failure (cannot happen for plans CompileCond accepted, but cheap to
-  // guard) falls back to the scalar row-at-a-time drain.
-  impl->batch = impl->plan->opts.batch_size;
-  if (impl->batch > 0 && !impl->stages.empty()) {
-    const CondMode cmode = impl->plan->mode == EvalMode::kSetSql
-                               ? CondMode::kSql
-                               : CondMode::kNaive;
-    impl->stage_preds.resize(impl->stages.size());
-    for (size_t si = 0; si < impl->stages.size(); ++si) {
-      const PhysNode* n = impl->stages[si];
-      if (n->op != PhysOp::kFilterSel &&
-          n->op != PhysOp::kFusedProjectFilter) {
-        continue;
-      }
-      const std::vector<std::string>& in_attrs =
-          n->op == PhysOp::kFilterSel ? n->attrs : n->left->attrs;
-      auto bp = BatchPredicate::Make(n->cond, in_attrs, cmode);
-      if (!bp.ok()) {
-        impl->batch = 0;
-        break;
-      }
-      impl->stage_preds[si] = std::make_unique<BatchPredicate>(std::move(*bp));
-    }
-  }
-
   if (cur->op == PhysOp::kScanView) {
     // The whole chain bottoms out at a base relation: borrow it in place
     // (from the pinned snapshot) and stream everything.
@@ -607,7 +489,7 @@ StatusOr<Cursor> PreparedQuery::OpenCursor(const std::vector<Value>& params,
     impl->streaming = true;
   } else {
     // Materialise the non-streamable remainder once; the chain above it
-    // (if any) still streams per pull. The same context governs this
+    // (if any) still streams window by window. The same context governs this
     // up-front work and the later drain: one deadline for the whole
     // cursor lifetime.
     auto rel = ExecuteNode(plan, cur, impl->snapshot, ctx);

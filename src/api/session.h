@@ -26,10 +26,11 @@
 /// clone-substitute pass over the affected plan nodes (BindPlanParams),
 /// two orders of magnitude cheaper than parse + translate + compile.
 ///
-/// **Streaming cursors.** OpenCursor() pulls rows one at a time. The
-/// maximal chain of row-at-a-time operators at the plan root (filters,
-/// projections, renames, DISTINCT) is evaluated lazily per pull over a
-/// borrowed scan or the materialised remainder, so exists/top-k style
+/// **Streaming cursors.** OpenCursor() delivers rows one at a time. The
+/// maximal chain of streamable operators at the plan root (filters,
+/// projections, renames, DISTINCT) is evaluated lazily over a borrowed
+/// scan or the materialised remainder, one small window of input rows at
+/// a time through the executor's own kernels, so exists/top-k style
 /// consumers of filter-shaped queries stop without paying for the full
 /// result. Accumulating every (row, count) a cursor delivers yields
 /// exactly Execute()'s relation.

@@ -57,10 +57,20 @@ StatusOr<Value> ParseCell(const std::string& cell, uint64_t* next_fresh) {
   if (cell == "NULL") return Value::Null((*next_fresh)++);
   if (cell.size() >= 2 && cell[0] == '_' &&
       std::isdigit(static_cast<unsigned char>(cell[1]))) {
-    return Value::Null(std::stoull(cell.substr(1)));
+    auto id = ParseNumber<uint64_t>(cell.substr(1));
+    if (!id.ok()) return id.status();
+    return Value::Null(*id);
   }
-  if (IsInteger(cell)) return Value::Int(std::stoll(cell));
-  if (IsDecimal(cell)) return Value::Double(std::stod(cell));
+  if (IsInteger(cell)) {
+    auto v = ParseNumber<int64_t>(cell);
+    if (!v.ok()) return v.status();
+    return Value::Int(*v);
+  }
+  if (IsDecimal(cell)) {
+    auto v = ParseNumber<double>(cell);
+    if (!v.ok()) return v.status();
+    return Value::Double(*v);
+  }
   if (cell.size() >= 2 && cell.front() == '\'' && cell.back() == '\'') {
     return Value::String(cell.substr(1, cell.size() - 2));
   }

@@ -1,6 +1,7 @@
 #include "core/value.h"
 
 #include <cassert>
+#include <charconv>
 #include <cmath>
 #include <cstring>
 #include <sstream>
@@ -91,5 +92,26 @@ std::string Value::ToString() const {
   }
   return "?";
 }
+
+template <typename T>
+StatusOr<T> ParseNumber(const std::string& text) {
+  const char* first = text.data();
+  const char* last = first + text.size();
+  if (first != last && *first == '+') ++first;  // from_chars rejects '+'
+  T value{};
+  const auto [end, ec] = std::from_chars(first, last, value);
+  if (ec == std::errc::result_out_of_range) {
+    return Status::InvalidArgument("numeric literal " + text +
+                                   " is out of range");
+  }
+  if (ec != std::errc() || end != last) {
+    return Status::InvalidArgument("malformed numeric literal " + text);
+  }
+  return value;
+}
+
+template StatusOr<int64_t> ParseNumber<int64_t>(const std::string&);
+template StatusOr<uint64_t> ParseNumber<uint64_t>(const std::string&);
+template StatusOr<double> ParseNumber<double>(const std::string&);
 
 }  // namespace incdb

@@ -19,6 +19,7 @@
 #include <type_traits>
 
 #include "core/intern.h"
+#include "core/status.h"
 
 namespace incdb {
 
@@ -122,6 +123,14 @@ class Value {
 static_assert(std::is_trivially_copyable_v<Value>,
               "Value must stay trivially copyable: relations memcpy rows");
 static_assert(sizeof(Value) <= 16, "Value must stay within 16 bytes");
+
+/// Checked conversion of a whole numeral to `T` (int64_t, uint64_t or
+/// double; one leading '+' is allowed). Trailing characters, a malformed
+/// numeral and a value outside T's range are kInvalidArgument — the SQL
+/// and CSV literal readers go through here, so no literal can abort the
+/// process with an exception.
+template <typename T>
+StatusOr<T> ParseNumber(const std::string& text);
 
 }  // namespace incdb
 

@@ -5,16 +5,16 @@
 /// \brief Columnar chunk representation for the vectorized executor
 /// (MonetDB/X100 style).
 ///
-/// Relations store flat rows (core/relation.h); the batched operator paths
-/// of eval/exec.cpp transpose the columns a predicate actually touches into
+/// Relations store flat rows (core/relation.h); the operator kernels
+/// (eval/kernel.h) transpose the columns a predicate actually touches into
 /// contiguous `Value` runs of EvalOptions::batch_size rows, evaluate the
 /// condition program column-at-a-time into a selection vector, and gather
-/// the surviving rows from the original row storage. Batching is a pure
-/// execution-layer change: the selected rows, their order and their
-/// multiplicities are bit-identical to the tuple-at-a-time interpreter —
-/// the atom truth values are shared (CondEqTV / CondOrderTV in
+/// the surviving rows from the original row storage. The program is
+/// compiled once per plan node (PhysNode::prog, eval/plan.h). Its atom
+/// truth values are the scalar predicate's (CondEqTV / CondOrderTV in
 /// algebra/condition.h) and the Kleene connectives are branchless min/max
-/// over the f < u < t truth order (logic/kleene.cpp).
+/// over the f < u < t truth order (logic/kleene.cpp), so a row is selected
+/// exactly when CompileCond's closure returns t for it.
 
 #include <cstdint>
 #include <vector>

@@ -1,33 +1,25 @@
 // Delta propagation through the maintainable plan subset (see delta.h).
 //
-// The propagator mirrors the executor's emit semantics operator by
-// operator (exec.cpp is the authority): same predicate truth threshold,
-// same multiplicity arithmetic, same set-semantics collapses, same SQL
-// null-key skips in the hash join. Maintained results must be
-// bag-identical to cold recomputation — the differential fuzzer crosses
-// the two paths.
+// σ, π∘σ, π and both joins run the executor's own kernels
+// (eval/kernel.h) over the delta rows, so the keep-t rule, the join emit
+// rule and the SQL null-key skip exist once; this file adds only the
+// delta rules around them (which side joins which boundary value, and the
+// set-semantics collapses). Maintained results must be bag-identical to
+// cold recomputation — the differential fuzzer crosses the two paths.
 
 #include "eval/delta.h"
 
-#include <algorithm>
-#include <cassert>
 #include <map>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "eval/batch.h"
+#include "eval/kernel.h"
 #include "eval/verify.h"
 
 namespace incdb {
 
 namespace {
-
-/// Mirror of the plan compiler's EvalMode → CondMode mapping.
-CondMode DeltaCondMode(EvalMode m) {
-  return m == EvalMode::kSetSql ? CondMode::kSql : CondMode::kNaive;
-}
 
 class DeltaPropagator {
  public:
@@ -98,11 +90,9 @@ class DeltaPropagator {
       case PhysOp::kScanView:
         return ScanDelta(n);
       case PhysOp::kFilterSel:
-        return FilterDelta(n, /*fused=*/false);
       case PhysOp::kFusedProjectFilter:
-        return FilterDelta(n, /*fused=*/true);
       case PhysOp::kProject:
-        return ProjectDelta(n);
+        return FilterDelta(n);
       case PhysOp::kRename: {
         auto child = Delta(n.left);
         if (!child.ok()) return child;
@@ -165,83 +155,23 @@ class DeltaPropagator {
     return out;
   }
 
-  /// σ over the delta rows: the batch predicate program sweeps the delta
-  /// in batch_size windows exactly like the executor sweeps base rows
-  /// (scalar fallback when batching is off). Counts pass through; the
-  /// fused projection collapses under set semantics like the executor.
-  StatusOr<RelationDelta> FilterDelta(const PhysNode& n, bool fused) {
+  /// σ, π∘σ and π over both delta signs through the executor's window
+  /// kernel. Counts pass through; a projection collapses under set
+  /// semantics like the executor.
+  StatusOr<RelationDelta> FilterDelta(const PhysNode& n) {
     auto child = Delta(n.left);
     if (!child.ok()) return child;
     RelationDelta out{Relation(n.attrs), Relation(n.attrs)};
-    const std::vector<std::string>& in_attrs = fused ? n.left->attrs : n.attrs;
-    std::optional<BatchPredicate> compiled;
-    if (plan_->opts.batch_size > 0) {
-      auto made =
-          BatchPredicate::Make(n.cond, in_attrs, DeltaCondMode(plan_->mode));
-      if (!made.ok()) return made.status();
-      compiled = std::move(*made);
-    }
-    const BatchPredicate* bp = compiled ? &*compiled : nullptr;
-    INCDB_RETURN_IF_ERROR(
-        FilterInto(n, fused, bp, in_attrs, child->plus.rows(), &out.plus));
-    INCDB_RETURN_IF_ERROR(
-        FilterInto(n, fused, bp, in_attrs, child->minus.rows(), &out.minus));
-    if (fused && set()) out.plus.CollapseCounts();
+    INCDB_RETURN_IF_ERROR(FilterInto(n, child->plus.rows(), &out.plus));
+    INCDB_RETURN_IF_ERROR(FilterInto(n, child->minus.rows(), &out.minus));
+    if (n.op != PhysOp::kFilterSel && set()) out.plus.CollapseCounts();
     return out;
   }
 
-  Status FilterInto(const PhysNode& n, bool fused, const BatchPredicate* bp,
-                    const std::vector<std::string>& in_attrs,
-                    const std::vector<Relation::Row>& rows, Relation* out) {
-    Tuple scratch;
-    if (bp != nullptr) {
-      const size_t bs = plan_->opts.batch_size;
-      for (size_t begin = 0; begin < rows.size(); begin += bs) {
-        const size_t end = std::min(rows.size(), begin + bs);
-        gather_.Gather(rows, begin, end, bp->referenced(), in_attrs.size(),
-                       &batch_);
-        sel_.clear();
-        bp->SelectTrue(batch_, &bp_scratch_, &sel_);
-        for (uint32_t i : sel_) {
-          const auto& [t, c] = rows[begin + i];
-          if (fused) {
-            scratch.AssignProject(t, n.proj_pos);
-            INCDB_RETURN_IF_ERROR(out->Insert(scratch, c));
-          } else {
-            INCDB_RETURN_IF_ERROR(out->Insert(t, c));
-          }
-        }
-      }
-      return Status::OK();
-    }
-    for (const auto& [t, c] : rows) {
-      if (n.pred(t) == TV3::kT) {
-        if (fused) {
-          scratch.AssignProject(t, n.proj_pos);
-          INCDB_RETURN_IF_ERROR(out->Insert(scratch, c));
-        } else {
-          INCDB_RETURN_IF_ERROR(out->Insert(t, c));
-        }
-      }
-    }
-    return Status::OK();
-  }
-
-  StatusOr<RelationDelta> ProjectDelta(const PhysNode& n) {
-    auto child = Delta(n.left);
-    if (!child.ok()) return child;
-    RelationDelta out{Relation(n.attrs), Relation(n.attrs)};
-    Tuple scratch;
-    for (const auto& [t, c] : child->plus.rows()) {
-      scratch.AssignProject(t, n.proj_pos);
-      INCDB_RETURN_IF_ERROR(out.plus.Insert(scratch, c));
-    }
-    for (const auto& [t, c] : child->minus.rows()) {
-      scratch.AssignProject(t, n.proj_pos);
-      INCDB_RETURN_IF_ERROR(out.minus.Insert(scratch, c));
-    }
-    if (set()) out.plus.CollapseCounts();
-    return out;
+  Status FilterInto(const PhysNode& n, const Rows& rows, Relation* out) {
+    return window_.Sweep(
+        n, rows, plan_->opts.batch_size, NoCheck{},
+        [out](const Tuple& t, uint64_t c) { return out->Insert(t, c); });
   }
 
   StatusOr<RelationDelta> UnionDelta(const PhysNode& n) {
@@ -292,63 +222,13 @@ class DeltaPropagator {
     return out;
   }
 
-  /// Joins two row sets with the executor's emit semantics: residual
-  /// predicate at kT, multiplicity lc·rc (1 under set semantics), fused
-  /// projection at emit time. kHashJoin indexes the smaller input on its
-  /// key columns (SQL mode skips null keys on both sides, like the
-  /// executor); kNLJoin sweeps all pairs.
-  Status JoinInto(const PhysNode& n, const std::vector<Relation::Row>& lrows,
-                  const std::vector<Relation::Row>& rrows, Relation* out) {
+  /// Joins two row sets through the executor's sequential join kernels.
+  Status JoinInto(const PhysNode& n, const Rows& lrows, const Rows& rrows,
+                  Relation* out) {
     if (lrows.empty() || rrows.empty()) return Status::OK();
-    Tuple joint, projected, key;
-    const auto emit = [&](const Tuple& lt, uint64_t lc, const Tuple& rt,
-                          uint64_t rc) -> Status {
-      joint.AssignConcat(lt, rt);
-      if (n.pred(joint) != TV3::kT) return Status::OK();
-      const uint64_t c = set() ? 1 : lc * rc;
-      if (n.fused_proj) {
-        projected.AssignProject(joint, n.proj_pos);
-        return out->Insert(projected, c);
-      }
-      return out->Insert(joint, c);
-    };
-    if (n.op != PhysOp::kHashJoin) {
-      for (const auto& [lt, lc] : lrows) {
-        for (const auto& [rt, rc] : rrows) {
-          INCDB_RETURN_IF_ERROR(emit(lt, lc, rt, rc));
-        }
-      }
-      return Status::OK();
-    }
-    const bool skip_null_keys = sql();
-    const bool index_left = lrows.size() <= rrows.size();
-    const auto& irows = index_left ? lrows : rrows;
-    const auto& ikeys = index_left ? n.lkeys : n.rkeys;
-    const auto& srows = index_left ? rrows : lrows;
-    const auto& skeys = index_left ? n.rkeys : n.lkeys;
-    std::unordered_multimap<size_t, uint32_t> idx;
-    idx.reserve(irows.size());
-    for (uint32_t i = 0; i < irows.size(); ++i) {
-      key.AssignProject(irows[i].first, ikeys);
-      if (skip_null_keys && key.HasNull()) continue;
-      idx.emplace(key.Hash(), i);
-    }
-    for (const auto& [st, sc] : srows) {
-      key.AssignProject(st, skeys);
-      if (skip_null_keys && key.HasNull()) continue;
-      auto [lo, hi] = idx.equal_range(key.Hash());
-      for (auto it = lo; it != hi; ++it) {
-        const auto& [bt, bc] = irows[it->second];
-        bool eq = true;
-        for (size_t k = 0; k < ikeys.size() && eq; ++k) {
-          eq = bt[ikeys[k]] == st[skeys[k]];
-        }
-        if (!eq) continue;
-        INCDB_RETURN_IF_ERROR(index_left ? emit(bt, bc, st, sc)
-                                         : emit(st, sc, bt, bc));
-      }
-    }
-    return Status::OK();
+    return JoinRows(
+        n, set(), sql(), lrows, rrows, plan_->opts.batch_size, NoCheck{},
+        [out](const Tuple& t, uint64_t c) { return out->Insert(t, c); });
   }
 
   PlanPtr plan_;
@@ -359,10 +239,7 @@ class DeltaPropagator {
   std::unordered_map<const PhysNode*, RelationDelta> memo_;
   /// (node, post?) → boundary value; untouched subtrees share the pre key.
   std::map<std::pair<const void*, bool>, RelationView> values_;
-  BatchGather gather_;
-  Batch batch_;
-  SelVector sel_;
-  BatchPredicate::Scratch bp_scratch_;
+  WindowKernel window_;
 };
 
 }  // namespace

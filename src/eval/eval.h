@@ -82,13 +82,15 @@ struct EvalOptions {
   /// across the pool — below it, threading overhead dominates. Tests set
   /// this to 0 to force the parallel paths on tiny inputs.
   size_t parallel_min_rows = 1024;
-  /// Rows per columnar chunk of the vectorized operator paths
-  /// (eval/batch.h): filters and the join probe loops transpose this many
-  /// rows at a time, evaluate the condition program column-wise into a
-  /// selection vector, and fire deadline/cancel checkpoints once per
-  /// batch. 0 runs the legacy tuple-at-a-time interpreter. Never changes
-  /// results — rows, order and multiplicities are bit-identical at every
-  /// batch size (the differential fuzzer crosses 0/1/3/1024).
+  /// Rows per window of the operator kernels (eval/kernel.h): filters,
+  /// projections and the join loops sweep their input this many rows at a
+  /// time, evaluate condition programs column-wise into a selection
+  /// vector, and fire deadline/cancel checkpoints once per window; the
+  /// streaming cursor and delta maintenance refill through the same
+  /// windows. Must be at least 1 — Compile rejects 0 with
+  /// kInvalidArgument. Never changes results: rows, order and
+  /// multiplicities are bit-identical at every window size (the
+  /// differential fuzzer crosses 1/3/1024).
   size_t batch_size = 1024;
   /// Serve EvalSet/EvalBag/EvalSql compilations from the process-wide
   /// query-identity plan cache (eval/plan_cache.h) instead of recompiling

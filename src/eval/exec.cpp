@@ -24,8 +24,8 @@
 
 #include "core/exec_context.h"
 #include "core/fault.h"
-#include "eval/batch.h"
 #include "eval/eval.h"
+#include "eval/kernel.h"
 #include "eval/parallel_policy.h"
 #include "eval/plan.h"
 #include "eval/unify_index.h"
@@ -148,49 +148,6 @@ class ExecPool {
   size_t n_workers_ = 0;
 };
 
-/// \brief Columnar machinery for the nested-loop join paths.
-///
-/// The predicate-referenced right-side columns are transposed once at
-/// construction; per left row the left-side components broadcast with
-/// stride 0 and the condition program sweeps windows of right rows. Each
-/// pool worker owns its own NLBatcher (construction is O(right rows ×
-/// referenced columns), negligible against the pair loop it accelerates).
-class NLBatcher {
- public:
-  NLBatcher(const BatchPredicate& bp, const std::vector<Relation::Row>& rrows,
-            size_t left_arity, size_t joint_arity)
-      : bp_(bp), left_arity_(left_arity) {
-    batch_.Reset(joint_arity, 0);
-    rcols_.resize(joint_arity);
-    for (size_t p : bp.referenced()) {
-      if (p < left_arity_) continue;
-      rcols_[p].Reserve(rrows.size());
-      AppendColumn(rrows, 0, rrows.size(), p - left_arity_, &rcols_[p]);
-    }
-  }
-
-  /// Appends to `sel` the indices (relative to `begin`) of the right rows
-  /// in [begin, end) whose joint pair with `lt` satisfies the condition.
-  void Select(const Tuple& lt, size_t begin, size_t end,
-              BatchPredicate::Scratch* scratch, SelVector* sel) {
-    batch_.rows = end - begin;
-    for (size_t p : bp_.referenced()) {
-      if (p < left_arity_) {
-        batch_.cols[p] = BatchColumn{&lt[p], 0};  // broadcast
-      } else {
-        batch_.cols[p] = BatchColumn{rcols_[p].data() + begin, 1};
-      }
-    }
-    bp_.SelectTrue(batch_, scratch, sel);
-  }
-
- private:
-  const BatchPredicate& bp_;
-  size_t left_arity_;
-  std::vector<ColumnVector> rcols_;
-  Batch batch_;
-};
-
 class Executor {
  public:
   Executor(const Plan& plan, const Database& db, const ExecContext& ctx)
@@ -237,18 +194,25 @@ class Executor {
     return ctx_->Check(mem_used_);
   }
 
+  /// The window hook of the kernels (eval/kernel.h): one checkpoint per
+  /// window or match run.
+  auto Checker() {
+    return [this](size_t units) { return Checkpoint(units); };
+  }
+
+  Status OverBudget(uint64_t used) const {
+    StatusDetail d;
+    d.budget_used = used;
+    d.budget_limit = plan_.opts.max_tuples;
+    return Status::ResourceExhausted("evaluation exceeded max_tuples=" +
+                                     std::to_string(plan_.opts.max_tuples))
+        .WithDetail(std::move(d));
+  }
+
   Status Budget(uint64_t produced, size_t arity) {
     produced_ += produced;
     mem_used_ += produced * arity * sizeof(Value);
-    if (produced_ > plan_.opts.max_tuples) {
-      StatusDetail d;
-      d.budget_used = produced_;
-      d.budget_limit = plan_.opts.max_tuples;
-      return Status::ResourceExhausted(
-                 "evaluation exceeded max_tuples=" +
-                 std::to_string(plan_.opts.max_tuples))
-          .WithDetail(std::move(d));
-    }
+    if (produced_ > plan_.opts.max_tuples) return OverBudget(produced_);
     // The soft memory budget is enforced on the same cadence as the tuple
     // budget: every materializing operator reports here.
     if (limited_ && ctx_->soft_mem_limit_bytes != 0) {
@@ -266,35 +230,8 @@ class Executor {
                                       op);
   }
 
-  /// Rows per columnar chunk; 0 = tuple-at-a-time interpreter.
+  /// Rows per columnar window (≥ 1: Compile rejects 0).
   size_t batch_size() const { return plan_.opts.batch_size; }
-
-  /// Lazily compiles `n.cond` into the columnar predicate program against
-  /// the same input schema and CondMode the scalar `n.pred` was compiled
-  /// with (plan.cpp AttachCond), so the two evaluators agree bit-for-bit.
-  /// Returns nullptr (caller falls back to the scalar path) if the
-  /// condition cannot be compiled — unreachable in practice, since
-  /// CompileCond already succeeded against the same schema at plan time.
-  /// NOT thread-safe: compile before dispatching pool workers.
-  const BatchPredicate* BatchPredFor(const PhysNode& n,
-                                     const std::vector<std::string>& attrs) {
-    auto it = batch_preds_.find(&n);
-    if (it != batch_preds_.end()) return it->second.get();
-    const CondMode mode = sql_mode() ? CondMode::kSql : CondMode::kNaive;
-    auto bp = BatchPredicate::Make(n.cond, attrs, mode);
-    std::unique_ptr<BatchPredicate> owned;
-    if (bp.ok()) owned = std::make_unique<BatchPredicate>(std::move(*bp));
-    return batch_preds_.emplace(&n, std::move(owned))
-        .first->second.get();
-  }
-
-  /// The joint (left·right) input schema a join's residual predicate was
-  /// compiled against.
-  std::vector<std::string> JointAttrs(const PhysNode& n) const {
-    std::vector<std::string> joint = n.left->attrs;
-    joint.insert(joint.end(), n.right->attrs.begin(), n.right->attrs.end());
-    return joint;
-  }
 
   /// Runs fn(0) .. fn(P-1) on the pool. The partition count P is the
   /// determinism contract; the worker count is an execution resource,
@@ -323,7 +260,9 @@ class Executor {
 
   /// Merges per-chunk emitted rows in chunk order. The rows must be
   /// distinct across all chunks (each is derived from a distinct left
-  /// row), so the duplicate probe is skipped.
+  /// row), so the duplicate probe is skipped. Like every merge, it
+  /// checkpoints per row: a deadline or Cancel() landing after the
+  /// workers finish still stops the query.
   Status MergeChunksUnique(std::vector<std::vector<Relation::Row>>& parts,
                            Relation* out) {
     size_t total = 0;
@@ -331,6 +270,7 @@ class Executor {
     out->Reserve(total);
     for (auto& part : parts) {
       for (auto& [t, c] : part) {
+        INCDB_RETURN_IF_ERROR(Checkpoint());
         INCDB_RETURN_IF_ERROR(out->InsertUnique(std::move(t), c));
       }
     }
@@ -342,10 +282,10 @@ class Executor {
   /// collapse, so rows insert with the duplicate probe and multiplicities
   /// normalise at the end; without one the emitted pairs are globally
   /// distinct (each pair joins in exactly one partition) and the probe is
-  /// skipped. Emitted multiplicities count against the budget.
+  /// skipped. Emitted multiplicities count against the budget; rows
+  /// checkpoint as in MergeChunksUnique.
   StatusOr<RelationView> MergeJoinParts(
-      std::vector<std::vector<Relation::Row>>& parts, const PhysNode& n,
-      bool has_proj, bool set) {
+      std::vector<std::vector<Relation::Row>>& parts, const PhysNode& n) {
     Relation out(n.attrs);
     size_t emitted_rows = 0;
     uint64_t total = 0;
@@ -356,7 +296,8 @@ class Executor {
     out.Reserve(emitted_rows);
     for (auto& part : parts) {
       for (auto& [t, c] : part) {
-        if (has_proj) {
+        INCDB_RETURN_IF_ERROR(Checkpoint());
+        if (n.fused_proj) {
           INCDB_RETURN_IF_ERROR(out.Insert(std::move(t), c));
         } else {
           INCDB_RETURN_IF_ERROR(out.InsertUnique(std::move(t), c));
@@ -364,7 +305,7 @@ class Executor {
       }
     }
     INCDB_RETURN_IF_ERROR(Budget(total, n.attrs.size()));
-    if (has_proj && set) out.CollapseCounts();
+    if (n.fused_proj && set_semantics()) out.CollapseCounts();
     return RelationView::Own(std::move(out));
   }
 
@@ -387,11 +328,9 @@ class Executor {
       case PhysOp::kScanView:
         return scans_.Resolve(n.rel_name, set_semantics());
       case PhysOp::kFilterSel:
-        return EvalFilter(n);
       case PhysOp::kFusedProjectFilter:
-        return EvalFusedProjectFilter(n);
       case PhysOp::kProject:
-        return EvalProject(n);
+        return EvalWindow(n);
       case PhysOp::kRename: {
         auto in = Eval(n.left);
         if (!in.ok()) return in;
@@ -430,99 +369,20 @@ class Executor {
     return Status::Internal("unknown physical operator");
   }
 
-  /// Shared body of the selection operators. In batched mode the input is
-  /// swept in batch_size windows: only the predicate-referenced columns
-  /// are transposed, the condition program runs column-wise into a
-  /// selection vector, and the selected rows are gathered from the
-  /// original row storage (projected through proj_pos when `fused`).
-  /// Checkpoints fire once per batch. The tuple-at-a-time fallback is
-  /// row-for-row identical.
-  StatusOr<RelationView> EvalFilterLike(const PhysNode& n, bool fused) {
+  /// σ, π∘σ and π: the input sweeps through the window kernel
+  /// (eval/kernel.h) in batch_size windows, one checkpoint per window. A
+  /// projection may fold distinct rows together, so it collapses under set
+  /// semantics.
+  StatusOr<RelationView> EvalWindow(const PhysNode& n) {
     auto in = Eval(n.left);
     if (!in.ok()) return in;
-    const std::vector<Relation::Row>& rows = in->rows();
-    // The predicate was compiled against the operator's input schema:
-    // n.attrs for a plain σ (schema-preserving), the child schema for the
-    // fused π∘σ.
-    const std::vector<std::string>& in_attrs =
-        fused ? n.left->attrs : n.attrs;
-    const BatchPredicate* bp =
-        batch_size() > 0 ? BatchPredFor(n, in_attrs) : nullptr;
     Relation out(n.attrs);
-    out.Reserve(rows.size());
-    Tuple scratch;
-    if (bp != nullptr) {
-      for (size_t begin = 0; begin < rows.size(); begin += batch_size()) {
-        const size_t end = std::min(rows.size(), begin + batch_size());
-        INCDB_RETURN_IF_ERROR(Checkpoint(end - begin));
-        gather_.Gather(rows, begin, end, bp->referenced(), in_attrs.size(),
-                       &batch_);
-        sel_.clear();
-        bp->SelectTrue(batch_, &bp_scratch_, &sel_);
-        for (uint32_t i : sel_) {
-          const auto& [t, c] = rows[begin + i];
-          if (fused) {
-            scratch.AssignProject(t, n.proj_pos);
-            INCDB_RETURN_IF_ERROR(out.Insert(scratch, c));
-          } else {
-            INCDB_RETURN_IF_ERROR(out.Insert(t, c));
-          }
-        }
-      }
-    } else {
-      for (const auto& [t, c] : rows) {
-        INCDB_RETURN_IF_ERROR(Checkpoint());
-        if (n.pred(t) == TV3::kT) {
-          if (fused) {
-            scratch.AssignProject(t, n.proj_pos);
-            INCDB_RETURN_IF_ERROR(out.Insert(scratch, c));
-          } else {
-            INCDB_RETURN_IF_ERROR(out.Insert(t, c));
-          }
-        }
-      }
-    }
+    out.Reserve(in->rows().size());
+    INCDB_RETURN_IF_ERROR(window_.Sweep(
+        n, in->rows(), batch_size(), Checker(),
+        [&out](const Tuple& t, uint64_t c) { return out.Insert(t, c); }));
     INCDB_RETURN_IF_ERROR(Budget(out.TotalSize(), n.attrs.size()));
-    if (fused && set_semantics()) out.CollapseCounts();
-    return RelationView::Own(std::move(out));
-  }
-
-  StatusOr<RelationView> EvalFilter(const PhysNode& n) {
-    return EvalFilterLike(n, /*fused=*/false);
-  }
-
-  StatusOr<RelationView> EvalFusedProjectFilter(const PhysNode& n) {
-    return EvalFilterLike(n, /*fused=*/true);
-  }
-
-  StatusOr<RelationView> EvalProject(const PhysNode& n) {
-    auto in = Eval(n.left);
-    if (!in.ok()) return in;
-    const std::vector<Relation::Row>& rows = in->rows();
-    Relation out(n.attrs);
-    out.Reserve(rows.size());
-    Tuple scratch;
-    if (batch_size() > 0) {
-      // Projection is a pure column shuffle — no predicate runs, so the
-      // batched path just lifts the checkpoint to batch granularity and
-      // emits the shuffled rows directly.
-      for (size_t begin = 0; begin < rows.size(); begin += batch_size()) {
-        const size_t end = std::min(rows.size(), begin + batch_size());
-        INCDB_RETURN_IF_ERROR(Checkpoint(end - begin));
-        for (size_t i = begin; i < end; ++i) {
-          scratch.AssignProject(rows[i].first, n.proj_pos);
-          INCDB_RETURN_IF_ERROR(out.Insert(scratch, rows[i].second));
-        }
-      }
-    } else {
-      for (const auto& [t, c] : rows) {
-        INCDB_RETURN_IF_ERROR(Checkpoint());
-        scratch.AssignProject(t, n.proj_pos);
-        INCDB_RETURN_IF_ERROR(out.Insert(scratch, c));
-      }
-    }
-    INCDB_RETURN_IF_ERROR(Budget(out.TotalSize(), n.attrs.size()));
-    if (set_semantics()) out.CollapseCounts();
+    if (n.op != PhysOp::kFilterSel && set_semantics()) out.CollapseCounts();
     return RelationView::Own(std::move(out));
   }
 
@@ -612,11 +472,10 @@ class Executor {
       INCDB_RETURN_IF_ERROR(Budget(out.TotalSize(), n.attrs.size()));
       return RelationView::Own(std::move(out));
     }
-    // Sequential probe loop; in batched mode checkpoints lift to batch
-    // granularity (the probes themselves are already one hash lookup).
-    const size_t W = batch_size() > 0 ? batch_size() : 1;
-    for (size_t begin = 0; begin < lrows.size(); begin += W) {
-      const size_t end = std::min(lrows.size(), begin + W);
+    // Sequential probe loop with one checkpoint per window (the probes
+    // themselves are one hash lookup each).
+    for (size_t begin = 0; begin < lrows.size(); begin += batch_size()) {
+      const size_t end = std::min(lrows.size(), begin + batch_size());
       INCDB_RETURN_IF_ERROR(Checkpoint(end - begin));
       for (size_t i = begin; i < end; ++i) {
         const auto& [t, c] = lrows[i];
@@ -723,10 +582,9 @@ class Executor {
       return RelationView::Own(std::move(out));
     }
     Tuple scratch;
-    // Batched mode lifts checkpoints to batch granularity over the probes.
-    const size_t W = batch_size() > 0 ? batch_size() : 1;
-    for (size_t begin = 0; begin < lrows.size(); begin += W) {
-      const size_t end = std::min(lrows.size(), begin + W);
+    // One checkpoint per window of probes.
+    for (size_t begin = 0; begin < lrows.size(); begin += batch_size()) {
+      const size_t end = std::min(lrows.size(), begin + batch_size());
       INCDB_RETURN_IF_ERROR(Checkpoint(end - begin));
       for (size_t i = begin; i < end; ++i) {
         const auto& [t, c] = lrows[i];
@@ -825,13 +683,12 @@ class Executor {
 
     Relation out(n.attrs);
     // Checkpoint weight follows the work: the un-hashed fallback scans the
-    // whole right side per left row. Batched mode probes the index
-    // batch-at-a-time, checkpointing once per window.
+    // whole right side per left row. One checkpoint per window of probes.
     const uint64_t probe_weight = hashed ? 1 : 1 + r->rows().size();
     const std::vector<Relation::Row>& probe_lrows = l->rows();
-    const size_t W = batch_size() > 0 ? batch_size() : 1;
-    for (size_t begin = 0; begin < probe_lrows.size(); begin += W) {
-      const size_t end = std::min(probe_lrows.size(), begin + W);
+    for (size_t begin = 0; begin < probe_lrows.size();
+         begin += batch_size()) {
+      const size_t end = std::min(probe_lrows.size(), begin + batch_size());
       INCDB_RETURN_IF_ERROR(Checkpoint(probe_weight * (end - begin)));
       for (size_t i = begin; i < end; ++i) {
         const auto& [lt, lc] = probe_lrows[i];
@@ -882,13 +739,13 @@ class Executor {
 
     Relation out(n.attrs);
     Tuple lkey, rkey, joint_t;  // scratch, reused across rows and pairs
-    // The correlated path re-scans the right side per left row. Batched
-    // mode checkpoints once per window of left rows.
+    // The correlated path re-scans the right side per left row. One
+    // checkpoint per window of left rows.
     const uint64_t row_weight = n.correlated ? 1 + r->rows().size() : 1;
     const std::vector<Relation::Row>& in_lrows = l->rows();
-    const size_t W = batch_size() > 0 ? batch_size() : 1;
-    for (size_t wbegin = 0; wbegin < in_lrows.size(); wbegin += W) {
-      const size_t wend = std::min(in_lrows.size(), wbegin + W);
+    for (size_t wbegin = 0; wbegin < in_lrows.size();
+         wbegin += batch_size()) {
+      const size_t wend = std::min(in_lrows.size(), wbegin + batch_size());
       INCDB_RETURN_IF_ERROR(Checkpoint(row_weight * (wend - wbegin)));
       for (size_t wi = wbegin; wi < wend; ++wi) {
       const auto& [lt, lc] = in_lrows[wi];
@@ -996,409 +853,166 @@ class Executor {
       }
     }
 
-    Relation out(n.attrs);
-    // Scratch tuples reused across every pair: the hot loop below performs
-    // no allocations except inserting kept tuples into `out`.
-    Tuple joint, projected;
-    auto emit = [&](const Tuple& lt, uint64_t lc, const Tuple& rt,
-                    uint64_t rc) -> Status {
-      // Every visited pair counts one checkpoint unit — the deadline fires
-      // within a few thousand pairs even when nothing matches.
-      INCDB_RETURN_IF_ERROR(Checkpoint());
-      // With SQL-mode equality, a null join key never compares t; with
-      // naive equality the hash join already used syntactic equality. The
-      // residual condition is checked in the active mode.
-      joint.AssignConcat(lt, rt);
-      if (n.pred(joint) == TV3::kT) {
-        uint64_t c = set ? 1 : lc * rc;
-        if (has_proj) {
-          projected.AssignProject(joint, n.proj_pos);
-          INCDB_RETURN_IF_ERROR(out.Insert(projected, c));
-        } else {
-          // Pairs of distinct rows are distinct: no duplicate probe.
-          INCDB_RETURN_IF_ERROR(out.InsertUnique(joint, c));
-        }
-        INCDB_RETURN_IF_ERROR(Budget(c, n.attrs.size()));
-      }
-      return Status::OK();
-    };
-
-    // With a projection under set semantics, distinct pairs may collapse;
-    // normalise multiplicities at the end.
-    auto finish = [&]() -> RelationView {
-      if (has_proj && set) out.CollapseCounts();
-      return RelationView::Own(std::move(out));
-    };
-
+    const Rows& lrows = l->rows();
+    const Rows& rrows = r->rows();
     if (n.op == PhysOp::kNLJoin) {
       // Work estimate for the parallel threshold: every pair is visited.
-      const size_t pairs = l->rows().size() * r->rows().size();
-      if (UseChunkParallelism(l->rows().size(), pairs, ChunkOp::kNLJoin)) {
-        return ParallelNLJoin(n, *l, *r);
+      if (UseChunkParallelism(lrows.size(), lrows.size() * rrows.size(),
+                              ChunkOp::kNLJoin)) {
+        return ParallelNLJoin(n, lrows, rrows);
       }
-      const BatchPredicate* bp =
-          batch_size() > 0 ? BatchPredFor(n, JointAttrs(n)) : nullptr;
-      if (bp != nullptr) {
-        // Vectorized sweep: the condition program runs over windows of
-        // right rows with the left tuple broadcast, and only the selected
-        // pairs are concatenated and inserted — same pairs, same order,
-        // same multiplicities as the scalar loop below.
-        const std::vector<Relation::Row>& lrows = l->rows();
-        const std::vector<Relation::Row>& rrows = r->rows();
-        NLBatcher nb(*bp, rrows, n.left_arity, n.left_arity + r->arity());
-        for (const auto& [lt, lc] : lrows) {
-          for (size_t begin = 0; begin < rrows.size();
-               begin += batch_size()) {
-            const size_t end = std::min(rrows.size(), begin + batch_size());
-            INCDB_RETURN_IF_ERROR(Checkpoint(end - begin));
-            sel_.clear();
-            nb.Select(lt, begin, end, &bp_scratch_, &sel_);
-            for (uint32_t si : sel_) {
-              const auto& [rt, rc] = rrows[begin + si];
-              joint.AssignConcat(lt, rt);
-              uint64_t c = set ? 1 : lc * rc;
-              if (has_proj) {
-                projected.AssignProject(joint, n.proj_pos);
-                INCDB_RETURN_IF_ERROR(out.Insert(projected, c));
-              } else {
-                INCDB_RETURN_IF_ERROR(out.InsertUnique(joint, c));
-              }
-              INCDB_RETURN_IF_ERROR(Budget(c, n.attrs.size()));
-            }
-          }
-        }
-        return finish();
-      }
-      for (const auto& [lt, lc] : l->rows()) {
-        for (const auto& [rt, rc] : r->rows()) {
-          INCDB_RETURN_IF_ERROR(emit(lt, lc, rt, rc));
-        }
-      }
-      return finish();
+    } else if (plan_.opts.num_threads > 1 &&
+               lrows.size() + rrows.size() >= plan_.opts.parallel_min_rows) {
+      return ParallelHashJoin(n, lrows, rrows);
     }
-
-    // Hash join. Under SQL mode, rows with a null key cannot satisfy the
-    // equality with truth value t, so skipping them is sound. The index is
-    // built over the smaller side and stores row indices into that side's
-    // flat storage — no tuples are copied.
-    const bool build_left = l->rows().size() <= r->rows().size();
-    const std::vector<Relation::Row>& build_rows =
-        build_left ? l->rows() : r->rows();
-    const std::vector<Relation::Row>& probe_rows =
-        build_left ? r->rows() : l->rows();
-    const std::vector<size_t>& build_keys = build_left ? n.lkeys : n.rkeys;
-    const std::vector<size_t>& probe_keys = build_left ? n.rkeys : n.lkeys;
-
-    const size_t threads = plan_.opts.num_threads;
-    if (threads > 1 &&
-        build_rows.size() + probe_rows.size() >= plan_.opts.parallel_min_rows) {
-      return ParallelHashJoin(n, build_left, build_rows, probe_rows,
-                              build_keys, probe_keys);
-    }
-
-    std::unordered_map<Tuple, std::vector<uint32_t>> index;
-    index.reserve(build_rows.size());
-    Tuple key;  // scratch for both build and probe keys
-    for (uint32_t i = 0; i < build_rows.size(); ++i) {
-      key.AssignProject(build_rows[i].first, build_keys);
-      if (sql_mode() && key.HasNull()) continue;
-      index[key].push_back(i);
-    }
-    if (batch_size() > 0) {
-      // Batch-at-a-time probing: the probe side is swept in batch_size
-      // windows with one checkpoint per window (plus one per match run),
-      // and a trivial residual (θ = true) skips the per-pair predicate
-      // call entirely — every equi-join pair already matched by key.
-      const bool trivial = n.cond->kind == CondKind::kTrue;
-      auto emit_batched = [&](const Tuple& lt, uint64_t lc, const Tuple& rt,
-                              uint64_t rc) -> Status {
-        joint.AssignConcat(lt, rt);
-        if (!trivial && n.pred(joint) != TV3::kT) return Status::OK();
-        uint64_t c = set ? 1 : lc * rc;
-        if (has_proj) {
-          projected.AssignProject(joint, n.proj_pos);
-          INCDB_RETURN_IF_ERROR(out.Insert(projected, c));
-        } else {
-          INCDB_RETURN_IF_ERROR(out.InsertUnique(joint, c));
-        }
-        return Budget(c, n.attrs.size());
-      };
-      for (size_t begin = 0; begin < probe_rows.size();
-           begin += batch_size()) {
-        const size_t end = std::min(probe_rows.size(), begin + batch_size());
-        INCDB_RETURN_IF_ERROR(Checkpoint(end - begin));
-        for (size_t pi = begin; pi < end; ++pi) {
-          const auto& [pt, pc] = probe_rows[pi];
-          key.AssignProject(pt, probe_keys);
-          if (sql_mode() && key.HasNull()) continue;
-          auto it = index.find(key);
-          if (it == index.end()) continue;
-          INCDB_RETURN_IF_ERROR(Checkpoint(it->second.size()));
-          for (uint32_t bi : it->second) {
-            const auto& [bt, bc] = build_rows[bi];
-            if (build_left) {
-              INCDB_RETURN_IF_ERROR(emit_batched(bt, bc, pt, pc));
-            } else {
-              INCDB_RETURN_IF_ERROR(emit_batched(pt, pc, bt, bc));
-            }
-          }
-        }
-      }
-      return finish();
-    }
-    for (const auto& [pt, pc] : probe_rows) {
-      INCDB_RETURN_IF_ERROR(Checkpoint());
-      key.AssignProject(pt, probe_keys);
-      if (sql_mode() && key.HasNull()) continue;
-      auto it = index.find(key);
-      if (it == index.end()) continue;
-      for (uint32_t bi : it->second) {
-        const auto& [bt, bc] = build_rows[bi];
-        if (build_left) {
-          INCDB_RETURN_IF_ERROR(emit(bt, bc, pt, pc));
-        } else {
-          INCDB_RETURN_IF_ERROR(emit(pt, pc, bt, bc));
-        }
-      }
-    }
-    return finish();
+    Relation out(n.attrs);
+    auto sink = [&](const Tuple& t, uint64_t c) -> Status {
+      // Pairs of distinct rows are distinct: no duplicate probe unless a
+      // projection may fold them together.
+      INCDB_RETURN_IF_ERROR(has_proj ? out.Insert(t, c)
+                                     : out.InsertUnique(t, c));
+      return Budget(c, n.attrs.size());
+    };
+    INCDB_RETURN_IF_ERROR(JoinRows(n, set, sql_mode(), lrows, rrows,
+                                   batch_size(), Checker(), sink));
+    // With a projection under set semantics, distinct pairs may collapse;
+    // normalise multiplicities at the end.
+    if (has_proj && set) out.CollapseCounts();
+    return RelationView::Own(std::move(out));
   }
+
+  /// \brief Cooperative limits of one parallel-join worker.
+  ///
+  /// Every worker checks the ExecContext on its own visited-work counter,
+  /// so a deadline or a Cancel() from another thread stops all partitions
+  /// within one interval, and reports its emissions to the shared budget
+  /// counter every 4096 rows, failing once the ceiling is crossed
+  /// (overshoot bounded by one report interval per worker). The caller
+  /// drops partial outputs; the pool stays reusable (ExecPool::Run always
+  /// drains every task body).
+  class WorkerLimits {
+   public:
+    WorkerLimits(const Executor& ex, std::atomic<uint64_t>* emitted)
+        : ex_(ex), emitted_(emitted) {}
+
+    /// Kernel window hook: a checkpoint over `units` of visited work.
+    Status operator()(size_t units) {
+      if (!ex_.limited_) return Status::OK();
+      visited_ += units;
+      if (visited_ < kCheckpointInterval) return Status::OK();
+      visited_ = 0;
+      return ex_.ctx_->Check();
+    }
+
+    /// Kernel sink into this worker's output part.
+    auto SinkInto(std::vector<Relation::Row>* part) {
+      return [this, part](const Tuple& t, uint64_t c) -> Status {
+        part->emplace_back(t, c);
+        return ++unreported_ < 4096 ? Status::OK() : Report();
+      };
+    }
+
+    /// Adds the unreported emissions to the shared counter.
+    Status Report() {
+      const uint64_t total =
+          emitted_->fetch_add(unreported_, std::memory_order_relaxed) +
+          unreported_;
+      unreported_ = 0;
+      const uint64_t max = ex_.plan_.opts.max_tuples;
+      const uint64_t left = max > ex_.produced_ ? max - ex_.produced_ : 0;
+      return total > left ? ex_.OverBudget(ex_.produced_ + total)
+                          : Status::OK();
+    }
+
+   private:
+    const Executor& ex_;
+    std::atomic<uint64_t>* emitted_;
+    uint64_t visited_ = 0;
+    uint64_t unreported_ = 0;
+  };
 
   /// Partitioned hash join: both sides are split by key-hash prefix into
   /// num_threads partitions; matching keys land in the same partition, so
   /// partitions join independently on the pool. Outputs merge in
   /// partition-index order — a fixed thread count yields a deterministic
   /// row order, and any thread count yields the same relation.
-  StatusOr<RelationView> ParallelHashJoin(
-      const PhysNode& n, bool build_left,
-      const std::vector<Relation::Row>& build_rows,
-      const std::vector<Relation::Row>& probe_rows,
-      const std::vector<size_t>& build_keys,
-      const std::vector<size_t>& probe_keys) {
+  StatusOr<RelationView> ParallelHashJoin(const PhysNode& n,
+                                          const Rows& lrows,
+                                          const Rows& rrows) {
     INCDB_FAULT_POINT("exec.pool_dispatch");
-    const bool set = set_semantics();
-    const bool sql = sql_mode();
-    const bool has_proj = n.fused_proj;
     const size_t P = plan_.opts.num_threads;
-    // Batched mode: probe lists sweep in whole batches (one cooperative
-    // check per window) and a trivial residual skips the per-pair
-    // predicate call.
-    const bool trivial =
-        batch_size() > 0 && n.cond->kind == CondKind::kTrue;
-    const size_t W = batch_size() > 0 ? batch_size() : 1;
-
+    const bool build_left = lrows.size() <= rrows.size();
+    const Rows& build = build_left ? lrows : rrows;
+    const Rows& probe = build_left ? rrows : lrows;
     std::vector<std::vector<uint32_t>> build_parts(P), probe_parts(P);
     Tuple key;
-    for (uint32_t i = 0; i < build_rows.size(); ++i) {
-      key.AssignProject(build_rows[i].first, build_keys);
-      if (sql && key.HasNull()) continue;
-      build_parts[key.Hash() % P].push_back(i);
-    }
-    for (uint32_t i = 0; i < probe_rows.size(); ++i) {
-      key.AssignProject(probe_rows[i].first, probe_keys);
-      if (sql && key.HasNull()) continue;
-      probe_parts[key.Hash() % P].push_back(i);
-    }
+    auto split = [&](const Rows& rows, const std::vector<size_t>& keys,
+                     std::vector<std::vector<uint32_t>>* parts) {
+      for (uint32_t i = 0; i < rows.size(); ++i) {
+        if (JoinKey(rows[i].first, keys, sql_mode(), &key)) {
+          (*parts)[key.Hash() % P].push_back(i);
+        }
+      }
+    };
+    split(build, build_left ? n.lkeys : n.rkeys, &build_parts);
+    split(probe, build_left ? n.rkeys : n.lkeys, &probe_parts);
 
     // Partitions emit raw (tuple, count) rows — the hash-indexed insert
     // happens exactly once, at the canonical merge below.
-    std::vector<std::vector<Relation::Row>> outs(P);
+    std::vector<Rows> outs(P);
     std::vector<Status> stats(P, Status::OK());
-    // The budget is enforced cooperatively: partitions add their emissions
-    // to a shared counter in chunks and abort once the ceiling is crossed
-    // (overshoot is bounded by P chunks).
     std::atomic<uint64_t> emitted{0};
-    const uint64_t budget_left =
-        plan_.opts.max_tuples > produced_ ? plan_.opts.max_tuples - produced_
-                                          : 0;
-
     RunPartitions(P, [&](size_t p) {
-      std::vector<Relation::Row>& part_out = outs[p];
-      Tuple pkey, joint;
-      uint64_t unreported = 0;
-      // Workers observe the ExecContext cooperatively: every worker checks
-      // its own visited-pair counter, so a deadline or a Cancel() from
-      // another thread stops all partitions within one interval. Partial
-      // results are discarded by the merge-on-error below and the pool
-      // stays reusable (ExecPool::Run always drains every task body).
-      uint64_t visited = 0;
-      auto interrupted = [&]() {
-        visited = 0;
-        if (!limited_) return false;
-        Status cst = ctx_->Check();
-        if (cst.ok()) return false;
-        stats[p] = std::move(cst);
-        return true;
-      };
-      auto over_budget = [&]() {
-        emitted.fetch_add(unreported, std::memory_order_relaxed);
-        unreported = 0;
-        return emitted.load(std::memory_order_relaxed) > budget_left;
-      };
-      std::unordered_map<Tuple, std::vector<uint32_t>> index;
-      index.reserve(build_parts[p].size());
-      for (uint32_t i : build_parts[p]) {
-        if (++visited >= kCheckpointInterval && interrupted()) return;
-        pkey.AssignProject(build_rows[i].first, build_keys);
-        index[pkey].push_back(i);
-      }
-      const std::vector<uint32_t>& plist = probe_parts[p];
-      for (size_t wb = 0; wb < plist.size(); wb += W) {
-        const size_t we = std::min(plist.size(), wb + W);
-        visited += we - wb;
-        if (visited >= kCheckpointInterval && interrupted()) return;
-        for (size_t qi = wb; qi < we; ++qi) {
-          const auto& [pt, pc] = probe_rows[plist[qi]];
-          pkey.AssignProject(pt, probe_keys);
-          auto it = index.find(pkey);
-          if (it == index.end()) continue;
-          for (uint32_t bi : it->second) {
-            if (++visited >= kCheckpointInterval && interrupted()) return;
-            const auto& [bt, bc] = build_rows[bi];
-            const Tuple& lt = build_left ? bt : pt;
-            const Tuple& rt = build_left ? pt : bt;
-            joint.AssignConcat(lt, rt);
-            if (!trivial && n.pred(joint) != TV3::kT) continue;
-            uint64_t c = set ? 1 : bc * pc;
-            if (has_proj) {
-              part_out.emplace_back(joint.Project(n.proj_pos), c);
-            } else {
-              part_out.emplace_back(joint, c);
-            }
-            if (++unreported >= 4096 && over_budget()) {
-              StatusDetail d;
-              d.budget_used =
-                  produced_ + emitted.load(std::memory_order_relaxed);
-              d.budget_limit = plan_.opts.max_tuples;
-              stats[p] = Status::ResourceExhausted(
-                             "evaluation exceeded max_tuples=" +
-                             std::to_string(plan_.opts.max_tuples))
-                             .WithDetail(std::move(d));
-              return;
-            }
+      WorkerLimits lim(*this, &emitted);
+      auto sink = lim.SinkInto(&outs[p]);
+      stats[p] = [&]() -> Status {
+        HashJoinKernel hj(n, set_semantics(), sql_mode(), build_left, build);
+        hj.Reserve(build_parts[p].size());
+        for (uint32_t i : build_parts[p]) {
+          INCDB_RETURN_IF_ERROR(lim(1));
+          hj.Add(i);
+        }
+        const std::vector<uint32_t>& plist = probe_parts[p];
+        for (size_t wb = 0; wb < plist.size(); wb += batch_size()) {
+          const size_t we = std::min(plist.size(), wb + batch_size());
+          INCDB_RETURN_IF_ERROR(lim(we - wb));
+          for (size_t qi = wb; qi < we; ++qi) {
+            const auto& [pt, pc] = probe[plist[qi]];
+            INCDB_RETURN_IF_ERROR(hj.Probe(pt, pc, lim, sink));
           }
         }
-      }
-      emitted.fetch_add(unreported, std::memory_order_relaxed);
+        return lim.Report();
+      }();
     });
-
     for (const Status& st : stats) {
       INCDB_RETURN_IF_ERROR(st);
     }
-
-    return MergeJoinParts(outs, n, has_proj, set);
+    return MergeJoinParts(outs, n);
   }
 
   /// Chunk-partitioned nested-loop join: left rows split into contiguous
-  /// chunks, each chunk looping over all right rows. Chunk outputs merged
-  /// in chunk order reproduce the exact left-major sequential pair order,
-  /// so any thread count yields a row-for-row identical relation.
-  StatusOr<RelationView> ParallelNLJoin(const PhysNode& n,
-                                        const RelationView& l,
-                                        const RelationView& r) {
+  /// chunks, each chunk joined with all right rows by its own kernel (the
+  /// right-side transposition is rebuilt per chunk: O(right rows), dwarfed
+  /// by the pair loop). Chunk outputs merged in chunk order reproduce the
+  /// exact left-major sequential pair order, so any thread count yields a
+  /// row-for-row identical relation.
+  StatusOr<RelationView> ParallelNLJoin(const PhysNode& n, const Rows& lrows,
+                                        const Rows& rrows) {
     INCDB_FAULT_POINT("exec.pool_dispatch");
-    const bool set = set_semantics();
-    const bool has_proj = n.fused_proj;
-    const std::vector<Relation::Row>& lrows = l.rows();
-    const std::vector<Relation::Row>& rrows = r.rows();
-    const size_t P = plan_.opts.num_threads;
-
-    std::vector<std::vector<Relation::Row>> parts(P);
-    // Budget enforced cooperatively, exactly like the partitioned hash
-    // join: chunks add their emissions to a shared counter and abort once
-    // the ceiling is crossed (overshoot bounded by P report intervals).
+    std::vector<Rows> parts(plan_.opts.num_threads);
     std::atomic<uint64_t> emitted{0};
-    const uint64_t budget_left =
-        plan_.opts.max_tuples > produced_ ? plan_.opts.max_tuples - produced_
-                                          : 0;
-    // The columnar program must be compiled on this thread: the per-node
-    // cache is not synchronized, workers only read the finished program.
-    const BatchPredicate* bp =
-        batch_size() > 0 ? BatchPredFor(n, JointAttrs(n)) : nullptr;
     auto stats = RunChunks(
         lrows.size(), [&](size_t p, size_t begin, size_t end) -> Status {
-          std::vector<Relation::Row>& part_out = parts[p];
-          Tuple joint;
-          uint64_t unreported = 0;
-          // Per-worker cooperative checkpoint on *visited* pairs (emitted
-          // pairs alone would never check a selective predicate's chunk):
-          // a deadline or cross-thread Cancel() stops every chunk within
-          // one interval; partial outputs are dropped by the caller. In
-          // batched mode the counter advances one whole window at a time.
-          uint64_t visited = 0;
-          // Emits the pair currently assembled in `joint`, reporting into
-          // the shared budget counter every 4096 emissions.
-          auto emit_joint = [&](uint64_t c) -> Status {
-            if (has_proj) {
-              part_out.emplace_back(joint.Project(n.proj_pos), c);
-            } else {
-              part_out.emplace_back(joint, c);
-            }
-            if (++unreported >= 4096) {
-              emitted.fetch_add(unreported, std::memory_order_relaxed);
-              unreported = 0;
-              if (emitted.load(std::memory_order_relaxed) > budget_left) {
-                StatusDetail d;
-                d.budget_used =
-                    produced_ + emitted.load(std::memory_order_relaxed);
-                d.budget_limit = plan_.opts.max_tuples;
-                return Status::ResourceExhausted(
-                           "evaluation exceeded max_tuples=" +
-                           std::to_string(plan_.opts.max_tuples))
-                    .WithDetail(std::move(d));
-              }
-            }
-            return Status::OK();
-          };
-          if (bp != nullptr) {
-            // Each worker owns its columnar scratch; the right-side
-            // transposition is rebuilt per chunk (O(right rows), dwarfed
-            // by the pair loop it accelerates).
-            NLBatcher nb(*bp, rrows, n.left_arity, n.left_arity + r.arity());
-            BatchPredicate::Scratch scratch;
-            SelVector sel;
-            for (size_t i = begin; i < end; ++i) {
-              const auto& [lt, lc] = lrows[i];
-              for (size_t wb = 0; wb < rrows.size(); wb += batch_size()) {
-                const size_t we = std::min(rrows.size(), wb + batch_size());
-                if (limited_) {
-                  visited += we - wb;
-                  if (visited >= kCheckpointInterval) {
-                    visited = 0;
-                    INCDB_RETURN_IF_ERROR(ctx_->Check());
-                  }
-                }
-                sel.clear();
-                nb.Select(lt, wb, we, &scratch, &sel);
-                for (uint32_t si : sel) {
-                  const auto& [rt, rc] = rrows[wb + si];
-                  joint.AssignConcat(lt, rt);
-                  INCDB_RETURN_IF_ERROR(emit_joint(set ? 1 : lc * rc));
-                }
-              }
-            }
-            emitted.fetch_add(unreported, std::memory_order_relaxed);
-            return Status::OK();
-          }
-          for (size_t i = begin; i < end; ++i) {
-            const auto& [lt, lc] = lrows[i];
-            for (const auto& [rt, rc] : rrows) {
-              if (limited_ && ++visited >= kCheckpointInterval) {
-                visited = 0;
-                INCDB_RETURN_IF_ERROR(ctx_->Check());
-              }
-              joint.AssignConcat(lt, rt);
-              if (n.pred(joint) != TV3::kT) continue;
-              INCDB_RETURN_IF_ERROR(emit_joint(set ? 1 : lc * rc));
-            }
-          }
-          emitted.fetch_add(unreported, std::memory_order_relaxed);
-          return Status::OK();
+          WorkerLimits lim(*this, &emitted);
+          NLJoinKernel nl(n, set_semantics(), rrows);
+          INCDB_RETURN_IF_ERROR(nl.Run(lrows, begin, end, batch_size(), lim,
+                                       lim.SinkInto(&parts[p])));
+          return lim.Report();
         });
     for (const Status& st : stats) {
       INCDB_RETURN_IF_ERROR(st);
     }
-    return MergeJoinParts(parts, n, has_proj, set);
+    return MergeJoinParts(parts, n);
   }
 
   const Plan& plan_;
@@ -1407,16 +1021,9 @@ class Executor {
   const ExecContext* ctx_;  // outlives the execution (held by the caller)
   const bool limited_;      // hoisted ctx_->limited(): one branch per checkpoint
   std::unordered_map<const PhysNode*, RelationView> memo_;
-  /// Columnar predicate programs per node, compiled on first batched use
-  /// (nullptr caches a fallback to the scalar path).
-  std::unordered_map<const PhysNode*, std::unique_ptr<BatchPredicate>>
-      batch_preds_;
-  // Reusable columnar buffers for the sequential batched paths (the
-  // parallel paths give each worker its own).
-  BatchGather gather_;
-  Batch batch_;
-  BatchPredicate::Scratch bp_scratch_;
-  SelVector sel_;
+  /// Scratch of the sequential σ/π∘σ/π sweeps (the parallel joins give
+  /// each worker its own kernel).
+  WindowKernel window_;
   uint64_t produced_ = 0;
   uint64_t mem_used_ = 0;   // approx bytes of materialized tuples
   uint64_t check_acc_ = 0;  // rows since the last real ctx check

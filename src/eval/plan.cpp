@@ -6,6 +6,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "eval/batch.h"
 #include "eval/verify.h"
 
 namespace incdb {
@@ -109,6 +110,23 @@ bool CondWithin(const CondPtr& c, const std::vector<std::string>& attrs) {
   return true;
 }
 
+/// Compiles `node->cond` against the input schema `attrs` into the one
+/// form its operator evaluates: the columnar program for the window
+/// sweeps, the scalar predicate for the per-tuple residual tests.
+Status CompileNodeCond(PhysNode* node, const std::vector<std::string>& attrs,
+                       CondMode mode) {
+  if (OpRunsProgram(node->op)) {
+    auto prog = BatchPredicate::Make(node->cond, attrs, mode);
+    if (!prog.ok()) return prog.status();
+    node->prog = std::make_shared<const BatchPredicate>(std::move(*prog));
+    return Status::OK();
+  }
+  auto pred = CompileCond(node->cond, attrs, mode);
+  if (!pred.ok()) return pred.status();
+  node->pred = std::move(*pred);
+  return Status::OK();
+}
+
 class Compiler {
  public:
   Compiler(EvalMode mode, const EvalOptions& opts, const Database& db,
@@ -173,16 +191,14 @@ class Compiler {
         "the query first");
   }
 
-  /// Compiles `cond` against `attrs` into the node's predicate (validating
-  /// attribute references on the way). Parameterised conditions also
-  /// record the input schema so BindPlanParams can recompile the predicate
-  /// once the placeholders are substituted.
+  /// Compiles `cond` against `attrs` into the node's predicate or program
+  /// (validating attribute references on the way). Parameterised
+  /// conditions also record the input schema so BindPlanParams can
+  /// recompile once the placeholders are substituted.
   Status AttachCond(PhysNode* node, const CondPtr& cond,
                     const std::vector<std::string>& attrs) {
-    auto pred = CompileCond(cond, attrs, ToCondMode(mode_));
-    if (!pred.ok()) return pred.status();
     node->cond = cond;
-    node->pred = std::move(*pred);
+    INCDB_RETURN_IF_ERROR(CompileNodeCond(node, attrs, ToCondMode(mode_)));
     if (CondHasParam(cond)) node->pred_attrs = attrs;
     return Status::OK();
   }
@@ -631,6 +647,11 @@ bool OpIsMaintainable(PhysOp op) {
   }
 }
 
+bool OpRunsProgram(PhysOp op) {
+  return op == PhysOp::kFilterSel || op == PhysOp::kFusedProjectFilter ||
+         op == PhysOp::kNLJoin;
+}
+
 namespace {
 
 /// Fills Plan::scanned_rels (sorted, deduplicated), Plan::uses_dom and
@@ -648,6 +669,11 @@ void CollectDataDeps(const PhysPtr& n, std::set<std::string>* names,
 StatusOr<PlanPtr> CompileImpl(const AlgPtr& q, EvalMode mode,
                               const EvalOptions& opts, const Database& db,
                               bool for_ctables) {
+  if (opts.batch_size == 0) {
+    return Status::InvalidArgument(
+        "EvalOptions::batch_size must be at least 1 (it is the row window "
+        "every operator sweeps by)");
+  }
   Compiler compiler(mode, opts, db, for_ctables);
   auto root = compiler.CompileNode(q);
   if (!root.ok()) return root.status();
@@ -747,9 +773,7 @@ class PlanBinder {
       auto cond = BindCondParams(n->cond, params_);
       if (!cond.ok()) return cond.status();
       copy->cond = *cond;
-      auto pred = CompileCond(copy->cond, n->pred_attrs, mode_);
-      if (!pred.ok()) return pred.status();
-      copy->pred = std::move(*pred);
+      INCDB_RETURN_IF_ERROR(CompileNodeCond(copy.get(), n->pred_attrs, mode_));
       copy->pred_attrs.clear();
     }
     if (dom_param) {

@@ -80,6 +80,13 @@ const char* ToString(PhysOp op);
 /// predicate, so the two can never drift apart silently.
 bool OpIsMaintainable(PhysOp op);
 
+/// True for the operators that sweep windows of rows through a columnar
+/// program (PhysNode::prog): σ, the fused π∘σ and the nested-loop join.
+/// Every other condition-bearing operator tests one joint tuple at a time
+/// through PhysNode::pred.
+bool OpRunsProgram(PhysOp op);
+
+class BatchPredicate;
 struct PhysNode;
 using PhysPtr = std::shared_ptr<const PhysNode>;
 
@@ -92,16 +99,26 @@ struct PhysNode {
 
   std::string rel_name;            ///< kScanView.
   CondPtr cond;                    ///< Filter / join residual / kInPred θ.
-  /// `cond` compiled against the operator's input schema (the joint schema
-  /// for join-like operators). Pure and re-entrant: safe to call from the
-  /// join pool's worker threads. When `cond` still carries parameter
-  /// placeholders the compiled predicate is a validation artifact only —
-  /// Execute refuses plans with unbound parameters; BindPlanParams
-  /// recompiles it from the bound condition.
+  /// `cond` compiled against the joint (left·right) schema, for the
+  /// operators that test one joint tuple at a time: the hash-join,
+  /// semijoin and IN residuals. Pure and re-entrant: safe to call from the
+  /// join pool's worker threads. Null on every other operator.
   std::function<TV3(const Tuple&)> pred;
-  /// Input schema `pred` was compiled against — recorded only when `cond`
-  /// carries parameters, so BindPlanParams can recompile the predicate
-  /// after substitution.
+  /// `cond` compiled into a columnar register program (eval/batch.h)
+  /// against the operator's input schema, for the operators that sweep
+  /// row windows (OpRunsProgram: σ, π∘σ and the NL join over the joint
+  /// schema). Compiled once — by Compile, or by BindPlanParams for a
+  /// parameterised condition — and shared by every copy of the node;
+  /// callers evaluate it with their own scratch, so pool workers share it.
+  /// Null on every other operator.
+  ///
+  /// While `cond` still carries parameter placeholders, `pred` / `prog`
+  /// are validation artifacts only: Execute refuses plans with unbound
+  /// parameters, and BindPlanParams recompiles from the bound condition.
+  std::shared_ptr<const BatchPredicate> prog;
+  /// Input schema `pred` / `prog` was compiled against — recorded only
+  /// when `cond` carries parameters, so BindPlanParams can recompile after
+  /// substitution.
   std::vector<std::string> pred_attrs;
 
   std::vector<size_t> proj_pos;    ///< kProject / kFusedProjectFilter / fused join projection.
@@ -172,6 +189,8 @@ size_t ResolveNumThreads(size_t requested);
 /// no data is read. Compilation performs all schema validation (unknown
 /// relations/attributes, arity mismatches, product disjointness), so
 /// Execute only surfaces data-dependent errors (resource budgets).
+/// EvalOptions::batch_size 0 is kInvalidArgument: it is the window every
+/// operator sweeps by.
 StatusOr<PlanPtr> Compile(const AlgPtr& q, EvalMode mode,
                           const EvalOptions& opts, const Database& db);
 

@@ -13,10 +13,6 @@ namespace incdb {
 
 namespace {
 
-CondMode VerifyCondMode(EvalMode m) {
-  return m == EvalMode::kSetSql ? CondMode::kSql : CondMode::kNaive;
-}
-
 /// One verification walk over a plan. Collects nothing; fails fast with a
 /// kInternal status naming the offending node by its root path.
 class PlanVerifier {
@@ -398,12 +394,19 @@ class PlanVerifier {
   }
 
   /// Condition-bearing operators: attribute resolution against the input
-  /// schema, pred_attrs discipline, parameter coverage, and a well-formed
-  /// columnar register program for the bound conditions.
+  /// schema, pred_attrs discipline, parameter coverage, the compiled form
+  /// the operator evaluates (OpRunsProgram), and — once the condition is
+  /// bound — a well-formed register program.
   Status CheckCond(const PhysNode& n, const std::string& path,
                    const std::vector<std::string>& input) const {
     if (!n.cond) return FailNode(n, path, "missing condition");
-    if (!n.pred) return FailNode(n, path, "missing compiled predicate");
+    const bool runs_program = OpRunsProgram(n.op);
+    if (runs_program && !n.prog) {
+      return FailNode(n, path, "missing predicate program");
+    }
+    if (!runs_program && !n.pred) {
+      return FailNode(n, path, "missing compiled predicate");
+    }
     for (const std::string& a : CondAttrs(n.cond)) {
       if (IndexOf(input, a) == input.size()) {
         return FailNode(n, path, "condition references attribute " + a +
@@ -429,19 +432,12 @@ class PlanVerifier {
         return FailNode(n, path,
                         "pred_attrs recorded for a parameter-free condition");
       }
-      // The columnar program the vectorized executor would build must be
-      // well-formed (it shares atom semantics with the scalar predicate).
-      auto bp = BatchPredicate::Make(n.cond, input,
-                                     VerifyCondMode(plan_.mode));
-      if (!bp.ok()) {
-        return FailNode(n, path, "condition does not compile to a columnar "
-                                 "program: " +
-                                     bp.status().message());
-      }
-      Status prog = bp->Validate(input.size());
-      if (!prog.ok()) {
-        return FailNode(n, path,
-                        "malformed predicate program: " + prog.message());
+      if (runs_program) {
+        Status prog = n.prog->Validate(input.size());
+        if (!prog.ok()) {
+          return FailNode(n, path,
+                          "malformed predicate program: " + prog.message());
+        }
       }
     }
     return Status::OK();
@@ -524,6 +520,10 @@ class PlanVerifier {
       return Fail("", "EvalOptions::num_threads was not resolved at compile "
                       "time (got " +
                           std::to_string(plan_.opts.num_threads) + ")");
+    }
+    if (plan_.opts.batch_size == 0) {
+      return Fail("", "EvalOptions::batch_size 0 would stall every window "
+                      "sweep");
     }
     return Status::OK();
   }

@@ -46,7 +46,12 @@ StatusOr<std::vector<Token>> Tokenize(const std::string& sql) {
       }
       continue;
     }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
+    // A '-' directly before a digit is the literal's sign (the grammar has
+    // no arithmetic, so it cannot be a binary minus).
+    const bool negative = c == '-' && i + 1 < n &&
+                          std::isdigit(static_cast<unsigned char>(sql[i + 1]));
+    if (negative || std::isdigit(static_cast<unsigned char>(c))) {
+      if (negative) ++i;
       bool dot = false;
       while (i < n && (std::isdigit(static_cast<unsigned char>(sql[i])) ||
                        (!dot && sql[i] == '.'))) {

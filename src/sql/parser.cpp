@@ -6,6 +6,23 @@ namespace incdb {
 
 namespace {
 
+/// A number token as a constant: Int without a decimal point, Double with
+/// one. A literal out of range is kInvalidArgument at the token's offset.
+StatusOr<Value> NumericLiteral(const Token& tok) {
+  Status bad;
+  if (tok.text.find('.') == std::string::npos) {
+    auto v = ParseNumber<int64_t>(tok.text);
+    if (v.ok()) return Value::Int(*v);
+    bad = v.status();
+  } else {
+    auto v = ParseNumber<double>(tok.text);
+    if (v.ok()) return Value::Double(*v);
+    bad = v.status();
+  }
+  return Status::InvalidArgument(bad.message() + " at offset " +
+                                 std::to_string(tok.pos));
+}
+
 class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : toks_(std::move(tokens)) {}
@@ -231,11 +248,10 @@ class Parser {
       node->op = op;
       node->lhs = *col;
       if (Peek().kind == TokKind::kNumber) {
-        const std::string& text = Next().text;
+        auto lit = NumericLiteral(Next());
+        if (!lit.ok()) return lit.status();
         node->kind = SqlExprKind::kCmpColLit;
-        node->literal = text.find('.') == std::string::npos
-                            ? Value::Int(std::stoll(text))
-                            : Value::Double(std::stod(text));
+        node->literal = *lit;
       } else if (Peek().kind == TokKind::kString) {
         node->kind = SqlExprKind::kCmpColLit;
         node->literal = Value::String(Next().text);

@@ -293,17 +293,19 @@ TEST(ConcurrencyTest, CursorDestroyedMidStreamUnderDropReleasesSnapshot) {
 }
 
 // The deadline/cancellation scaffolding for the join tests below: two
-// relations whose θ-join (≠, not hash-joinable) visits ~1.4M pairs — big
+// relations whose θ-join (≠, not hash-joinable) visits 36M pairs — big
 // enough that a 10 ms deadline or a mid-flight Cancel() always lands
-// inside the operator loops, small enough to finish if a check is missed.
+// inside the operator loops, even with 8 threads on the columnar kernel
+// (≈40 ms at best on a 4-core x86-64 box), small enough to finish if a
+// check is missed.
 Session NLJoinSession(size_t threads) {
   Database db;
   Relation r({"a", "k"}), s({"b", "k2"});
-  // Distinct ids keep the scans set-shaped at 3000 rows each; the
-  // mostly-equal join keys keep the ≠-join's *output* tiny (≈30k rows)
-  // while its pair-visit count stays at 9M — the loops run long, memory
+  // Distinct ids keep the scans set-shaped at 6000 rows each; the
+  // mostly-equal join keys keep the ≠-join's *output* tiny (≈60k rows)
+  // while its pair-visit count stays at 36M — the loops run long, memory
   // stays flat even when a test lets the query run to completion.
-  for (int i = 0; i < 3000; ++i) {
+  for (int i = 0; i < 6000; ++i) {
     r.Add({Value::Int(i), Value::Int(i < 10 ? 2 : 1)});
     s.Add({Value::Int(i), Value::Int(1)});
   }

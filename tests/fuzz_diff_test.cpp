@@ -10,8 +10,6 @@
 //   INCDB_FUZZ_SEED      base RNG seed (default 20260730)
 //   INCDB_FUZZ_CASES     cases per mode (default 500)
 //   INCDB_FUZZ_THREADS   one extra thread count to test (CI uses 4)
-//   INCDB_FUZZ_BATCH     force EvalOptions::batch_size on every config
-//                        (CI runs the whole matrix once with 1024)
 
 #include <gtest/gtest.h>
 
@@ -33,7 +31,6 @@ namespace incdb {
 namespace {
 
 using testing_util::EnvOr;
-using testing_util::FuzzBatchOverride;
 using testing_util::RandomBagDatabase;
 using testing_util::RandomDatabase;
 using testing_util::RandomQueryGen;
@@ -371,24 +368,21 @@ std::vector<FuzzConfig> FuzzConfigs() {
     o.enable_selection_pushdown = false;
     bases.push_back({"none", o});
   }
-  const uint64_t forced_batch = FuzzBatchOverride();
   std::vector<FuzzConfig> configs;
   for (const auto& [name, base] : bases) {
     for (size_t threads : thread_counts) {
       EvalOptions o = base;
       o.num_threads = threads;
       o.parallel_min_rows = 0;
-      if (forced_batch > 0) o.batch_size = forced_batch;
       configs.push_back(
           {name + "/t" + std::to_string(threads), o});
     }
   }
-  // The vectorized-executor matrix: legacy tuple-at-a-time (0), the
-  // degenerate single-row batch (1), a deliberately awkward window that
-  // straddles every boundary (3), and the default (1024, already covered
-  // by the base configs above). Bit-identity across all of them is the
-  // batching contract.
-  for (size_t batch : {size_t{0}, size_t{1}, size_t{3}}) {
+  // The window-size matrix: the degenerate single-row window (1), a
+  // deliberately awkward window that straddles every boundary (3), and
+  // the default (1024, already covered by the base configs above).
+  // Bit-identity across all of them is the windowing contract.
+  for (size_t batch : {size_t{1}, size_t{3}}) {
     for (size_t threads : thread_counts) {
       EvalOptions o;
       o.num_threads = threads;
@@ -502,9 +496,10 @@ TEST(FuzzDiffTest, ResultCacheToggleIsBitIdentical) {
 // Incremental result maintenance must be invisible: interleave random
 // row-level Mutate batches with prepared executions and cross-check the
 // (possibly delta-maintained) cached result against a maintenance-free
-// cold recompute after every commit. Crossed over the vectorized batch
-// sizes {0, 1024} × thread counts {1, 8} — the delta propagator reuses
-// the batch predicate programs, so both executors run on both paths. Set
+// cold recompute after every commit. Crossed over the window sizes
+// {3, 1024} × thread counts {1, 8} — the delta propagator runs the
+// executor's kernels at the plan's window size, so a multi-window sweep
+// and a single-window one both run on both paths. Set
 // modes also exercise the deletion → invalidation fallback (removals are
 // not insert-only maintainable there); bag mode the exact signed-delta
 // path.
@@ -515,7 +510,7 @@ TEST(FuzzDiffTest, MaintainedResultsMatchColdRecompute) {
     size_t batch;
     size_t threads;
   };
-  constexpr Cfg kCfgs[] = {{0, 1}, {0, 8}, {1024, 1}, {1024, 8}};
+  constexpr Cfg kCfgs[] = {{3, 1}, {3, 8}, {1024, 1}, {1024, 8}};
   constexpr const char* kRels[] = {"R", "S", "T"};
   for (EvalMode mode :
        {EvalMode::kSetNaive, EvalMode::kBagNaive, EvalMode::kSetSql}) {

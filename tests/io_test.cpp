@@ -43,6 +43,31 @@ TEST(IoTest, Errors) {
   EXPECT_FALSE(empty_cell.ok());                        // empty cell value
 }
 
+// Numbers beyond int64 / uint64 / double range are kInvalidArgument, not
+// an uncaught std::out_of_range.
+TEST(IoTest, OutOfRangeNumbersRejected) {
+  for (const std::string& cell :
+       {std::string("99999999999999999999"),
+        std::string("_99999999999999999999999"),
+        "1" + std::string(400, '0') + ".5"}) {
+    auto rel = LoadRelationCsv("a\n" + cell + "\n");
+    ASSERT_FALSE(rel.ok()) << cell;
+    EXPECT_EQ(rel.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(rel.status().message().find("line 2"), std::string::npos)
+        << rel.status().ToString();
+    EXPECT_NE(rel.status().message().find("out of range"), std::string::npos)
+        << rel.status().ToString();
+  }
+  // The extremes themselves still load.
+  auto edge = LoadRelationCsv(
+      "a,b\n9223372036854775807,_18446744073709551615\n"
+      "-9223372036854775808,+7\n");
+  ASSERT_TRUE(edge.ok()) << edge.status().ToString();
+  EXPECT_TRUE(edge->Contains(Tuple{Value::Int(INT64_MAX),
+                                   Value::Null(UINT64_MAX)}));
+  EXPECT_TRUE(edge->Contains(Tuple{Value::Int(INT64_MIN), Value::Int(7)}));
+}
+
 TEST(IoTest, QuotedCommasAndSpaces) {
   auto rel = LoadRelationCsv(
       "a,b\n"

@@ -225,35 +225,56 @@ TEST(SessionTest, CursorStreamsFilterChainsWithoutMaterialising) {
   EXPECT_TRUE(acc.SameRows(*full));
 }
 
+// Crossed with the window size: at 1 and 3 the 4-row relations drain
+// through many refills, at the default 1024 through one.
 TEST(SessionTest, CursorMatchesExecuteOnFuzzerCorpus) {
-  std::mt19937_64 rng(20260730);
   int compared = 0;
-  for (int round = 0; round < 12; ++round) {
-    Database db = RandomBagDatabase(rng, 4, 3, 2);
-    Session sess(std::move(db));
-    RandomQueryGen gen(rng);
-    for (int i = 0; i < 6; ++i) {
-      AlgPtr q = gen.Gen(3);
-      for (EvalMode mode :
-           {EvalMode::kSetNaive, EvalMode::kBagNaive, EvalMode::kSetSql}) {
-        auto pq = sess.Prepare(q, mode);
-        ASSERT_TRUE(pq.ok()) << pq.status().ToString() << "\n"
-                             << q->ToString();
-        auto rel = pq->Execute();
-        ASSERT_TRUE(rel.ok()) << rel.status().ToString();
-        auto cur = pq->OpenCursor();
-        ASSERT_TRUE(cur.ok()) << cur.status().ToString();
-        Relation acc = Drain(*cur);
-        EXPECT_TRUE(acc.SameRows(*rel))
-            << "cursor/materialised divergence on " << q->ToString()
-            << "\ncursor:\n"
-            << acc.ToString() << "\nmaterialised:\n"
-            << rel->ToString();
-        ++compared;
+  for (size_t batch : {size_t{1}, size_t{3}, size_t{1024}}) {
+    std::mt19937_64 rng(20260730);
+    EvalOptions opts;
+    opts.batch_size = batch;
+    for (int round = 0; round < 12; ++round) {
+      Database db = RandomBagDatabase(rng, 4, 3, 2);
+      Session sess(std::move(db), opts);
+      RandomQueryGen gen(rng);
+      for (int i = 0; i < 6; ++i) {
+        AlgPtr q = gen.Gen(3);
+        for (EvalMode mode :
+             {EvalMode::kSetNaive, EvalMode::kBagNaive, EvalMode::kSetSql}) {
+          auto pq = sess.Prepare(q, mode);
+          ASSERT_TRUE(pq.ok()) << pq.status().ToString() << "\n"
+                               << q->ToString();
+          auto rel = pq->Execute();
+          ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+          auto cur = pq->OpenCursor();
+          ASSERT_TRUE(cur.ok()) << cur.status().ToString();
+          Relation acc = Drain(*cur);
+          EXPECT_TRUE(acc.SameRows(*rel))
+              << "cursor/materialised divergence at batch_size " << batch
+              << " on " << q->ToString() << "\ncursor:\n"
+              << acc.ToString() << "\nmaterialised:\n"
+              << rel->ToString();
+          ++compared;
+        }
       }
     }
   }
-  EXPECT_GE(compared, 200);
+  EXPECT_GE(compared, 600);
+}
+
+TEST(SessionTest, ZeroBatchSizeIsRejected) {
+  EvalOptions opts;
+  opts.batch_size = 0;
+  Session sess(FigureOne(false), opts);
+  auto pq = sess.Prepare("SELECT oid FROM Orders WHERE price > 30");
+  ASSERT_FALSE(pq.ok());
+  EXPECT_EQ(pq.status().code(), StatusCode::kInvalidArgument)
+      << pq.status().ToString();
+  auto plan = Compile(Scan("Orders"), EvalMode::kSetNaive, opts,
+                      FigureOne(false));
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument)
+      << plan.status().ToString();
 }
 
 // --- EXPLAIN -----------------------------------------------------------------

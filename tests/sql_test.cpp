@@ -56,6 +56,18 @@ TEST(LexerTest, UnexpectedCharacter) {
   EXPECT_FALSE(Tokenize("SELECT a; DROP").ok());
 }
 
+TEST(LexerTest, SignedNumericLiterals) {
+  auto toks = Tokenize("a > -5 AND b <= -2.5");
+  ASSERT_TRUE(toks.ok()) << toks.status().ToString();
+  EXPECT_EQ((*toks)[2].kind, TokKind::kNumber);
+  EXPECT_EQ((*toks)[2].text, "-5");
+  EXPECT_EQ((*toks)[2].pos, 4u);
+  EXPECT_EQ((*toks)[6].kind, TokKind::kNumber);
+  EXPECT_EQ((*toks)[6].text, "-2.5");
+  // A '-' that does not start a number is still rejected.
+  EXPECT_FALSE(Tokenize("a > - 5").ok());
+}
+
 // --- Parser ------------------------------------------------------------------
 
 TEST(ParserTest, BasicSelect) {
@@ -133,6 +145,38 @@ TEST(ParserTest, ColumnsAndTablesCarryOffsets) {
   EXPECT_EQ((*q)->from[0].pos, 16u);
 }
 
+TEST(ParserTest, NegativeLiteralsParse) {
+  auto q = ParseSql("SELECT a FROM R WHERE a > -5 OR a < -2.5");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  ASSERT_EQ((*q)->where->kind, SqlExprKind::kOr);
+  EXPECT_EQ((*q)->where->l->literal, Value::Int(-5));
+  EXPECT_EQ((*q)->where->r->literal, Value::Double(-2.5));
+}
+
+// Literals beyond int64 / double range are a positioned kInvalidArgument,
+// not an uncaught std::out_of_range.
+TEST(ParserTest, OutOfRangeLiteralsRejectedWithOffset) {
+  Session sess(FigureOne(false));
+  auto big = sess.Prepare(
+      "SELECT oid FROM Orders WHERE price > 99999999999999999999");
+  ASSERT_FALSE(big.ok());
+  EXPECT_EQ(big.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(big.status().message().find("out of range at offset 37"),
+            std::string::npos)
+      << big.status().ToString();
+  // AnnotateSqlError puts the caret under the literal.
+  EXPECT_NE(big.status().message().find(std::string(39, ' ') + "^"),
+            std::string::npos)
+      << big.status().ToString();
+
+  const std::string huge = "1" + std::string(400, '0') + ".5";
+  auto dbl = ParseSql("SELECT a FROM R WHERE a < -" + huge);
+  ASSERT_FALSE(dbl.ok());
+  EXPECT_EQ(dbl.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(dbl.status().message().find("at offset 26"), std::string::npos)
+      << dbl.status().ToString();
+}
+
 TEST(ParserTest, TrailingInputRejected) {
   EXPECT_FALSE(ParseSql("SELECT a FROM T extra garbage ( ").ok());
   EXPECT_FALSE(ParseSql("SELECT FROM T").ok());
@@ -169,6 +213,41 @@ TEST(TranslateSqlTest, UnknownTableOrColumn) {
   EXPECT_NE(no_where.status().message().find("at offset 29"),
             std::string::npos)
       << no_where.status().ToString();
+}
+
+TEST(TranslateSqlTest, NegativeLiteralsMatchTheAlgebra) {
+  Database db;
+  Relation r({"a"});
+  for (int64_t v : {-10, -5, -3, 0, 4}) r.Add({Value::Int(v)});
+  for (double v : {-7.5, -2.5, -1.25, 3.5}) r.Add({Value::Double(v)});
+  db.Put("R", std::move(r));
+  Session sess(std::move(db));
+  struct Case {
+    const char* sql;
+    AlgPtr alg;
+  };
+  const Case cases[] = {
+      {"SELECT a FROM R WHERE a > -5",
+       Project(Select(Scan("R"), CGtc("a", Value::Int(-5))), {"a"})},
+      {"SELECT a FROM R WHERE a = -5",
+       Project(Select(Scan("R"), CEqc("a", Value::Int(-5))), {"a"})},
+      {"SELECT a FROM R WHERE a <= -2.5",
+       Project(Select(Scan("R"), CLec("a", Value::Double(-2.5))), {"a"})},
+      {"SELECT a FROM R WHERE a <> -2.5",
+       Project(Select(Scan("R"), CNeqc("a", Value::Double(-2.5))), {"a"})},
+  };
+  for (const Case& c : cases) {
+    auto sql = sess.Execute(c.sql);
+    ASSERT_TRUE(sql.ok()) << c.sql << ": " << sql.status().ToString();
+    auto pq = sess.Prepare(c.alg);
+    ASSERT_TRUE(pq.ok()) << pq.status().ToString();
+    auto alg = pq->Execute();
+    ASSERT_TRUE(alg.ok()) << alg.status().ToString();
+    EXPECT_FALSE(alg->Empty()) << c.sql;
+    EXPECT_TRUE(sql->SameRows(*alg))
+        << c.sql << "\nsql:\n" << sql->ToString() << "\nalgebra:\n"
+        << alg->ToString();
+  }
 }
 
 TEST(TranslateSqlTest, AmbiguousColumnRejected) {

@@ -28,12 +28,6 @@ inline uint64_t EnvOr(const char* name, uint64_t fallback) {
                                       : fallback;
 }
 
-/// CI knob for the vectorized executor: INCDB_FUZZ_BATCH=N forces
-/// EvalOptions::batch_size = N on every fuzz configuration (the sanitizer
-/// job sets 1024 so the whole toggle matrix runs batched under
-/// ASan+UBSan). 0 / unset keeps each configuration's own batch size.
-inline uint64_t FuzzBatchOverride() { return EnvOr("INCDB_FUZZ_BATCH", 0); }
-
 /// The Orders / Payments / Customers database of paper Figure 1.
 /// With `with_null`, the oid of Payments' second tuple is ⊥1 (the paper's
 /// single-NULL modification).

@@ -408,6 +408,24 @@ TEST(VerifyNegative, MalformedPredicateProgram) {
   }
 }
 
+TEST(VerifyNegative, CorruptedNodeProgramNamesTheNode) {
+  std::mt19937_64 rng(3);
+  Database db = RandomDatabase(rng);
+  PlanPtr plan = MustCompile(
+      Distinct(Select(Scan("R"), CEqc("R_a", Value::Int(0)))), db);
+  ASSERT_NE(plan, nullptr);
+  ASSERT_EQ(plan->root->left->op, PhysOp::kFilterSel);
+  ASSERT_NE(plan->root->left->prog, nullptr);
+  BatchPredicate prog = *plan->root->left->prog;
+  BatchPredicateTestPeer::prog(prog)[0].col = 9;  // past the input arity
+  auto filter = std::make_shared<PhysNode>(*plan->root->left);
+  filter->prog = std::make_shared<const BatchPredicate>(std::move(prog));
+  auto root = std::make_shared<PhysNode>(*plan->root);
+  root->left = filter;
+  ExpectRejected(WithRoot(*plan, root), &db, "root.left (FilterSel)");
+  ExpectRejected(WithRoot(*plan, root), &db, "malformed predicate program");
+}
+
 TEST(VerifyNegative, ParamCountDoesNotCoverCondition) {
   std::mt19937_64 rng(4);
   Database db = RandomDatabase(rng);
