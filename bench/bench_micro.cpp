@@ -5,8 +5,12 @@
 // E2/E3 measure end-to-end shapes, this file tracks the primitives
 // they rest on.
 
+#include <algorithm>
+#include <chrono>
+#include <cstdlib>
 #include <random>
 #include <string>
+#include <vector>
 
 #include "api/session.h"
 #include "approx/approx.h"
@@ -190,6 +194,53 @@ INCDB_BENCH(hash_join) {
       .Param("scale", opts.scale)
       .Param("threads", static_cast<int64_t>(par.num_threads))
       .Param("tuples", static_cast<int64_t>(db.TotalSize()));
+}
+
+/// Relation's row index at 64k rows: ns/row for appending distinct tuples
+/// into an empty relation (index growth included), for re-inserting every
+/// tuple (a duplicate probe that bumps the count) and for erasing every
+/// row (backward-shift deletion plus the last-row move). Each rep times
+/// the three phases on a fresh relation; each phase keeps its fastest rep.
+INCDB_BENCH(relation_insert) {
+  constexpr size_t kRows = 1 << 16;
+  std::mt19937_64 rng(31);
+  std::vector<Tuple> tuples;
+  tuples.reserve(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    tuples.push_back(Tuple{Value::Int(static_cast<int64_t>(i)),
+                           Value::Int(static_cast<int64_t>(rng() % 1000)),
+                           Value::Int(static_cast<int64_t>(rng() % 16))});
+  }
+  double append_ms = 1e300, dup_ms = 1e300, erase_ms = 1e300;
+  auto since = [](std::chrono::steady_clock::time_point start) {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  };
+  ctx.TimeMs([&] {
+    Relation rel({"a", "b", "c"});
+    auto start = std::chrono::steady_clock::now();
+    for (const Tuple& t : tuples) rel.Insert(t).ok();
+    append_ms = std::min(append_ms, since(start));
+    start = std::chrono::steady_clock::now();
+    for (const Tuple& t : tuples) rel.Insert(t).ok();
+    dup_ms = std::min(dup_ms, since(start));
+    start = std::chrono::steady_clock::now();
+    for (const Tuple& t : tuples) rel.Erase(t, 2).ok();
+    erase_ms = std::min(erase_ms, since(start));
+    if (!rel.Empty()) std::abort();
+  });
+  auto ns_per_row = [](double ms) { return ms * 1e6 / kRows; };
+  std::printf("\n%-24s %8s %10s %10s %10s\n", "relation_insert", "rows",
+              "append", "dup", "erase");
+  std::printf("%-24s %8zu %10.2f %10.2f %10.2f  ns/row\n", "", kRows,
+              ns_per_row(append_ms), ns_per_row(dup_ms),
+              ns_per_row(erase_ms));
+  ctx.Report("relation_insert", append_ms + dup_ms + erase_ms)
+      .Param("rows", static_cast<int64_t>(kRows))
+      .Param("ns_per_row_append", ns_per_row(append_ms))
+      .Param("ns_per_row_dup_insert", ns_per_row(dup_ms))
+      .Param("ns_per_row_erase", ns_per_row(erase_ms));
 }
 
 /// Batch-size sweep of the vectorized filter path: a selective condition

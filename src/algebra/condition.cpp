@@ -288,6 +288,9 @@ bool HasOrderComparison(const CondPtr& c) {
 
 int CompareConst(const Value& a, const Value& b) {
   assert(a.is_const() && b.is_const());
+  if (a.kind() == ValueKind::kInt && b.kind() == ValueKind::kInt) {
+    return a.as_int() < b.as_int() ? -1 : (b.as_int() < a.as_int() ? 1 : 0);
+  }
   auto numeric = [](const Value& v) {
     return v.kind() == ValueKind::kInt || v.kind() == ValueKind::kDouble;
   };

@@ -131,8 +131,9 @@ bool HasNullConstTest(const CondPtr& c);
 /// remain sound for them (§6 "Types of attributes").
 bool HasOrderComparison(const CondPtr& c);
 
-/// Total order on constants used by the order comparisons: numeric across
-/// Int/Double, lexicographic within String, kind order across kinds.
+/// Total order on constants used by the order comparisons: exact between
+/// two Ints, numeric (as double) between an Int and a Double or two
+/// Doubles, lexicographic within String, kind order across kinds.
 /// Returns <0, 0, >0. Both values must be constants.
 int CompareConst(const Value& a, const Value& b);
 
@@ -176,6 +177,13 @@ inline TV3 CondOrderTV(const Value& a, const Value& b, bool strict,
                        CondMode mode) {
   if (a.is_null() || b.is_null()) {
     return mode == CondMode::kNaive ? TV3::kF : TV3::kU;
+  }
+  if (a.kind() == ValueKind::kInt && b.kind() == ValueKind::kInt) {
+    // The common case inline, and exact: int64 values past 2^53 collapse
+    // when compared as doubles.
+    const int64_t x = a.as_int();
+    const int64_t y = b.as_int();
+    return FromBool(strict ? x < y : x <= y);
   }
   int cmp = CompareConst(a, b);
   return FromBool(strict ? cmp < 0 : cmp <= 0);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <sstream>
 
 namespace incdb {
@@ -22,94 +23,80 @@ StatusOr<size_t> Relation::AttrIndex(const std::string& name) const {
   return found;
 }
 
-uint32_t Relation::FindRow(const Tuple& t) const {
-  auto [lo, hi] = index_.equal_range(t.Hash());
-  for (auto it = lo; it != hi; ++it) {
-    if (rows_[it->second].first == t) return it->second;
+namespace {
+
+Status ArityMismatch(const Tuple& t, const char* preposition, size_t arity) {
+  return Status::InvalidArgument("arity mismatch: tuple " + t.ToString() +
+                                 " " + preposition + " relation of arity " +
+                                 std::to_string(arity));
+}
+
+}  // namespace
+
+Status MultiplicityOverflow(const char* site, uint64_t a, uint64_t b) {
+  StatusDetail d;
+  d.budget_used = a;
+  d.budget_limit = UINT64_MAX;
+  d.site = site;
+  return Status::ResourceExhausted(
+             std::string("bag multiplicity overflow at ") + site + ": " +
+             std::to_string(a) + " and " + std::to_string(b) +
+             " combine past 2^64-1")
+      .WithDetail(std::move(d));
+}
+
+template <typename T>
+Status Relation::InsertRow(T&& t, uint64_t count, bool probe) {
+  if (t.arity() != attrs_.size()) return ArityMismatch(t, "into", arity());
+  if (count == 0) return Status::OK();
+  assert(probe || FindRow(t) == kNoRow);
+  if (!index_.Fits(rows_.size() + 1)) Rehash(rows_.size() + 1);
+  const size_t pos = index_.Probe(t.Hash(), [&](uint32_t r) {
+    return probe && rows_[r].first == t;
+  });
+  uint32_t& slot = index_[pos];
+  if (slot != kNoRow) {
+    uint64_t& have = rows_[slot].second;
+    uint64_t sum = 0;
+    if (__builtin_add_overflow(have, count, &sum)) {
+      return MultiplicityOverflow("relation.insert", have, count);
+    }
+    have = sum;
+    return Status::OK();
   }
-  return kNoRow;
+  if (rows_.size() >= kNoRow) {
+    return Status::ResourceExhausted("relation exceeds 2^32-1 distinct rows");
+  }
+  slot = static_cast<uint32_t>(rows_.size());
+  rows_.emplace_back(std::forward<T>(t), count);  // carries t's cached hash
+  return Status::OK();
 }
 
 Status Relation::Insert(const Tuple& t, uint64_t count) {
-  if (t.arity() != attrs_.size()) {
-    return Status::InvalidArgument(
-        "arity mismatch: tuple " + t.ToString() + " into relation of arity " +
-        std::to_string(attrs_.size()));
-  }
-  if (count == 0) return Status::OK();
-  uint32_t row = FindRow(t);
-  if (row != kNoRow) {
-    rows_[row].second += count;
-    return Status::OK();
-  }
-  if (rows_.size() >= kNoRow) {
-    return Status::ResourceExhausted("relation exceeds 2^32-1 distinct rows");
-  }
-  rows_.emplace_back(t, count);  // copies t's cached hash along with it
-  index_.emplace(t.Hash(), static_cast<uint32_t>(rows_.size() - 1));
-  return Status::OK();
+  return InsertRow(t, count, /*probe=*/true);
 }
 
 Status Relation::Insert(Tuple&& t, uint64_t count) {
-  if (t.arity() != attrs_.size()) {
-    return Status::InvalidArgument(
-        "arity mismatch: tuple " + t.ToString() + " into relation of arity " +
-        std::to_string(attrs_.size()));
-  }
-  if (count == 0) return Status::OK();
-  const size_t h = t.Hash();  // cached into t, travels with the move below
-  uint32_t row = FindRow(t);
-  if (row != kNoRow) {
-    rows_[row].second += count;
-    return Status::OK();
-  }
-  if (rows_.size() >= kNoRow) {
-    return Status::ResourceExhausted("relation exceeds 2^32-1 distinct rows");
-  }
-  rows_.emplace_back(std::move(t), count);
-  index_.emplace(h, static_cast<uint32_t>(rows_.size() - 1));
-  return Status::OK();
+  return InsertRow(std::move(t), count, /*probe=*/true);
 }
 
 Status Relation::InsertUnique(const Tuple& t, uint64_t count) {
-  if (t.arity() != attrs_.size()) {
-    return Status::InvalidArgument(
-        "arity mismatch: tuple " + t.ToString() + " into relation of arity " +
-        std::to_string(attrs_.size()));
-  }
-  if (count == 0) return Status::OK();
-  assert(FindRow(t) == kNoRow);
-  if (rows_.size() >= kNoRow) {
-    return Status::ResourceExhausted("relation exceeds 2^32-1 distinct rows");
-  }
-  rows_.emplace_back(t, count);
-  index_.emplace(t.Hash(), static_cast<uint32_t>(rows_.size() - 1));
-  return Status::OK();
+  return InsertRow(t, count, /*probe=*/false);
 }
 
 Status Relation::InsertUnique(Tuple&& t, uint64_t count) {
-  if (t.arity() != attrs_.size()) {
-    return Status::InvalidArgument(
-        "arity mismatch: tuple " + t.ToString() + " into relation of arity " +
-        std::to_string(attrs_.size()));
+  return InsertRow(std::move(t), count, /*probe=*/false);
+}
+
+void Relation::Rehash(size_t n) {
+  index_.Reset(n);
+  for (uint32_t r = 0; r < rows_.size(); ++r) {
+    index_.Add(rows_[r].first.Hash(), r);
   }
-  if (count == 0) return Status::OK();
-  const size_t h = t.Hash();  // cached into t, travels with the move below
-  assert(FindRow(t) == kNoRow);
-  if (rows_.size() >= kNoRow) {
-    return Status::ResourceExhausted("relation exceeds 2^32-1 distinct rows");
-  }
-  rows_.emplace_back(std::move(t), count);
-  index_.emplace(h, static_cast<uint32_t>(rows_.size() - 1));
-  return Status::OK();
 }
 
 Status Relation::Erase(const Tuple& t, uint64_t count) {
-  if (t.arity() != attrs_.size()) {
-    return Status::InvalidArgument(
-        "arity mismatch: tuple " + t.ToString() + " from relation of arity " +
-        std::to_string(attrs_.size()));
-  }
+  if (t.arity() != attrs_.size()) return ArityMismatch(t, "from", arity());
   if (count == 0) return Status::OK();
   const uint32_t row = FindRow(t);
   if (row == kNoRow) {
@@ -124,23 +111,16 @@ Status Relation::Erase(const Tuple& t, uint64_t count) {
   rows_[row].second -= count;
   if (rows_[row].second > 0) return Status::OK();
   // Last occurrence gone: drop the row's index entry, then move the final
-  // row into the vacated slot and re-point its index entry.
-  auto [lo, hi] = index_.equal_range(rows_[row].first.Hash());
-  for (auto it = lo; it != hi; ++it) {
-    if (it->second == row) {
-      index_.erase(it);
-      break;
-    }
-  }
+  // row into the vacated row id and re-point its entry.
+  auto slot_of = [this](uint32_t r) {
+    return index_.Probe(rows_[r].first.Hash(),
+                        [r](uint32_t e) { return e == r; });
+  };
+  index_.EraseAt(slot_of(row),
+                 [this](uint32_t r) { return rows_[r].first.Hash(); });
   const uint32_t last = static_cast<uint32_t>(rows_.size() - 1);
   if (row != last) {
-    auto [mlo, mhi] = index_.equal_range(rows_[last].first.Hash());
-    for (auto it = mlo; it != mhi; ++it) {
-      if (it->second == last) {
-        it->second = row;
-        break;
-      }
-    }
+    index_[slot_of(last)] = row;
     rows_[row] = std::move(rows_[last]);
   }
   rows_.pop_back();
@@ -155,7 +135,7 @@ void Relation::Add(std::initializer_list<Value> values, uint64_t count) {
 
 void Relation::Reserve(size_t n) {
   rows_.reserve(n);
-  index_.reserve(n);
+  if (!index_.Fits(n)) Rehash(n);
 }
 
 uint64_t Relation::Count(const Tuple& t) const {
@@ -165,7 +145,9 @@ uint64_t Relation::Count(const Tuple& t) const {
 
 uint64_t Relation::TotalSize() const {
   uint64_t total = 0;
-  for (const auto& [t, c] : rows_) total += c;
+  for (const auto& [t, c] : rows_) {
+    if (__builtin_add_overflow(total, c, &total)) return UINT64_MAX;
+  }
   return total;
 }
 

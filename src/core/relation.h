@@ -11,20 +11,26 @@
 /// evaluators (src/eval); Relation itself only manages storage.
 ///
 /// Storage is a flat row vector (tuple, multiplicity) in first-insertion
-/// order, plus a hash→row-index multimap for O(1) lookup. Evaluators
-/// iterate the flat rows directly and build join indices over row indices
-/// instead of copying tuples; iteration order is deterministic
-/// (insertion order) independently of hashing.
+/// order, plus an open-addressing index over row ids (core/row_index.h)
+/// probed by each tuple's cached hash. The index is maintained eagerly by
+/// every mutation, so Count/Contains are pure reads that any number of
+/// threads may run on a shared relation. Copying a relation copies the
+/// rows and one flat slot array. Evaluators iterate the flat rows directly
+/// and build their own row-id indices instead of copying tuples; iteration
+/// order is deterministic (insertion order) independently of hashing.
+///
+/// Multiplicities are checked: a count that would pass 2^64 − 1 is
+/// kResourceExhausted (MultiplicityOverflow), never a wrapped count.
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "core/row_index.h"
 #include "core/status.h"
 #include "core/tuple.h"
 
@@ -50,7 +56,9 @@ class Relation {
   /// Index of an attribute name, or error if absent/ambiguous input.
   StatusOr<size_t> AttrIndex(const std::string& name) const;
 
-  /// Adds `count` occurrences of `t`. Arity must match.
+  /// Adds `count` occurrences of `t`. Arity must match; a multiplicity
+  /// that would pass 2^64 − 1 is kResourceExhausted and leaves `t`'s count
+  /// unchanged.
   Status Insert(const Tuple& t, uint64_t count = 1);
   Status Insert(Tuple&& t, uint64_t count = 1);
   /// Insert for tuples the caller *guarantees* are not yet present (e.g.
@@ -69,10 +77,15 @@ class Relation {
   /// applying a delta treat any error as "fall back to recomputation".
   /// Removing the *last* occurrence compacts the row storage by moving the
   /// final row into the vacated slot, so unlike Insert, Erase does NOT
-  /// preserve row order or row indices.
+  /// preserve row order or row indices. Its index entry leaves by
+  /// backward-shift deletion (no tombstones), so a relation under a long
+  /// insert/erase churn probes as fast as a freshly built one.
   Status Erase(const Tuple& t, uint64_t count = 1);
 
-  /// Pre-sizes the row storage for `n` distinct tuples.
+  /// Pre-sizes the row storage and the index for `n` distinct tuples, so
+  /// the first `n` inserts neither reallocate nor rehash. Reserving more
+  /// than is inserted costs ~40 bytes of rows plus 8–16 of index per
+  /// unused tuple: size it by what will be kept, not by an upper bound.
   void Reserve(size_t n);
 
   /// Multiplicity #(ā, R); 0 if absent.
@@ -81,7 +94,8 @@ class Relation {
 
   /// Number of distinct tuples.
   size_t DistinctSize() const { return rows_.size(); }
-  /// Total multiplicity (bag cardinality).
+  /// Total multiplicity (bag cardinality), saturating at 2^64 − 1 so a
+  /// budget compared against it trips instead of reading a wrapped sum.
   uint64_t TotalSize() const;
   bool Empty() const { return rows_.empty(); }
 
@@ -130,16 +144,29 @@ class Relation {
   std::string ToString() const;
 
  private:
-  static constexpr uint32_t kNoRow = ~static_cast<uint32_t>(0);
+  static constexpr uint32_t kNoRow = RowIndex::kEmpty;
 
   /// Row index of `t`, or kNoRow.
-  uint32_t FindRow(const Tuple& t) const;
+  uint32_t FindRow(const Tuple& t) const {
+    return index_.Find(t.Hash(),
+                       [&](uint32_t r) { return rows_[r].first == t; });
+  }
+  /// Insert (probe = true) and InsertUnique (probe = false).
+  template <typename T>
+  Status InsertRow(T&& t, uint64_t count, bool probe);
+  /// Re-sizes the index for `n` rows and re-adds every row.
+  void Rehash(size_t n);
 
   std::vector<std::string> attrs_;
   std::vector<Row> rows_;
-  /// Tuple hash → index into rows_ (multimap: hash collisions chain here).
-  std::unordered_multimap<size_t, uint32_t> index_;
+  /// Row ids keyed by their tuples' cached hashes.
+  RowIndex index_;
 };
+
+/// kResourceExhausted for a bag multiplicity `a ⊕ b` (a sum or product,
+/// computed at `site`) that would pass 2^64 − 1. The detail carries the
+/// site, `a` as budget_used and 2^64 − 1 as budget_limit.
+Status MultiplicityOverflow(const char* site, uint64_t a, uint64_t b);
 
 /// Position of `name` in the schema `attrs`, or `attrs.size()` when absent.
 /// The shared attribute lookup used by the plan compiler, the executors and

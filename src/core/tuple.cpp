@@ -55,12 +55,9 @@ bool Tuple::operator<(const Tuple& other) const {
 }
 
 size_t Tuple::ComputeHash() const {
-  size_t h = 0x51ed270b;
-  for (const Value& v : values_) {
-    h ^= v.Hash() + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  }
-  if (h == kDirtyHash) h = 0x51ed270b;  // keep the sentinel free
-  return h;
+  size_t h = kHashSeed;
+  for (const Value& v : values_) h = HashStep(h, v);
+  return h == kDirtyHash ? kHashSeed : h;  // keep the sentinel free
 }
 
 std::string Tuple::ToString() const {

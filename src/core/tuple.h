@@ -104,11 +104,35 @@ class Tuple {
     return hash_;
   }
 
+  /// Project(positions).Hash(), computed in place: KeyIndex hashes join
+  /// and membership keys this way instead of copying a key tuple.
+  size_t ProjectedHash(const std::vector<size_t>& positions) const {
+    size_t h = kHashSeed;
+    for (size_t p : positions) h = HashStep(h, values_[p]);
+    return h == kDirtyHash ? kHashSeed : h;
+  }
+  /// Project(positions) == other.Project(other_positions), in place.
+  bool ProjectedEq(const std::vector<size_t>& positions, const Tuple& other,
+                   const std::vector<size_t>& other_positions) const {
+    for (size_t i = 0; i < positions.size(); ++i) {
+      if (values_[positions[i]] != other.values_[other_positions[i]]) {
+        return false;
+      }
+    }
+    return true;
+  }
+
   /// Renders e.g. "(1, 'a', ⊥2)".
   std::string ToString() const;
 
  private:
   static constexpr size_t kDirtyHash = ~static_cast<size_t>(0);
+  static constexpr size_t kHashSeed = 0x51ed270b;
+
+  /// One component's contribution to the running hash `h`.
+  static size_t HashStep(size_t h, const Value& v) {
+    return h ^ (v.Hash() + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+  }
 
   size_t ComputeHash() const;
 

@@ -36,11 +36,6 @@ uint32_t Value::param_index() const {
   return static_cast<uint32_t>(bits_);
 }
 
-int64_t Value::as_int() const {
-  assert(kind_ == ValueKind::kInt);
-  return static_cast<int64_t>(bits_);
-}
-
 double Value::as_double() const {
   assert(kind_ == ValueKind::kDouble);
   return BitsDouble(bits_);

@@ -13,6 +13,7 @@
 /// TPC-H-like workloads; equality across constant types is syntactic
 /// (an Int(1) is a different constant from String("1")).
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -84,7 +85,10 @@ class Value {
   uint32_t param_index() const;
 
   uint64_t null_id() const;
-  int64_t as_int() const;
+  int64_t as_int() const {
+    assert(kind_ == ValueKind::kInt);
+    return static_cast<int64_t>(bits_);
+  }
   double as_double() const;
   /// The interned contents; stable reference into the StringPool.
   const std::string& as_string() const;

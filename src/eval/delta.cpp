@@ -171,6 +171,7 @@ class DeltaPropagator {
   Status FilterInto(const PhysNode& n, const Rows& rows, Relation* out) {
     return window_.Sweep(
         n, rows, plan_->opts.batch_size, NoCheck{},
+        [out](size_t kept) { out->Reserve(kept); },
         [out](const Tuple& t, uint64_t c) { return out->Insert(t, c); });
   }
 

@@ -17,6 +17,7 @@
 #include <cassert>
 #include <condition_variable>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <thread>
 #include <unordered_map>
@@ -210,8 +211,15 @@ class Executor {
   }
 
   Status Budget(uint64_t produced, size_t arity) {
-    produced_ += produced;
-    mem_used_ += produced * arity * sizeof(Value);
+    if (__builtin_add_overflow(produced_, produced, &produced_)) {
+      produced_ = UINT64_MAX;  // past any max_tuples, including 2^64 − 1
+      return OverBudget(produced_);
+    }
+    uint64_t bytes = 0;
+    if (__builtin_mul_overflow(produced, arity * sizeof(Value), &bytes) ||
+        __builtin_add_overflow(mem_used_, bytes, &mem_used_)) {
+      mem_used_ = UINT64_MAX;
+    }
     if (produced_ > plan_.opts.max_tuples) return OverBudget(produced_);
     // The soft memory budget is enforced on the same cadence as the tuple
     // budget: every materializing operator reports here.
@@ -291,7 +299,11 @@ class Executor {
     uint64_t total = 0;
     for (const auto& part : parts) {
       emitted_rows += part.size();
-      for (const auto& [t, c] : part) total += c;
+      for (const auto& [t, c] : part) {
+        if (__builtin_add_overflow(total, c, &total)) {
+          return MultiplicityOverflow("join.merge", total, c);
+        }
+      }
     }
     out.Reserve(emitted_rows);
     for (auto& part : parts) {
@@ -370,17 +382,22 @@ class Executor {
   }
 
   /// σ, π∘σ and π: the input sweeps through the window kernel
-  /// (eval/kernel.h) in batch_size windows, one checkpoint per window. A
-  /// projection may fold distinct rows together, so it collapses under set
+  /// (eval/kernel.h) in batch_size windows, one checkpoint per window, and
+  /// the output is sized by the rows kept. σ keeps a subset of distinct
+  /// rows, so it appends without the duplicate probe; a projection may
+  /// fold distinct rows together, so it probes and collapses under set
   /// semantics.
   StatusOr<RelationView> EvalWindow(const PhysNode& n) {
     auto in = Eval(n.left);
     if (!in.ok()) return in;
     Relation out(n.attrs);
-    out.Reserve(in->rows().size());
+    const bool select = n.op == PhysOp::kFilterSel;
     INCDB_RETURN_IF_ERROR(window_.Sweep(
         n, in->rows(), batch_size(), Checker(),
-        [&out](const Tuple& t, uint64_t c) { return out.Insert(t, c); }));
+        [&out](size_t kept) { out.Reserve(kept); },
+        [&out, select](const Tuple& t, uint64_t c) {
+          return select ? out.InsertUnique(t, c) : out.Insert(t, c);
+        }));
     INCDB_RETURN_IF_ERROR(Budget(out.TotalSize(), n.attrs.size()));
     if (n.op != PhysOp::kFilterSel && set_semantics()) out.CollapseCounts();
     return RelationView::Own(std::move(out));
@@ -548,8 +565,7 @@ class Executor {
     if (!l.ok()) return l;
     auto r = Eval(n.right);
     if (!r.ok()) return r;
-    // The index is built once on the calling thread; probes are const and
-    // re-entrant (each worker owns its scratch tuple).
+    // The index is built once on the calling thread; probes are pure reads.
     UnifyIndex index(r->rows(), r->arity(), plan_.opts.enable_unify_index);
     const std::vector<Relation::Row>& lrows = l->rows();
     const bool set = set_semantics();
@@ -560,7 +576,6 @@ class Executor {
       std::vector<std::vector<Relation::Row>> parts(plan_.opts.num_threads);
       auto stats = RunChunks(
           lrows.size(), [&](size_t p, size_t begin, size_t end) -> Status {
-            Tuple scratch;
             uint64_t visited = 0;
             for (size_t i = begin; i < end; ++i) {
               if (limited_ && ++visited >= kCheckpointInterval) {
@@ -568,7 +583,7 @@ class Executor {
                 INCDB_RETURN_IF_ERROR(ctx_->Check());
               }
               const auto& [t, c] = lrows[i];
-              if (!index.AnyUnifiable(t, &scratch)) {
+              if (!index.AnyUnifiable(t)) {
                 parts[p].emplace_back(t, set ? 1 : c);
               }
             }
@@ -581,14 +596,13 @@ class Executor {
       INCDB_RETURN_IF_ERROR(Budget(out.TotalSize(), n.attrs.size()));
       return RelationView::Own(std::move(out));
     }
-    Tuple scratch;
     // One checkpoint per window of probes.
     for (size_t begin = 0; begin < lrows.size(); begin += batch_size()) {
       const size_t end = std::min(lrows.size(), begin + batch_size());
       INCDB_RETURN_IF_ERROR(Checkpoint(end - begin));
       for (size_t i = begin; i < end; ++i) {
         const auto& [t, c] = lrows[i];
-        if (!index.AnyUnifiable(t, &scratch)) {
+        if (!index.AnyUnifiable(t)) {
           INCDB_RETURN_IF_ERROR(out.InsertUnique(t, set ? 1 : c));
         }
       }
@@ -647,44 +661,27 @@ class Executor {
     auto r = Eval(n.right);
     if (!r.ok()) return r;
     // Equality with a null key never evaluates to t in either mode unless
-    // syntactically equal (naive) — the hash covers both, as naive equality
-    // is exactly key identity and SQL-mode null keys are skipped. The index
-    // references right rows in place instead of copying them.
-    std::unordered_map<Tuple, std::vector<const Tuple*>> index;
-    const bool hashed = !n.lkeys.empty();
-    Tuple key, joint_t;  // scratch, reused across probes
-    if (hashed) {
-      index.reserve(r->rows().size());
-      for (const auto& [rt, rc] : r->rows()) {
-        key.AssignProject(rt, n.rkeys);
-        if (sql_mode() && key.HasNull()) continue;
-        index[key].push_back(&rt);
-      }
-    }
+    // syntactically equal (naive) — the key index covers both, as naive
+    // equality is exactly key identity and SQL-mode null keys are skipped.
+    // Without key columns every right row shares the empty key, so the
+    // probe walks them all.
+    const Rows& rrows = r->rows();
+    const KeyIndex index(rrows, n.rkeys, sql_mode());
+    Tuple joint_t;  // scratch, reused across probes
     auto exists_match = [&](const Tuple& lt) -> bool {
-      if (!hashed) {
-        for (const auto& [rt, rc] : r->rows()) {
-          joint_t.AssignConcat(lt, rt);
-          if (n.pred(joint_t) == TV3::kT) return true;
-        }
-        return false;
-      }
-      key.AssignProject(lt, n.lkeys);
-      if (sql_mode() && key.HasNull()) return false;
-      auto it = index.find(key);
-      if (it == index.end()) return false;
-      if (n.trivial_residual) return true;  // any key match suffices
-      for (const Tuple* rt : it->second) {
-        joint_t.AssignConcat(lt, *rt);
+      for (uint32_t k = index.Find(lt, n.lkeys); k != RowIndex::kEmpty;
+           k = index.Next(k)) {
+        if (n.trivial_residual) return true;  // any key match suffices
+        joint_t.AssignConcat(lt, rrows[index.row(k)].first);
         if (n.pred(joint_t) == TV3::kT) return true;
       }
       return false;
     };
 
     Relation out(n.attrs);
-    // Checkpoint weight follows the work: the un-hashed fallback scans the
-    // whole right side per left row. One checkpoint per window of probes.
-    const uint64_t probe_weight = hashed ? 1 : 1 + r->rows().size();
+    // Checkpoint weight follows the work: without keys each probe walks
+    // the whole right side. One checkpoint per window of probes.
+    const uint64_t probe_weight = n.lkeys.empty() ? 1 + rrows.size() : 1;
     const std::vector<Relation::Row>& probe_lrows = l->rows();
     for (size_t begin = 0; begin < probe_lrows.size();
          begin += batch_size()) {
@@ -692,8 +689,10 @@ class Executor {
       INCDB_RETURN_IF_ERROR(Checkpoint(probe_weight * (end - begin)));
       for (size_t i = begin; i < end; ++i) {
         const auto& [lt, lc] = probe_lrows[i];
+        // Left rows are distinct, so each survivor appends a fresh tuple.
         if (exists_match(lt) != n.anti) {
-          INCDB_RETURN_IF_ERROR(out.Insert(lt, set_semantics() ? 1 : lc));
+          INCDB_RETURN_IF_ERROR(
+              out.InsertUnique(lt, set_semantics() ? 1 : lc));
         }
       }
     }
@@ -717,22 +716,21 @@ class Executor {
     if (!r.ok()) return r;
     const bool negated = n.anti;
 
-    // Uncorrelated fast path: precompute the key multiset once. Keys
-    // involving nulls are listed separately: under SQL 3VL they are the
+    // Uncorrelated fast path: index the right keys once. Rows whose key
+    // involves a null are listed separately: under SQL 3VL they are the
     // only right keys an all-constant left key cannot dismiss with one
     // hash lookup.
-    std::unordered_map<Tuple, uint64_t> keys;
-    std::vector<const Tuple*> null_keys;
-    Tuple key_scratch;
-    if (!n.correlated) {
-      keys.reserve(r->rows().size());
-      for (const auto& [rt, rc] : r->rows()) {
-        key_scratch.AssignProject(rt, n.rpos);
-        auto [it, inserted] = keys.try_emplace(key_scratch, rc);
-        if (!inserted) {
-          it->second += rc;
-        } else if (it->first.HasNull()) {
-          null_keys.push_back(&it->first);
+    const Rows& rrows = r->rows();
+    std::optional<KeyIndex> keys;
+    std::vector<uint32_t> null_keys;
+    if (!n.correlated) keys.emplace(rrows, n.rpos, /*sql=*/false);
+    if (!n.correlated && sql_mode() && negated) {
+      for (uint32_t i = 0; i < rrows.size(); ++i) {
+        for (size_t p : n.rpos) {
+          if (rrows[i].first[p].is_null()) {
+            null_keys.push_back(i);
+            break;
+          }
         }
       }
     }
@@ -741,7 +739,7 @@ class Executor {
     Tuple lkey, rkey, joint_t;  // scratch, reused across rows and pairs
     // The correlated path re-scans the right side per left row. One
     // checkpoint per window of left rows.
-    const uint64_t row_weight = n.correlated ? 1 + r->rows().size() : 1;
+    const uint64_t row_weight = n.correlated ? 1 + rrows.size() : 1;
     const std::vector<Relation::Row>& in_lrows = l->rows();
     for (size_t wbegin = 0; wbegin < in_lrows.size();
          wbegin += batch_size()) {
@@ -752,32 +750,30 @@ class Executor {
       lkey.AssignProject(lt, n.lpos);
       bool keep;
       if (!n.correlated) {
+        const bool found = keys->Find(lt, n.lpos) != RowIndex::kEmpty;
         if (!sql_mode()) {
-          bool found = keys.count(lkey) > 0;
           keep = negated ? !found : found;
         } else if (!negated) {
-          keep = lkey.AllConst() && keys.count(lkey) > 0;
-        } else {
+          keep = found && lkey.AllConst();
+        } else if (lkey.AllConst()) {
           // NOT IN: all comparisons must be certainly false. All-constant
           // pairs compare t exactly when syntactically equal, so an
           // all-constant left key needs one hash miss plus a scan of the
-          // (typically few) null-involving right keys; a left key with a
-          // null keeps the pairwise 3VL scan.
-          if (keys.empty()) {
-            keep = true;
-          } else if (lkey.AllConst()) {
-            keep = keys.count(lkey) == 0;
-            for (const Tuple* nk : null_keys) {
-              if (!keep) break;
-              if (SqlTupleEq(lkey, *nk) != TV3::kF) keep = false;
-            }
-          } else {
-            keep = true;
-            for (const auto& [rk, rc] : keys) {
-              if (SqlTupleEq(lkey, rk) != TV3::kF) {
-                keep = false;
-                break;
-              }
+          // (typically few) null-involving right keys.
+          keep = !found;
+          for (uint32_t i : null_keys) {
+            if (!keep) break;
+            rkey.AssignProject(rrows[i].first, n.rpos);
+            if (SqlTupleEq(lkey, rkey) != TV3::kF) keep = false;
+          }
+        } else {
+          // A left key with a null keeps the pairwise 3VL scan.
+          keep = true;
+          for (const auto& [rt, rc] : rrows) {
+            rkey.AssignProject(rt, n.rpos);
+            if (SqlTupleEq(lkey, rkey) != TV3::kF) {
+              keep = false;
+              break;
             }
           }
         }
@@ -800,8 +796,9 @@ class Executor {
         }
         keep = negated ? all_f : exists_t;
       }
-      if (keep) {
-        INCDB_RETURN_IF_ERROR(out.Insert(lt, set_semantics() ? 1 : lc));
+      if (keep) {  // left rows are distinct: no duplicate probe
+        INCDB_RETURN_IF_ERROR(
+            out.InsertUnique(lt, set_semantics() ? 1 : lc));
       }
       }
     }
@@ -945,12 +942,12 @@ class Executor {
     const Rows& build = build_left ? lrows : rrows;
     const Rows& probe = build_left ? rrows : lrows;
     std::vector<std::vector<uint32_t>> build_parts(P), probe_parts(P);
-    Tuple key;
     auto split = [&](const Rows& rows, const std::vector<size_t>& keys,
                      std::vector<std::vector<uint32_t>>* parts) {
+      size_t h = 0;
       for (uint32_t i = 0; i < rows.size(); ++i) {
-        if (JoinKey(rows[i].first, keys, sql_mode(), &key)) {
-          (*parts)[key.Hash() % P].push_back(i);
+        if (KeyIndex::KeyHash(rows[i].first, keys, sql_mode(), &h)) {
+          (*parts)[h % P].push_back(i);
         }
       }
     };
@@ -966,12 +963,9 @@ class Executor {
       WorkerLimits lim(*this, &emitted);
       auto sink = lim.SinkInto(&outs[p]);
       stats[p] = [&]() -> Status {
-        HashJoinKernel hj(n, set_semantics(), sql_mode(), build_left, build);
-        hj.Reserve(build_parts[p].size());
-        for (uint32_t i : build_parts[p]) {
-          INCDB_RETURN_IF_ERROR(lim(1));
-          hj.Add(i);
-        }
+        INCDB_RETURN_IF_ERROR(lim(build_parts[p].size()));
+        HashJoinKernel hj(n, set_semantics(), sql_mode(), build_left, build,
+                          &build_parts[p]);
         const std::vector<uint32_t>& plist = probe_parts[p];
         for (size_t wb = 0; wb < plist.size(); wb += batch_size()) {
           const size_t we = std::min(plist.size(), wb + batch_size());

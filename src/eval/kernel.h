@@ -14,22 +14,22 @@
 /// The loops that sweep windows take a hook `Status(size_t units)` run
 /// before each window — the executor's deadline/cancel checkpoint. Sinks
 /// and hooks are template parameters, so the hot loops inline them.
-/// Kernels own only scratch: use one instance per thread.
+/// Kernels own only scratch and their build-side index: use one instance
+/// per thread (a KeyIndex alone may be probed from many).
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/relation.h"
+#include "core/row_index.h"
 #include "core/status.h"
 #include "core/tuple.h"
 #include "eval/batch.h"
+#include "eval/key_index.h"
 #include "eval/plan.h"
 
 namespace incdb {
-
-using Rows = std::vector<Relation::Row>;
 
 /// Window hook for callers that observe no deadline.
 struct NoCheck {
@@ -55,29 +55,52 @@ class WindowKernel {
       }
       return Status::OK();
     }
-    gather_.Gather(rows, begin, end, n.prog->referenced(),
-                   n.left->attrs.size(), &batch_);
-    sel_.clear();
-    n.prog->SelectTrue(batch_, &scratch_, &sel_);
-    for (uint32_t i : sel_) {
+    for (uint32_t i : Select(n, rows, begin, end)) {
       INCDB_RETURN_IF_ERROR(Emit(n, rows[begin + i], sink));
     }
     return Status::OK();
   }
 
-  /// All of `rows`, in windows of `window` rows.
-  template <typename Pre, typename Sink>
+  /// All of `rows`, in windows of `window` rows. Every window is selected
+  /// before any row is emitted, so `size` runs once with the number of
+  /// rows kept — the caller sizes its output by what survives, not by the
+  /// input. `pre` runs before each window of input and of kept rows.
+  template <typename Pre, typename Size, typename Sink>
   Status Sweep(const PhysNode& n, const Rows& rows, size_t window, Pre&& pre,
-               Sink&& sink) {
-    for (size_t begin = 0; begin < rows.size(); begin += window) {
+               Size&& size, Sink&& sink) {
+    const bool all = n.op == PhysOp::kProject;
+    keep_.clear();
+    for (size_t begin = 0; !all && begin < rows.size(); begin += window) {
       const size_t end = std::min(rows.size(), begin + window);
       INCDB_RETURN_IF_ERROR(pre(end - begin));
-      INCDB_RETURN_IF_ERROR(Run(n, rows, begin, end, sink));
+      for (uint32_t i : Select(n, rows, begin, end)) {
+        keep_.push_back(static_cast<uint32_t>(begin + i));
+      }
+    }
+    const size_t kept = all ? rows.size() : keep_.size();
+    size(kept);
+    for (size_t begin = 0; begin < kept; begin += window) {
+      const size_t end = std::min(kept, begin + window);
+      INCDB_RETURN_IF_ERROR(pre(end - begin));
+      for (size_t k = begin; k < end; ++k) {
+        INCDB_RETURN_IF_ERROR(Emit(n, rows[all ? k : keep_[k]], sink));
+      }
     }
     return Status::OK();
   }
 
  private:
+  /// Window-relative ids of the rows of rows[begin, end) whose condition
+  /// is t, ascending. Valid until the next call.
+  const SelVector& Select(const PhysNode& n, const Rows& rows, size_t begin,
+                          size_t end) {
+    gather_.Gather(rows, begin, end, n.prog->referenced(),
+                   n.left->attrs.size(), &batch_);
+    sel_.clear();
+    n.prog->SelectTrue(batch_, &scratch_, &sel_);
+    return sel_;
+  }
+
   template <typename Sink>
   Status Emit(const PhysNode& n, const Relation::Row& row, Sink& sink) {
     if (n.op == PhysOp::kFilterSel) return sink(row.first, row.second);
@@ -89,6 +112,7 @@ class WindowKernel {
   Batch batch_;
   BatchPredicate::Scratch scratch_;
   SelVector sel_;
+  std::vector<uint32_t> keep_;
   Tuple projected_;
 };
 
@@ -111,7 +135,10 @@ class JoinEmit {
                     uint64_t rc, Sink& sink) {
     joint_.AssignConcat(lt, rt);
     if (test_residual_ && n_.pred(joint_) != TV3::kT) return Status::OK();
-    const uint64_t c = set_ ? 1 : lc * rc;
+    uint64_t c = 1;
+    if (!set_ && __builtin_mul_overflow(lc, rc, &c)) {
+      return MultiplicityOverflow("join.emit", lc, rc);
+    }
     if (!n_.fused_proj) return sink(joint_, c);
     projected_.AssignProject(joint_, n_.proj_pos);
     return sink(projected_, c);
@@ -124,47 +151,29 @@ class JoinEmit {
   Tuple joint_, projected_;
 };
 
-/// Projects `row` onto `keys` into `*key`; false when the row must be
-/// skipped because SQL mode compares a null key u, never t.
-inline bool JoinKey(const Tuple& row, const std::vector<size_t>& keys,
-                    bool sql, Tuple* key) {
-  key->AssignProject(row, keys);
-  return !(sql && key->HasNull());
-}
-
-/// \brief Hash join on n.lkeys = n.rkeys: an index over the build side's
-/// row ids (no tuple copies) and the probe that feeds every key match
+/// \brief Hash join on n.lkeys = n.rkeys: a KeyIndex over the build side's
+/// row ids and the probe that feeds every key match, in build order,
 /// through the join emit rule.
 class HashJoinKernel {
  public:
+  /// Indexes all build rows, or the ids in `*ids` (one partition's).
   HashJoinKernel(const PhysNode& n, bool set, bool sql, bool build_left,
-                 const Rows& build)
+                 const Rows& build,
+                 const std::vector<uint32_t>* ids = nullptr)
       : build_(build),
-        build_keys_(build_left ? n.lkeys : n.rkeys),
         probe_keys_(build_left ? n.rkeys : n.lkeys),
-        sql_(sql),
         build_left_(build_left),
-        emit_(n, set) {}
+        emit_(n, set),
+        index_(build, build_left ? n.lkeys : n.rkeys, sql, ids) {}
 
-  void Reserve(size_t n) { index_.reserve(n); }
-
-  /// Indexes build row `i`.
-  void Add(uint32_t i) {
-    if (JoinKey(build_[i].first, build_keys_, sql_, &key_)) {
-      index_[key_].push_back(i);
-    }
-  }
-
-  /// Joins probe row (pt, pc) with its key matches; `pre` runs once
-  /// per match run with the run's length.
+  /// Joins probe row (pt, pc) with its key matches; `pre` runs once per
+  /// match.
   template <typename Pre, typename Sink>
   Status Probe(const Tuple& pt, uint64_t pc, Pre& pre, Sink& sink) {
-    if (!JoinKey(pt, probe_keys_, sql_, &key_)) return Status::OK();
-    auto it = index_.find(key_);
-    if (it == index_.end()) return Status::OK();
-    INCDB_RETURN_IF_ERROR(pre(it->second.size()));
-    for (uint32_t bi : it->second) {
-      const auto& [bt, bc] = build_[bi];
+    for (uint32_t k = index_.Find(pt, probe_keys_); k != RowIndex::kEmpty;
+         k = index_.Next(k)) {
+      INCDB_RETURN_IF_ERROR(pre(1));
+      const auto& [bt, bc] = build_[index_.row(k)];
       INCDB_RETURN_IF_ERROR(build_left_ ? emit_(bt, bc, pt, pc, sink)
                                         : emit_(pt, pc, bt, bc, sink));
     }
@@ -173,13 +182,10 @@ class HashJoinKernel {
 
  private:
   const Rows& build_;
-  const std::vector<size_t>& build_keys_;
   const std::vector<size_t>& probe_keys_;
-  bool sql_;
   bool build_left_;
   JoinEmit emit_;
-  std::unordered_map<Tuple, std::vector<uint32_t>> index_;
-  Tuple key_;
+  KeyIndex index_;
 };
 
 /// \brief Nested-loop join against a fixed right side.
@@ -241,7 +247,7 @@ class NLJoinKernel {
 
 /// lrows ⋈ rrows on one thread, for either join operator. The hash join
 /// indexes the smaller side and probes the other in windows of `window`
-/// rows; `pre` runs before each window and each match run.
+/// rows; `pre` runs before each window and each match.
 template <typename Pre, typename Sink>
 Status JoinRows(const PhysNode& n, bool set, bool sql, const Rows& lrows,
                 const Rows& rrows, size_t window, Pre&& pre, Sink&& sink) {
@@ -253,8 +259,6 @@ Status JoinRows(const PhysNode& n, bool set, bool sql, const Rows& lrows,
   const Rows& build = build_left ? lrows : rrows;
   const Rows& probe = build_left ? rrows : lrows;
   HashJoinKernel hj(n, set, sql, build_left, build);
-  hj.Reserve(build.size());
-  for (uint32_t i = 0; i < build.size(); ++i) hj.Add(i);
   for (size_t begin = 0; begin < probe.size(); begin += window) {
     const size_t end = std::min(probe.size(), begin + window);
     INCDB_RETURN_IF_ERROR(pre(end - begin));

@@ -6,77 +6,84 @@
 /// executor (eval/exec.cpp) and the FO evaluator's ⟦·⟧unif atom semantics
 /// (logic/fo_eval.cpp).
 ///
-/// Tuples are grouped by their null-position mask; within a group they are
-/// hashed on the projection onto the constant positions. An all-constant
-/// probe tuple then touches only one bucket per mask; probes containing
-/// nulls fall back to a scan. Candidates are always re-verified with
-/// Unifiable() (repeated marked nulls add constraints the index ignores).
-/// The index references the indexed rows in place — it copies no tuples
-/// and must not outlive the viewed relation.
+/// Rows are grouped by their null-position mask; each group is a KeyIndex
+/// on its constant positions. An all-constant probe tuple then touches
+/// one key per group; probes containing nulls fall back to a scan.
+/// Candidates are always re-verified with Unifiable() (repeated marked
+/// nulls add constraints the index ignores). The index references the
+/// indexed rows in place — it copies no tuples and must not outlive the
+/// viewed relation. Built eagerly; probes are pure reads, safe from any
+/// number of threads.
 
-#include <unordered_map>
+#include <cstdint>
+#include <deque>
+#include <map>
 #include <vector>
 
 #include "core/relation.h"
+#include "core/row_index.h"
 #include "core/tuple.h"
+#include "eval/key_index.h"
 
 namespace incdb {
 
 class UnifyIndex {
  public:
-  UnifyIndex(const std::vector<Relation::Row>& rows, size_t arity,
-             bool use_index)
-      : use_index_(use_index && arity < 64) {
-    all_.reserve(rows.size());
-    for (const auto& [t, c] : rows) {
-      all_.push_back(&t);
-      if (!use_index_) continue;
+  UnifyIndex(const Rows& rows, size_t arity, bool use_index)
+      : rows_(rows), arity_(arity), use_index_(use_index && arity < 64) {
+    if (!use_index_) return;
+    std::map<uint64_t, std::vector<uint32_t>> by_mask;
+    for (uint32_t i = 0; i < rows.size(); ++i) {
       uint64_t mask = 0;
-      for (size_t i = 0; i < t.arity(); ++i) {
-        if (t[i].is_null()) mask |= (1ULL << i);
+      for (size_t p = 0; p < arity; ++p) {
+        if (rows[i].first[p].is_null()) mask |= (1ULL << p);
       }
-      Tuple key;
-      ConstProjectionInto(t, mask, &key);
-      groups_[mask][std::move(key)].push_back(&t);
+      by_mask[mask].push_back(i);
+    }
+    for (const auto& [mask, ids] : by_mask) {
+      std::vector<size_t> cols;
+      for (size_t p = 0; p < arity; ++p) {
+        if (!(mask & (1ULL << p))) cols.push_back(p);
+      }
+      groups_.emplace_back(rows, std::move(cols), ids);
     }
   }
 
-  /// Probes are read-only and re-entrant: `scratch` holds the per-caller
-  /// key buffer, so one index can be probed from many threads at once
-  /// (each worker of the parallel ⋉⇑ owns a scratch tuple).
-  bool AnyUnifiable(const Tuple& probe, Tuple* scratch) const {
+  /// True iff some indexed row unifies with `probe`.
+  bool AnyUnifiable(const Tuple& probe) const {
+    if (probe.arity() != arity_) return false;  // never unifies
     if (!use_index_ || probe.HasNull()) {
-      for (const Tuple* t : all_) {
-        if (Unifiable(probe, *t)) return true;
+      for (const auto& [t, c] : rows_) {
+        if (Unifiable(probe, t)) return true;
       }
       return false;
     }
-    for (const auto& [mask, buckets] : groups_) {
-      ConstProjectionInto(probe, mask, scratch);
-      auto it = buckets.find(*scratch);
-      if (it == buckets.end()) continue;
-      for (const Tuple* t : it->second) {
-        if (Unifiable(probe, *t)) return true;
+    for (const Group& g : groups_) {
+      for (uint32_t k = g.index.Find(probe, g.cols); k != RowIndex::kEmpty;
+           k = g.index.Next(k)) {
+        if (Unifiable(probe, rows_[g.index.row(k)].first)) return true;
       }
     }
     return false;
   }
 
  private:
-  static void ConstProjectionInto(const Tuple& t, uint64_t null_mask,
-                                  Tuple* out) {
-    out->Clear();
-    out->Reserve(t.arity());
-    for (size_t i = 0; i < t.arity(); ++i) {
-      if (!(null_mask & (1ULL << i))) out->Append(t[i]);
-    }
-  }
+  /// The rows sharing one null mask, keyed on the positions outside it.
+  struct Group {
+    Group(const Rows& rows, std::vector<size_t> c,
+          const std::vector<uint32_t>& ids)
+        : cols(std::move(c)), index(rows, cols, /*sql=*/false, &ids) {}
+    Group(const Group&) = delete;  // `index` references `cols`
+    Group& operator=(const Group&) = delete;
 
-  bool use_index_ = true;
-  std::vector<const Tuple*> all_;
-  std::unordered_map<uint64_t,
-                     std::unordered_map<Tuple, std::vector<const Tuple*>>>
-      groups_;
+    std::vector<size_t> cols;
+    KeyIndex index;
+  };
+
+  const Rows& rows_;
+  size_t arity_;
+  bool use_index_;
+  std::deque<Group> groups_;  ///< a deque: emplace never moves a group
 };
 
 }  // namespace incdb

@@ -98,7 +98,7 @@ class FOEvaluator {
             idx = std::make_unique<UnifyIndex>(rel.rows(), rel.arity(),
                                                /*use_index=*/true);
           }
-          return idx->AnyUnifiable(args, &unify_scratch_) ? TV3::kU : TV3::kF;
+          return idx->AnyUnifiable(args) ? TV3::kU : TV3::kF;
         }
         return AtomSemEval(rel, args, sem_.relations);
       }
@@ -201,7 +201,6 @@ class FOEvaluator {
   /// Lazily built per-relation unifiability indices for kUnif atoms; they
   /// reference rows of the ScanResolver-cached views in place.
   std::map<std::string, std::unique_ptr<UnifyIndex>> unify_;
-  Tuple unify_scratch_;
 };
 
 }  // namespace

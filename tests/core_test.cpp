@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
+#include <random>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "core/database.h"
 #include "core/intern.h"
@@ -287,6 +291,106 @@ TEST(RelationTest, SortedTuplesDeterministic) {
   EXPECT_EQ(ts[0], Tuple{Value::Null(0)});
   EXPECT_EQ(ts[1], Tuple{Value::Int(1)});
   EXPECT_EQ(ts[2], Tuple{Value::Int(3)});
+}
+
+TEST(RelationTest, InsertCountOverflowIsResourceExhausted) {
+  Relation r({"x"});
+  const Tuple t{Value::Int(1)};
+  ASSERT_TRUE(r.Insert(t, UINT64_MAX).ok());
+  Status st = r.Insert(t, 2);
+  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st.ToString();
+  ASSERT_NE(st.detail(), nullptr);
+  EXPECT_EQ(st.detail()->site, "relation.insert");
+  EXPECT_EQ(r.Count(t), UINT64_MAX);  // the failed insert changed nothing
+}
+
+TEST(RelationTest, TotalSizeSaturates) {
+  Relation r({"x"});
+  r.Add({Value::Int(1)}, uint64_t{1} << 63);
+  r.Add({Value::Int(2)}, uint64_t{1} << 63);
+  EXPECT_EQ(r.TotalSize(), UINT64_MAX);
+}
+
+// Relation against a std::map oracle under a long random mix of every
+// mutation. The key domain is small, so the index stays at a few slot-array
+// sizes and its probe runs and backward-shift deletions keep wrapping past
+// the array's end; the row-order model mirrors Insert's append and Erase's
+// move of the last row into the vacated one.
+TEST(RelationModelTest, RandomMutationsAgreeWithMapOracle) {
+  std::vector<Tuple> domain;
+  for (int i = 0; i < 48; ++i) {
+    domain.push_back(Tuple{i % 11 == 0 ? Value::Null(i % 3) : Value::Int(i % 8),
+                           Value::Int(i / 8)});
+  }
+  std::mt19937_64 rng(17);
+  Relation rel({"a", "b"});
+  std::map<Tuple, uint64_t> counts;
+  std::vector<Tuple> order;
+  for (int step = 0; step < 12000; ++step) {
+    const Tuple& t = domain[rng() % domain.size()];
+    const uint64_t c = 1 + rng() % 3;
+    const bool present = counts.count(t) > 0;
+    switch (rng() % 8) {
+      case 0:
+      case 1:
+        ASSERT_TRUE(rel.Insert(t, c).ok());
+        if (!present) order.push_back(t);
+        counts[t] += c;
+        break;
+      case 2:
+        if (present) continue;
+        ASSERT_TRUE(rel.InsertUnique(Tuple(t), c).ok());
+        order.push_back(t);
+        counts[t] = c;
+        break;
+      case 3:
+      case 4:
+      case 5: {
+        // Mostly whole-count erases, so rows keep leaving.
+        const uint64_t n = present && rng() % 4 != 0 ? counts[t] : c;
+        Status st = rel.Erase(t, n);
+        if (!present) {
+          ASSERT_EQ(st.code(), StatusCode::kNotFound);
+        } else if (n > counts[t]) {
+          ASSERT_EQ(st.code(), StatusCode::kInvalidArgument);
+        } else {
+          ASSERT_TRUE(st.ok()) << st.ToString();
+          if ((counts[t] -= n) == 0) {
+            counts.erase(t);
+            auto it = std::find(order.begin(), order.end(), t);
+            *it = order.back();
+            order.pop_back();
+          }
+        }
+        break;
+      }
+      case 6:
+        rel.Reserve(rng() % 64);
+        break;
+      case 7: {
+        Relation copy = rel;
+        ASSERT_TRUE(copy.IdenticalTo(rel));
+        Relation set = rel.ToSet();
+        ASSERT_EQ(set.DistinctSize(), rel.DistinctSize());
+        for (size_t i = 0; i < set.rows().size(); ++i) {
+          ASSERT_EQ(set.rows()[i].first, rel.rows()[i].first);
+          ASSERT_EQ(set.Count(rel.rows()[i].first), 1u);
+        }
+        rel = std::move(copy);  // go on mutating through the copied index
+        break;
+      }
+    }
+    Relation expect({"a", "b"});
+    for (const Tuple& o : order) {
+      ASSERT_TRUE(expect.InsertUnique(o, counts[o]).ok());
+    }
+    ASSERT_TRUE(rel.IdenticalTo(expect)) << "step " << step;
+    for (const Tuple& d : domain) {
+      auto it = counts.find(d);
+      ASSERT_EQ(rel.Count(d), it == counts.end() ? 0 : it->second)
+          << "step " << step << " key " << d.ToString();
+    }
+  }
 }
 
 // --- Database --------------------------------------------------------------

@@ -13,8 +13,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <random>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "algebra/builder.h"
@@ -422,6 +425,123 @@ TEST(PlanExecTest, ParallelNLJoinHonoursBudget) {
   auto res = EvalSet(Join(Scan("L"), Scan("Rr"), CNeq("b", "d")), db, opts);
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kResourceExhausted);
+}
+
+// Hash join, semijoin/antijoin, [NOT] IN and ⋉⇑ over keys with heavy
+// duplication and repeated marked nulls, in every mode, each against a
+// form of the same query that takes no key index: the NL join, a semijoin
+// whose condition hides its equality in a disjunction (so nothing is
+// hashed), the correlated IN scan (an always-true correlation) and the
+// unindexed ⋉⇑ scan.
+TEST(PlanExecTest, KeyedOperatorsAgreeWithUnindexedFormsOnDuplicateKeys) {
+  Database db;
+  Relation l({"a", "b"}), r({"c", "d"});
+  auto key = [](int i) {
+    return i % 5 < 3 ? Value::Int(i % 5) : Value::Null(i % 5 - 3);
+  };
+  for (int i = 0; i < 240; ++i) l.Add({key(i), Value::Int(i)}, 1 + i % 3);
+  for (int i = 0; i < 160; ++i) {
+    r.Add({key(i * 7), Value::Int(i % 40)}, 1 + i % 2);
+  }
+  db.Put("L", std::move(l));
+  db.Put("R", std::move(r));
+  const AlgPtr L = Scan("L");
+  const AlgPtr R = Scan("R");
+  const CondPtr eq = CEq("a", "c");
+  const CondPtr eq_unhashed = COr(eq, CFalse());
+  const CondPtr always = COr(CIsConst("d"), CIsNull("d"));
+  struct Case {
+    AlgPtr indexed, unindexed;
+    EvalOptions unindexed_opts;
+  };
+  EvalOptions no_hash_join;
+  no_hash_join.enable_hash_join = false;
+  EvalOptions no_unify_index;
+  no_unify_index.enable_unify_index = false;
+  const Case cases[] = {
+      {Join(L, R, eq), Join(L, R, eq), no_hash_join},
+      {Semijoin(L, R, eq), Semijoin(L, R, eq_unhashed), {}},
+      {Antijoin(L, R, eq), Antijoin(L, R, eq_unhashed), {}},
+      {InPredicate(L, R, {"a"}, {"c"}, CTrue()),
+       InPredicate(L, R, {"a"}, {"c"}, always), {}},
+      {NotInPredicate(L, R, {"a"}, {"c"}, CTrue()),
+       NotInPredicate(L, R, {"a"}, {"c"}, always), {}},
+      {AntijoinUnify(L, R), AntijoinUnify(L, R), no_unify_index},
+  };
+  using EvalFn = StatusOr<Relation> (*)(const AlgPtr&, const Database&,
+                                         const EvalOptions&);
+  for (const Case& c : cases) {
+    for (EvalFn eval : {EvalFn(&EvalSet), EvalFn(&EvalBag), EvalFn(&EvalSql)}) {
+      auto want = (*eval)(c.unindexed, db, c.unindexed_opts);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      for (size_t threads : {1, 2, 4}) {
+        EvalOptions o;
+        o.num_threads = threads;
+        o.parallel_min_rows = 0;
+        auto got = (*eval)(c.indexed, db, o);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        // Only the join's row order depends on the plan.
+        EXPECT_TRUE(c.indexed->kind == OpKind::kJoin
+                        ? want->SameRows(*got)
+                        : want->IdenticalTo(*got))
+            << c.indexed->ToString() << " with " << threads << " threads\n"
+            << "indexed:\n" << got->ToString() << "\nunindexed:\n"
+            << want->ToString();
+      }
+    }
+  }
+}
+
+// The hash join indexes the smaller side (here L) and emits, probe row by
+// probe row, the build rows sharing its key in their row order.
+TEST(PlanExecTest, HashJoinEmitsMatchesInBuildOrder) {
+  Database db;
+  Relation l({"a", "b"}), r({"c", "d"});
+  for (auto [a, b] : {std::pair<int, const char*>{1, "x"}, {1, "y"},
+                      {2, "z"}, {1, "w"}}) {
+    l.Add({Value::Int(a), Value::String(b)});
+  }
+  for (auto [c, d] : {std::pair<int, const char*>{1, "p"}, {2, "q"},
+                      {1, "r"}, {3, "s"}, {2, "t"}}) {
+    r.Add({Value::Int(c), Value::String(d)});
+  }
+  db.Put("L", std::move(l));
+  db.Put("R", std::move(r));
+  auto res = EvalSet(Join(Scan("L"), Scan("R"), CEq("a", "c")), db);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  Relation want({"a", "b", "c", "d"});
+  for (auto [lb, c, d] : {std::tuple<const char*, int, const char*>{
+                              "x", 1, "p"},
+                          {"y", 1, "p"}, {"w", 1, "p"}, {"z", 2, "q"},
+                          {"x", 1, "r"}, {"y", 1, "r"}, {"w", 1, "r"},
+                          {"z", 2, "t"}}) {
+    want.Add({Value::Int(c), Value::String(lb), Value::Int(c),
+              Value::String(d)});
+  }
+  EXPECT_TRUE(res->IdenticalTo(want)) << res->ToString();
+}
+
+// Two join rows of 2^63 each overflow only in sum. With max_tuples at its
+// ceiling the budget's running total (sequential) and the parallel merge's
+// total must still fail instead of wrapping to 0 and passing.
+TEST(PlanExecTest, BagTotalOverflowIsResourceExhausted) {
+  Database db;
+  Relation l({"a", "b"}), r({"c"});
+  l.Add({Value::Int(1), Value::Int(1)}, uint64_t{1} << 32);
+  l.Add({Value::Int(1), Value::Int(2)}, uint64_t{1} << 32);
+  r.Add({Value::Int(1)}, uint64_t{1} << 31);
+  db.Put("L", std::move(l));
+  db.Put("Rr", std::move(r));
+  for (size_t threads : {1, 2}) {
+    EvalOptions o;
+    o.max_tuples = UINT64_MAX;
+    o.num_threads = threads;
+    o.parallel_min_rows = 0;
+    auto res = EvalBag(Join(Scan("L"), Scan("Rr"), CEq("a", "c")), db, o);
+    ASSERT_FALSE(res.ok()) << threads << " threads: " << res->ToString();
+    EXPECT_EQ(res.status().code(), StatusCode::kResourceExhausted)
+        << res.status().ToString();
+  }
 }
 
 TEST(PlanOptionsTest, NumThreadsZeroAndAbsurdValuesAreValidated) {

@@ -250,6 +250,42 @@ TEST(TranslateSqlTest, NegativeLiteralsMatchTheAlgebra) {
   }
 }
 
+// Two integers compare exactly: 2^53 + 1 must not collapse onto 2^53, as
+// it does when both are compared as doubles.
+TEST(TranslateSqlTest, IntegerOrderIsExactPastTwoToThe53) {
+  Database db;
+  Relation r({"x"});
+  r.Add({Value::Int(9007199254740993)});
+  db.Put("r", std::move(r));
+  Session sess(std::move(db));
+  auto gt = sess.Execute("SELECT x FROM r WHERE x > 9007199254740992");
+  ASSERT_TRUE(gt.ok()) << gt.status().ToString();
+  EXPECT_EQ(gt->SortedTuples(),
+            std::vector<Tuple>{Tuple{Value::Int(9007199254740993)}});
+  auto le = sess.Execute("SELECT x FROM r WHERE x <= 9007199254740992");
+  ASSERT_TRUE(le.ok()) << le.status().ToString();
+  EXPECT_TRUE(le->Empty()) << le->ToString();
+}
+
+// A bag join whose pair multiplicity passes 2^64 − 1 (2^32 · 2^32) fails
+// with a structured status instead of wrapping to 0 and vanishing.
+TEST(TranslateSqlTest, BagJoinMultiplicityOverflowIsResourceExhausted) {
+  Database db;
+  Relation r({"a"}), t({"b"});
+  r.Add({Value::Int(1)}, uint64_t{1} << 32);
+  t.Add({Value::Int(1)}, uint64_t{1} << 32);
+  db.Put("r", std::move(r));
+  db.Put("t", std::move(t));
+  Session sess(std::move(db));
+  auto res = sess.Execute("SELECT a, b FROM r, t WHERE a = b", {},
+                          EvalMode::kBagNaive);
+  ASSERT_FALSE(res.ok()) << res->ToString();
+  EXPECT_EQ(res.status().code(), StatusCode::kResourceExhausted)
+      << res.status().ToString();
+  ASSERT_NE(res.status().detail(), nullptr);
+  EXPECT_EQ(res.status().detail()->site, "join.emit");
+}
+
 TEST(TranslateSqlTest, AmbiguousColumnRejected) {
   Database db = FigureOne(false);
   // cid exists in both Payments and Customers.
