@@ -170,7 +170,8 @@ INCDB_BENCH(not_in_scaling) {
 }
 
 /// Hash join throughput: customer ⨝ orders, single-threaded and with the
-/// partitioned parallel build/probe (EvalOptions::num_threads = 4).
+/// probe rows split into chunks on the pool (EvalOptions::num_threads = 4)
+/// against one shared build-side index.
 INCDB_BENCH(hash_join) {
   tpch::GenOptions opts;
   opts.scale = 2.0;
@@ -680,7 +681,7 @@ INCDB_BENCH(cursor_stream) {
 }
 
 /// Difference throughput at TPC-H-lite scale (orders minus the lineitem
-/// order keys), sequential vs. the chunk-partitioned parallel operator —
+/// order keys), sequential vs. the chunked parallel operator —
 /// one record per thread count, in both naive-set and SQL NOT-IN modes.
 INCDB_BENCH(difference_parallel) {
   tpch::GenOptions gopts;
@@ -711,7 +712,7 @@ INCDB_BENCH(difference_parallel) {
 }
 
 /// Nested-loop join throughput (non-equality θ, so no hash fast path),
-/// sequential vs. the chunk-partitioned parallel operator.
+/// sequential vs. the chunked parallel operator.
 INCDB_BENCH(nl_join_parallel) {
   std::mt19937_64 rng(21);
   Database db;

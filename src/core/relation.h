@@ -62,8 +62,8 @@ class Relation {
   Status Insert(const Tuple& t, uint64_t count = 1);
   Status Insert(Tuple&& t, uint64_t count = 1);
   /// Insert for tuples the caller *guarantees* are not yet present (e.g.
-  /// join outputs, whose rows are pairs of distinct rows, or merges of
-  /// disjoint hash-join partitions): skips the duplicate probe and appends
+  /// join outputs, whose rows are pairs of distinct rows, or the rows kept
+  /// from a relation's distinct rows): skips the duplicate probe and appends
   /// directly. Inserting a duplicate through this corrupts the
   /// multiplicity accounting; debug builds assert.
   Status InsertUnique(const Tuple& t, uint64_t count = 1);
@@ -131,8 +131,8 @@ class Relation {
 
   /// Row-for-row identity: same attribute names and the same rows with the
   /// same multiplicities in the same insertion order. Stronger than
-  /// SameRows — this is what the chunk-partitioned parallel operators'
-  /// canonical merge promises against the sequential path.
+  /// SameRows — this is what every operator promises at any num_threads
+  /// against its sequential path.
   bool IdenticalTo(const Relation& other) const {
     return attrs_ == other.attrs_ && rows_ == other.rows_;
   }

@@ -39,7 +39,7 @@
 namespace incdb {
 
 /// Hard ceiling on EvalOptions::num_threads: requests beyond this are
-/// clamped at plan-compile time (the partition count drives per-partition
+/// clamped at plan-compile time (the chunk count drives per-chunk
 /// bookkeeping allocations, so an absurd request must not be taken
 /// literally).
 inline constexpr size_t kMaxEvalThreads = 64;
@@ -66,19 +66,19 @@ struct EvalOptions {
   /// One-sided filter conjuncts of a join condition move below the join
   /// (through products and renames) at plan-compile time.
   bool enable_selection_pushdown = true;
-  /// Worker threads for the partitioned physical operators (hash join,
-  /// nested-loop join, difference/NOT-IN, ⋉⇑). 1 keeps the exact
-  /// single-threaded insertion order; >1 splits the work across a small
-  /// thread pool and merges the outputs in partition order — always the
-  /// same *relation* at any thread count, and for the chunk-partitioned
-  /// operators (NL join, difference, ⋉⇑) the exact sequential row order
-  /// too. Validated at plan-compile time: 0 means "use
-  /// hardware_concurrency()", values above kMaxEvalThreads are clamped
-  /// (see ResolveNumThreads in eval/plan.h).
+  /// Worker threads for the binary physical operators (both joins,
+  /// difference, intersection, ⋉⇑, semijoin/antijoin, [NOT] IN). >1 lets
+  /// an operator split its outer rows (left rows, or the hash join's probe
+  /// rows) into this many contiguous chunks on a small thread pool and
+  /// merge their outputs in chunk order, so every operator returns the
+  /// exact sequential rows in the sequential order at any thread count.
+  /// Validated at plan-compile time: 0 means "use hardware_concurrency()",
+  /// values above kMaxEvalThreads are clamped (see ResolveNumThreads in
+  /// eval/plan.h).
   size_t num_threads = 1;
-  /// Minimum input size (rows, operator-specific: build+probe for the hash
-  /// join, left×right pairs for the NL join, left+right rows for
-  /// difference and ⋉⇑) before a parallel operator actually splits work
+  /// Minimum input size (operator-specific: left×right pairs for the NL
+  /// join, left+right rows for the others, divided by a per-operator grain
+  /// — see eval/parallel_policy.h) before an operator actually splits work
   /// across the pool — below it, threading overhead dominates. Tests set
   /// this to 0 to force the parallel paths on tiny inputs.
   size_t parallel_min_rows = 1024;

@@ -1,26 +1,26 @@
 // Physical-plan executor (see eval/plan.h for the layer contract).
 //
 // Operators exchange RelationViews: leaf scans borrow the database rows in
-// place, everything that materialises owns its output. The partitioned
-// operators split work across a process-wide worker pool
-// (EvalOptions::num_threads) in two flavours:
-//
-//  * the hash join partitions build and probe by key-hash prefix and
-//    merges partition outputs in partition-index order — deterministic for
-//    a fixed thread count and always the same *relation* as sequential;
-//  * nested-loop join, difference/NOT-IN and ⋉⇑ split the *left* rows into
-//    contiguous chunks and merge chunk outputs in chunk order, which
-//    reproduces the exact sequential insertion order at any thread count.
+// place, everything that materialises owns its output. The binary
+// operators — difference, intersection, ⋉⇑, semijoin/antijoin, [NOT] IN
+// and both joins — run through one row driver, Executor::Sweep:
+// it emits the output of the operator's outer rows (left rows, or the
+// hash join's probe rows) on the calling thread or, when
+// eval/parallel_policy.h says it pays, in EvalOptions::num_threads
+// contiguous chunks on a process-wide worker pool whose outputs merge in
+// chunk order. Either way every operator returns the sequential rows in
+// the sequential order (Relation::IdenticalTo) at any thread count.
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <set>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/exec_context.h"
@@ -59,8 +59,7 @@ StatusOr<RelationView> ScanResolver::Resolve(const std::string& name,
 
 namespace {
 
-/// \brief Process-wide worker pool for the partitioned operators (hash
-/// join, nested-loop join, difference/NOT-IN, ⋉⇑).
+/// \brief Process-wide worker pool that runs the row driver's chunks.
 ///
 /// Workers are spawned lazily up to the largest num_threads ever requested
 /// (capped) and persist for the process lifetime, so repeated evaluations
@@ -229,96 +228,160 @@ class Executor {
     return Status::OK();
   }
 
-  /// True when this operator should split `left_rows` input rows across
-  /// the pool (`weight` is the operator's work estimate; the per-op grain
-  /// policy lives in eval/parallel_policy.h).
-  bool UseChunkParallelism(size_t left_rows, size_t weight, ChunkOp op) const {
-    return ChunkParallelismProfitable(plan_.opts.num_threads, left_rows,
-                                      weight, plan_.opts.parallel_min_rows,
-                                      op);
-  }
-
   /// Rows per columnar window (≥ 1: Compile rejects 0).
   size_t batch_size() const { return plan_.opts.batch_size; }
 
-  /// Runs fn(0) .. fn(P-1) on the pool. The partition count P is the
-  /// determinism contract; the worker count is an execution resource,
-  /// capped at the hardware parallelism (waking helpers a single-core box
-  /// cannot run only adds context switches — the merge order is
-  /// partition-indexed either way).
-  template <typename Fn>
-  void RunPartitions(size_t P, Fn&& fn) {
-    size_t hw = std::thread::hardware_concurrency();
-    if (hw == 0) hw = P;
-    ExecPool::Get().Run(P, std::min(P, hw), std::forward<Fn>(fn));
-  }
+  /// \brief Cooperative limits of one chunk on the pool.
+  ///
+  /// Every chunk checks the ExecContext on its own visited-work counter,
+  /// so a deadline or a Cancel() from another thread stops all chunks
+  /// within one interval, and reports its emissions to the shared budget
+  /// counter every 4096 rows, failing once the ceiling is crossed
+  /// (overshoot bounded by one report interval per chunk). The caller
+  /// drops partial outputs; the pool stays reusable (ExecPool::Run always
+  /// drains every task body).
+  class WorkerLimits {
+   public:
+    WorkerLimits(const Executor& ex, std::atomic<uint64_t>* emitted)
+        : ex_(ex), emitted_(emitted) {}
 
-  /// Runs work(chunk, begin, end) over num_threads contiguous chunks of
-  /// [0, n) on the pool; chunk outputs merged in chunk index order
-  /// reproduce the exact sequential row order. Returns per-chunk statuses.
-  template <typename Fn>
-  std::vector<Status> RunChunks(size_t n, Fn&& work) {
-    const size_t P = plan_.opts.num_threads;
-    std::vector<Status> stats(P, Status::OK());
-    RunPartitions(P, [&](size_t p) {
-      stats[p] = work(p, n * p / P, n * (p + 1) / P);
-    });
-    return stats;
-  }
-
-  /// Merges per-chunk emitted rows in chunk order. The rows must be
-  /// distinct across all chunks (each is derived from a distinct left
-  /// row), so the duplicate probe is skipped. Like every merge, it
-  /// checkpoints per row: a deadline or Cancel() landing after the
-  /// workers finish still stops the query.
-  Status MergeChunksUnique(std::vector<std::vector<Relation::Row>>& parts,
-                           Relation* out) {
-    size_t total = 0;
-    for (const auto& part : parts) total += part.size();
-    out->Reserve(total);
-    for (auto& part : parts) {
-      for (auto& [t, c] : part) {
-        INCDB_RETURN_IF_ERROR(Checkpoint());
-        INCDB_RETURN_IF_ERROR(out->InsertUnique(std::move(t), c));
-      }
+    /// Kernel window hook: a checkpoint over `units` of visited work.
+    Status operator()(size_t units) {
+      if (!ex_.limited_) return Status::OK();
+      visited_ += units;
+      if (visited_ < kCheckpointInterval) return Status::OK();
+      visited_ = 0;
+      return ex_.ctx_->Check();
     }
-    return Status::OK();
-  }
 
-  /// Canonical merge for the parallel joins: partition outputs land in
-  /// partition-index order. With a fused projection distinct pairs may
-  /// collapse, so rows insert with the duplicate probe and multiplicities
-  /// normalise at the end; without one the emitted pairs are globally
-  /// distinct (each pair joins in exactly one partition) and the probe is
-  /// skipped. Emitted multiplicities count against the budget; rows
-  /// checkpoint as in MergeChunksUnique.
-  StatusOr<RelationView> MergeJoinParts(
-      std::vector<std::vector<Relation::Row>>& parts, const PhysNode& n) {
+    /// Kernel sink into this chunk's part.
+    auto SinkInto(Rows* part) {
+      return [this, part](const Tuple& t, uint64_t c) -> Status {
+        part->emplace_back(t, c);
+        return ++unreported_ < 4096 ? Status::OK() : Report();
+      };
+    }
+
+    /// Adds the unreported emissions to the shared counter.
+    Status Report() {
+      const uint64_t total =
+          emitted_->fetch_add(unreported_, std::memory_order_relaxed) +
+          unreported_;
+      unreported_ = 0;
+      const uint64_t max = ex_.plan_.opts.max_tuples;
+      const uint64_t left = max > ex_.produced_ ? max - ex_.produced_ : 0;
+      return total > left ? ex_.OverBudget(ex_.produced_ + total)
+                          : Status::OK();
+    }
+
+   private:
+    const Executor& ex_;
+    std::atomic<uint64_t>* emitted_;
+    uint64_t visited_ = 0;
+    uint64_t unreported_ = 0;
+  };
+
+  /// The row driver of the binary operators. work(begin, end, pre, sink)
+  /// emits the output of outer rows [begin, end) — left rows, or the hash
+  /// join's probe rows — through `sink`, running `pre` before each window
+  /// of work. On one thread the sink writes straight into the output.
+  /// When eval/parallel_policy.h says it pays, num_threads contiguous
+  /// chunks run on the pool, each into its own part, and the parts are
+  /// then inserted in chunk order: the output is the sequential one, row
+  /// for row, at any thread count. Chunks call `work` concurrently, so
+  /// its scratch lives in the call.
+  template <typename Work>
+  StatusOr<RelationView> Sweep(const PhysNode& n, size_t outer_rows,
+                               size_t weight, ChunkOp op, const Work& work) {
     Relation out(n.attrs);
-    size_t emitted_rows = 0;
-    uint64_t total = 0;
-    for (const auto& part : parts) {
-      emitted_rows += part.size();
-      for (const auto& [t, c] : part) {
-        if (__builtin_add_overflow(total, c, &total)) {
-          return MultiplicityOverflow("join.merge", total, c);
+    // Distinct outer rows, and pairs of them, emit distinct rows unless a
+    // fused projection folds them together.
+    auto insert = [&](auto&& t, uint64_t c) {
+      using T = decltype(t);
+      if (n.fused_proj) return out.Insert(std::forward<T>(t), c);
+      return out.InsertUnique(std::forward<T>(t), c);
+    };
+    if (!ChunkParallelismProfitable(plan_.opts.num_threads, outer_rows,
+                                    weight, plan_.opts.parallel_min_rows,
+                                    op)) {
+      // A join may emit more rows than it reads, so it charges every
+      // emitted row; the other operators keep at most one row per outer
+      // row and charge their output once.
+      const bool join = op == ChunkOp::kNLJoin || op == ChunkOp::kHashJoin;
+      auto pre = Checker();
+      auto sink = [&](const Tuple& t, uint64_t c) -> Status {
+        INCDB_RETURN_IF_ERROR(insert(t, c));
+        return join ? Budget(c, n.attrs.size()) : Status::OK();
+      };
+      INCDB_RETURN_IF_ERROR(work(size_t{0}, outer_rows, pre, sink));
+      if (!join) INCDB_RETURN_IF_ERROR(Budget(out.TotalSize(), n.attrs.size()));
+    } else {
+      INCDB_FAULT_POINT("exec.pool_dispatch");
+      // The chunk count P fixes the output; the worker count is only a
+      // resource, capped at the hardware parallelism (waking helpers a
+      // single-core box cannot run only adds context switches).
+      const size_t P = plan_.opts.num_threads;
+      const size_t hw = std::thread::hardware_concurrency();
+      std::vector<Rows> parts(P);
+      std::vector<Status> stats(P);
+      std::atomic<uint64_t> emitted{0};
+      ExecPool::Get().Run(P, std::min(P, hw == 0 ? P : hw), [&](size_t p) {
+        WorkerLimits lim(*this, &emitted);
+        auto part = lim.SinkInto(&parts[p]);
+        stats[p] = work(outer_rows * p / P, outer_rows * (p + 1) / P, lim,
+                        part);
+        if (stats[p].ok()) stats[p] = lim.Report();
+      });
+      size_t rows = 0;
+      for (size_t p = 0; p < P; ++p) {
+        INCDB_RETURN_IF_ERROR(stats[p]);
+        rows += parts[p].size();
+      }
+      // The merge checkpoints per row like every loop, so a deadline or
+      // Cancel() landing after the chunks finish still stops the query,
+      // and charges the emitted multiplicities once.
+      out.Reserve(rows);
+      uint64_t total = 0;
+      for (Rows& part : parts) {
+        for (auto& [t, c] : part) {
+          INCDB_RETURN_IF_ERROR(Checkpoint());
+          if (__builtin_add_overflow(total, c, &total)) {
+            return MultiplicityOverflow("exec.merge", total, c);
+          }
+          INCDB_RETURN_IF_ERROR(insert(std::move(t), c));
         }
       }
+      INCDB_RETURN_IF_ERROR(Budget(total, n.attrs.size()));
     }
-    out.Reserve(emitted_rows);
-    for (auto& part : parts) {
-      for (auto& [t, c] : part) {
-        INCDB_RETURN_IF_ERROR(Checkpoint());
-        if (n.fused_proj) {
-          INCDB_RETURN_IF_ERROR(out.Insert(std::move(t), c));
-        } else {
-          INCDB_RETURN_IF_ERROR(out.InsertUnique(std::move(t), c));
-        }
-      }
-    }
-    INCDB_RETURN_IF_ERROR(Budget(total, n.attrs.size()));
     if (n.fused_proj && set_semantics()) out.CollapseCounts();
     return RelationView::Own(std::move(out));
+  }
+
+  /// Sweep for the operators that keep a subset of their left rows: row
+  /// (t, c) is emitted with the multiplicity keep(t, c) returns, 0 dropping
+  /// it, and `unit` weighs one row's work for the checkpoints. Each chunk
+  /// runs its own copy of `keep`, so keep's by-value captures are per-chunk
+  /// scratch.
+  template <typename Keep>
+  StatusOr<RelationView> SweepKeep(const PhysNode& n, ChunkOp op,
+                                   const Rows& lrows, const Rows& rrows,
+                                   uint64_t unit, const Keep& keep) {
+    return Sweep(
+        n, lrows.size(), lrows.size() + rrows.size(), op,
+        [&](size_t begin, size_t end, auto& pre, auto& sink) -> Status {
+          Keep kept_count = keep;
+          for (size_t wb = begin; wb < end; wb += batch_size()) {
+            const size_t we = std::min(end, wb + batch_size());
+            INCDB_RETURN_IF_ERROR(pre(unit * (we - wb)));
+            for (size_t i = wb; i < we; ++i) {
+              const auto& [t, c] = lrows[i];
+              if (const uint64_t k = kept_count(t, c)) {
+                INCDB_RETURN_IF_ERROR(sink(t, k));
+              }
+            }
+          }
+          return Status::OK();
+        });
   }
 
   StatusOr<RelationView> Eval(const PhysPtr& n) {
@@ -462,48 +525,8 @@ class Executor {
       if (set_semantics()) return rc == 0 ? 1 : 0;
       return c > rc ? c - rc : 0;  // bag monus
     };
-
-    const std::vector<Relation::Row>& lrows = l->rows();
-    Relation out(n.attrs);
-    if (UseChunkParallelism(lrows.size(), lrows.size() + r->rows().size(),
-                            ChunkOp::kDifference)) {
-      INCDB_FAULT_POINT("exec.pool_dispatch");
-      std::vector<std::vector<Relation::Row>> parts(plan_.opts.num_threads);
-      auto stats = RunChunks(
-          lrows.size(), [&](size_t p, size_t begin, size_t end) -> Status {
-            uint64_t visited = 0;
-            for (size_t i = begin; i < end; ++i) {
-              if (limited_ && ++visited >= kCheckpointInterval) {
-                visited = 0;
-                INCDB_RETURN_IF_ERROR(ctx_->Check());
-              }
-              const auto& [t, c] = lrows[i];
-              if (uint64_t kc = kept_count(t, c)) parts[p].emplace_back(t, kc);
-            }
-            return Status::OK();
-          });
-      for (const Status& st : stats) {
-        INCDB_RETURN_IF_ERROR(st);
-      }
-      INCDB_RETURN_IF_ERROR(MergeChunksUnique(parts, &out));
-      INCDB_RETURN_IF_ERROR(Budget(out.TotalSize(), n.attrs.size()));
-      return RelationView::Own(std::move(out));
-    }
-    // Sequential probe loop with one checkpoint per window (the probes
-    // themselves are one hash lookup each).
-    for (size_t begin = 0; begin < lrows.size(); begin += batch_size()) {
-      const size_t end = std::min(lrows.size(), begin + batch_size());
-      INCDB_RETURN_IF_ERROR(Checkpoint(end - begin));
-      for (size_t i = begin; i < end; ++i) {
-        const auto& [t, c] = lrows[i];
-        // Left rows are distinct, so each survivor inserts a fresh tuple.
-        if (uint64_t kc = kept_count(t, c)) {
-          INCDB_RETURN_IF_ERROR(out.InsertUnique(t, kc));
-        }
-      }
-    }
-    INCDB_RETURN_IF_ERROR(Budget(out.TotalSize(), n.attrs.size()));
-    return RelationView::Own(std::move(out));
+    return SweepKeep(n, ChunkOp::kDifference, l->rows(), r->rows(), 1,
+                     kept_count);
   }
 
   StatusOr<RelationView> EvalIntersect(const PhysNode& n) {
@@ -511,29 +534,19 @@ class Executor {
     if (!l.ok()) return l;
     auto r = Eval(n.right);
     if (!r.ok()) return r;
-    Relation out(n.attrs);
-    if (sql_mode()) {
-      // IN semantics: keep r̄ iff some right tuple compares t. Under 3VL a
-      // comparison is t only when both tuples are all-constant and equal,
-      // so membership reduces to one hash lookup per left tuple.
-      for (const auto& [t, c] : l->rows()) {
-        INCDB_RETURN_IF_ERROR(Checkpoint());
-        if (t.AllConst() && r->Contains(t)) {
-          INCDB_RETURN_IF_ERROR(out.Insert(t, 1));
-        }
-      }
-      INCDB_RETURN_IF_ERROR(Budget(out.TotalSize(), n.attrs.size()));
-      return RelationView::Own(std::move(out));
-    }
-    for (const auto& [t, c] : l->rows()) {
-      INCDB_RETURN_IF_ERROR(Checkpoint());
-      uint64_t rc = r->Count(t);
-      if (rc == 0) continue;
-      INCDB_RETURN_IF_ERROR(
-          out.Insert(t, set_semantics() ? 1 : std::min(c, rc)));
-    }
-    INCDB_RETURN_IF_ERROR(Budget(out.TotalSize(), n.attrs.size()));
-    return RelationView::Own(std::move(out));
+    const bool sql = sql_mode();
+    const bool set = set_semantics();
+    return SweepKeep(n, ChunkOp::kIntersect, l->rows(), r->rows(), 1,
+                     [&](const Tuple& t, uint64_t c) -> uint64_t {
+                       // IN semantics: keep r̄ iff some right tuple compares
+                       // t. Under 3VL a comparison is t only when both
+                       // tuples are all-constant and equal, so membership
+                       // is one hash lookup.
+                       if (sql) return t.AllConst() && r->Contains(t) ? 1 : 0;
+                       const uint64_t rc = r->Count(t);
+                       if (rc == 0) return 0;
+                       return set ? 1 : std::min(c, rc);
+                     });
   }
 
   StatusOr<RelationView> EvalDivision(const PhysNode& n) {
@@ -566,49 +579,14 @@ class Executor {
     auto r = Eval(n.right);
     if (!r.ok()) return r;
     // The index is built once on the calling thread; probes are pure reads.
-    UnifyIndex index(r->rows(), r->arity(), plan_.opts.enable_unify_index);
-    const std::vector<Relation::Row>& lrows = l->rows();
+    const UnifyIndex index(r->rows(), r->arity(),
+                           plan_.opts.enable_unify_index);
     const bool set = set_semantics();
-    Relation out(n.attrs);
-    if (UseChunkParallelism(lrows.size(), lrows.size() + r->rows().size(),
-                            ChunkOp::kUnifySemiJoin)) {
-      INCDB_FAULT_POINT("exec.pool_dispatch");
-      std::vector<std::vector<Relation::Row>> parts(plan_.opts.num_threads);
-      auto stats = RunChunks(
-          lrows.size(), [&](size_t p, size_t begin, size_t end) -> Status {
-            uint64_t visited = 0;
-            for (size_t i = begin; i < end; ++i) {
-              if (limited_ && ++visited >= kCheckpointInterval) {
-                visited = 0;
-                INCDB_RETURN_IF_ERROR(ctx_->Check());
-              }
-              const auto& [t, c] = lrows[i];
-              if (!index.AnyUnifiable(t)) {
-                parts[p].emplace_back(t, set ? 1 : c);
-              }
-            }
-            return Status::OK();
-          });
-      for (const Status& st : stats) {
-        INCDB_RETURN_IF_ERROR(st);
-      }
-      INCDB_RETURN_IF_ERROR(MergeChunksUnique(parts, &out));
-      INCDB_RETURN_IF_ERROR(Budget(out.TotalSize(), n.attrs.size()));
-      return RelationView::Own(std::move(out));
-    }
-    // One checkpoint per window of probes.
-    for (size_t begin = 0; begin < lrows.size(); begin += batch_size()) {
-      const size_t end = std::min(lrows.size(), begin + batch_size());
-      INCDB_RETURN_IF_ERROR(Checkpoint(end - begin));
-      for (size_t i = begin; i < end; ++i) {
-        const auto& [t, c] = lrows[i];
-        if (!index.AnyUnifiable(t)) {
-          INCDB_RETURN_IF_ERROR(out.InsertUnique(t, set ? 1 : c));
-        }
-      }
-    }
-    INCDB_RETURN_IF_ERROR(Budget(out.TotalSize(), n.attrs.size()));
-    return RelationView::Own(std::move(out));
+    return SweepKeep(n, ChunkOp::kUnifySemiJoin, l->rows(), r->rows(), 1,
+                     [&](const Tuple& t, uint64_t c) -> uint64_t {
+                       if (index.AnyUnifiable(t)) return 0;
+                       return set ? 1 : c;
+                     });
   }
 
   StatusOr<RelationView> EvalDom(const PhysNode& n) {
@@ -618,8 +596,11 @@ class Executor {
     uint64_t expected = 1;
     for (size_t i = 0; i < n.dom_arity; ++i) {
       if (values.empty()) break;
-      expected *= values.size();
-      if (expected > plan_.opts.max_tuples) {
+      // Past 2^64 tuples the size saturates: it exceeds every max_tuples.
+      const bool wrapped =
+          __builtin_mul_overflow(expected, values.size(), &expected);
+      if (wrapped) expected = UINT64_MAX;
+      if (wrapped || expected > plan_.opts.max_tuples) {
         StatusDetail d;
         d.budget_used = expected;
         d.budget_limit = plan_.opts.max_tuples;
@@ -664,40 +645,27 @@ class Executor {
     // syntactically equal (naive) — the key index covers both, as naive
     // equality is exactly key identity and SQL-mode null keys are skipped.
     // Without key columns every right row shares the empty key, so the
-    // probe walks them all.
+    // probe walks them all, and the checkpoint weight follows that work.
     const Rows& rrows = r->rows();
     const KeyIndex index(rrows, n.rkeys, sql_mode());
-    Tuple joint_t;  // scratch, reused across probes
-    auto exists_match = [&](const Tuple& lt) -> bool {
-      for (uint32_t k = index.Find(lt, n.lkeys); k != RowIndex::kEmpty;
-           k = index.Next(k)) {
-        if (n.trivial_residual) return true;  // any key match suffices
-        joint_t.AssignConcat(lt, rrows[index.row(k)].first);
-        if (n.pred(joint_t) == TV3::kT) return true;
-      }
-      return false;
-    };
-
-    Relation out(n.attrs);
-    // Checkpoint weight follows the work: without keys each probe walks
-    // the whole right side. One checkpoint per window of probes.
-    const uint64_t probe_weight = n.lkeys.empty() ? 1 + rrows.size() : 1;
-    const std::vector<Relation::Row>& probe_lrows = l->rows();
-    for (size_t begin = 0; begin < probe_lrows.size();
-         begin += batch_size()) {
-      const size_t end = std::min(probe_lrows.size(), begin + batch_size());
-      INCDB_RETURN_IF_ERROR(Checkpoint(probe_weight * (end - begin)));
-      for (size_t i = begin; i < end; ++i) {
-        const auto& [lt, lc] = probe_lrows[i];
-        // Left rows are distinct, so each survivor appends a fresh tuple.
-        if (exists_match(lt) != n.anti) {
-          INCDB_RETURN_IF_ERROR(
-              out.InsertUnique(lt, set_semantics() ? 1 : lc));
-        }
-      }
-    }
-    INCDB_RETURN_IF_ERROR(Budget(out.TotalSize(), n.attrs.size()));
-    return RelationView::Own(std::move(out));
+    const bool set = set_semantics();
+    return SweepKeep(
+        n, ChunkOp::kSemiJoin, l->rows(), rrows,
+        n.lkeys.empty() ? 1 + rrows.size() : 1,
+        [&, joint = Tuple()](const Tuple& lt, uint64_t lc) mutable
+        -> uint64_t {
+          bool match = false;
+          for (uint32_t k = index.Find(lt, n.lkeys);
+               !match && k != RowIndex::kEmpty; k = index.Next(k)) {
+            // Without a residual any key match suffices.
+            if (!n.trivial_residual) {
+              joint.AssignConcat(lt, rrows[index.row(k)].first);
+            }
+            match = n.trivial_residual || n.pred(joint) == TV3::kT;
+          }
+          if (match == n.anti) return 0;
+          return set ? 1 : lc;
+        });
   }
 
   /// SQL's x̄ [NOT] IN subquery predicate. The right side is first filtered
@@ -715,6 +683,8 @@ class Executor {
     auto r = Eval(n.right);
     if (!r.ok()) return r;
     const bool negated = n.anti;
+    const bool sql = sql_mode();
+    const bool set = set_semantics();
 
     // Uncorrelated fast path: index the right keys once. Rows whose key
     // involves a null are listed separately: under SQL 3VL they are the
@@ -724,7 +694,7 @@ class Executor {
     std::optional<KeyIndex> keys;
     std::vector<uint32_t> null_keys;
     if (!n.correlated) keys.emplace(rrows, n.rpos, /*sql=*/false);
-    if (!n.correlated && sql_mode() && negated) {
+    if (!n.correlated && sql && negated) {
       for (uint32_t i = 0; i < rrows.size(); ++i) {
         for (size_t p : n.rpos) {
           if (rrows[i].first[p].is_null()) {
@@ -735,75 +705,64 @@ class Executor {
       }
     }
 
-    Relation out(n.attrs);
-    Tuple lkey, rkey, joint_t;  // scratch, reused across rows and pairs
-    // The correlated path re-scans the right side per left row. One
-    // checkpoint per window of left rows.
-    const uint64_t row_weight = n.correlated ? 1 + rrows.size() : 1;
-    const std::vector<Relation::Row>& in_lrows = l->rows();
-    for (size_t wbegin = 0; wbegin < in_lrows.size();
-         wbegin += batch_size()) {
-      const size_t wend = std::min(in_lrows.size(), wbegin + batch_size());
-      INCDB_RETURN_IF_ERROR(Checkpoint(row_weight * (wend - wbegin)));
-      for (size_t wi = wbegin; wi < wend; ++wi) {
-      const auto& [lt, lc] = in_lrows[wi];
-      lkey.AssignProject(lt, n.lpos);
-      bool keep;
-      if (!n.correlated) {
-        const bool found = keys->Find(lt, n.lpos) != RowIndex::kEmpty;
-        if (!sql_mode()) {
-          keep = negated ? !found : found;
-        } else if (!negated) {
-          keep = found && lkey.AllConst();
-        } else if (lkey.AllConst()) {
-          // NOT IN: all comparisons must be certainly false. All-constant
-          // pairs compare t exactly when syntactically equal, so an
-          // all-constant left key needs one hash miss plus a scan of the
-          // (typically few) null-involving right keys.
-          keep = !found;
-          for (uint32_t i : null_keys) {
-            if (!keep) break;
-            rkey.AssignProject(rrows[i].first, n.rpos);
-            if (SqlTupleEq(lkey, rkey) != TV3::kF) keep = false;
-          }
-        } else {
-          // A left key with a null keeps the pairwise 3VL scan.
-          keep = true;
-          for (const auto& [rt, rc] : rrows) {
-            rkey.AssignProject(rt, n.rpos);
-            if (SqlTupleEq(lkey, rkey) != TV3::kF) {
-              keep = false;
-              break;
+    // The correlated path re-scans the right side per left row.
+    return SweepKeep(
+        n, ChunkOp::kIn, l->rows(), rrows,
+        n.correlated ? 1 + rrows.size() : 1,
+        [&, lkey = Tuple(), rkey = Tuple(), joint = Tuple()](
+            const Tuple& lt, uint64_t lc) mutable -> uint64_t {
+          lkey.AssignProject(lt, n.lpos);
+          bool keep;
+          if (!n.correlated) {
+            const bool found = keys->Find(lt, n.lpos) != RowIndex::kEmpty;
+            if (!sql) {
+              keep = negated ? !found : found;
+            } else if (!negated) {
+              keep = found && lkey.AllConst();
+            } else if (lkey.AllConst()) {
+              // NOT IN: all comparisons must be certainly false.
+              // All-constant pairs compare t exactly when syntactically
+              // equal, so an all-constant left key needs one hash miss plus
+              // a scan of the (typically few) null-involving right keys.
+              keep = !found;
+              for (uint32_t i : null_keys) {
+                if (!keep) break;
+                rkey.AssignProject(rrows[i].first, n.rpos);
+                if (SqlTupleEq(lkey, rkey) != TV3::kF) keep = false;
+              }
+            } else {
+              // A left key with a null keeps the pairwise 3VL scan.
+              keep = true;
+              for (const auto& [rt, rc] : rrows) {
+                rkey.AssignProject(rt, n.rpos);
+                if (SqlTupleEq(lkey, rkey) != TV3::kF) {
+                  keep = false;
+                  break;
+                }
+              }
             }
-          }
-        }
-      } else {
-        // Correlated: filter right rows by θ(l·r) = t, then test.
-        bool exists_t = false;
-        bool all_f = true;
-        for (const auto& [rt, rc] : r->rows()) {
-          joint_t.AssignConcat(lt, rt);
-          if (n.pred(joint_t) != TV3::kT) continue;
-          rkey.AssignProject(rt, n.rpos);
-          if (sql_mode()) {
-            TV3 tv = SqlTupleEq(lkey, rkey);
-            if (tv == TV3::kT) exists_t = true;
-            if (tv != TV3::kF) all_f = false;
           } else {
-            if (lkey == rkey) exists_t = true;
-            if (lkey == rkey) all_f = false;
+            // Correlated: filter right rows by θ(l·r) = t, then test.
+            bool exists_t = false;
+            bool all_f = true;
+            for (const auto& [rt, rc] : rrows) {
+              joint.AssignConcat(lt, rt);
+              if (n.pred(joint) != TV3::kT) continue;
+              rkey.AssignProject(rt, n.rpos);
+              if (sql) {
+                TV3 tv = SqlTupleEq(lkey, rkey);
+                if (tv == TV3::kT) exists_t = true;
+                if (tv != TV3::kF) all_f = false;
+              } else {
+                if (lkey == rkey) exists_t = true;
+                if (lkey == rkey) all_f = false;
+              }
+            }
+            keep = negated ? all_f : exists_t;
           }
-        }
-        keep = negated ? all_f : exists_t;
-      }
-      if (keep) {  // left rows are distinct: no duplicate probe
-        INCDB_RETURN_IF_ERROR(
-            out.InsertUnique(lt, set_semantics() ? 1 : lc));
-      }
-      }
-    }
-    INCDB_RETURN_IF_ERROR(Budget(out.TotalSize(), n.attrs.size()));
-    return RelationView::Own(std::move(out));
+          if (!keep) return 0;
+          return set ? 1 : lc;
+        });
   }
 
   StatusOr<RelationView> EvalJoin(const PhysNode& n) {
@@ -812,12 +771,11 @@ class Executor {
     auto r = Eval(n.right);
     if (!r.ok()) return r;
     const bool set = set_semantics();
-    const bool has_proj = n.fused_proj;
 
     // Projection shortcut: a condition-free product projected onto
     // columns of a single side is just that side's projection (times the
     // other side's non-emptiness) under set semantics.
-    if (n.op == PhysOp::kNLJoin && has_proj && set &&
+    if (n.op == PhysOp::kNLJoin && n.fused_proj && set &&
         n.cond->kind == CondKind::kTrue) {
       if (n.proj_left_only && !r->rows().empty()) {
         Relation out(n.attrs);
@@ -853,160 +811,28 @@ class Executor {
     const Rows& lrows = l->rows();
     const Rows& rrows = r->rows();
     if (n.op == PhysOp::kNLJoin) {
-      // Work estimate for the parallel threshold: every pair is visited.
-      if (UseChunkParallelism(lrows.size(), lrows.size() * rrows.size(),
-                              ChunkOp::kNLJoin)) {
-        return ParallelNLJoin(n, lrows, rrows);
-      }
-    } else if (plan_.opts.num_threads > 1 &&
-               lrows.size() + rrows.size() >= plan_.opts.parallel_min_rows) {
-      return ParallelHashJoin(n, lrows, rrows);
+      // Every pair is visited: the work estimate counts pairs. Each chunk
+      // transposes the right side for its own kernel, O(right rows) and
+      // dwarfed by the pair loop.
+      return Sweep(
+          n, lrows.size(), lrows.size() * rrows.size(), ChunkOp::kNLJoin,
+          [&](size_t begin, size_t end, auto& pre, auto& sink) -> Status {
+            return NLJoinKernel(n, set, rrows)
+                .Run(lrows, begin, end, batch_size(), pre, sink);
+          });
     }
-    Relation out(n.attrs);
-    auto sink = [&](const Tuple& t, uint64_t c) -> Status {
-      // Pairs of distinct rows are distinct: no duplicate probe unless a
-      // projection may fold them together.
-      INCDB_RETURN_IF_ERROR(has_proj ? out.Insert(t, c)
-                                     : out.InsertUnique(t, c));
-      return Budget(c, n.attrs.size());
-    };
-    INCDB_RETURN_IF_ERROR(JoinRows(n, set, sql_mode(), lrows, rrows,
-                                   batch_size(), Checker(), sink));
-    // With a projection under set semantics, distinct pairs may collapse;
-    // normalise multiplicities at the end.
-    if (has_proj && set) out.CollapseCounts();
-    return RelationView::Own(std::move(out));
-  }
-
-  /// \brief Cooperative limits of one parallel-join worker.
-  ///
-  /// Every worker checks the ExecContext on its own visited-work counter,
-  /// so a deadline or a Cancel() from another thread stops all partitions
-  /// within one interval, and reports its emissions to the shared budget
-  /// counter every 4096 rows, failing once the ceiling is crossed
-  /// (overshoot bounded by one report interval per worker). The caller
-  /// drops partial outputs; the pool stays reusable (ExecPool::Run always
-  /// drains every task body).
-  class WorkerLimits {
-   public:
-    WorkerLimits(const Executor& ex, std::atomic<uint64_t>* emitted)
-        : ex_(ex), emitted_(emitted) {}
-
-    /// Kernel window hook: a checkpoint over `units` of visited work.
-    Status operator()(size_t units) {
-      if (!ex_.limited_) return Status::OK();
-      visited_ += units;
-      if (visited_ < kCheckpointInterval) return Status::OK();
-      visited_ = 0;
-      return ex_.ctx_->Check();
-    }
-
-    /// Kernel sink into this worker's output part.
-    auto SinkInto(std::vector<Relation::Row>* part) {
-      return [this, part](const Tuple& t, uint64_t c) -> Status {
-        part->emplace_back(t, c);
-        return ++unreported_ < 4096 ? Status::OK() : Report();
-      };
-    }
-
-    /// Adds the unreported emissions to the shared counter.
-    Status Report() {
-      const uint64_t total =
-          emitted_->fetch_add(unreported_, std::memory_order_relaxed) +
-          unreported_;
-      unreported_ = 0;
-      const uint64_t max = ex_.plan_.opts.max_tuples;
-      const uint64_t left = max > ex_.produced_ ? max - ex_.produced_ : 0;
-      return total > left ? ex_.OverBudget(ex_.produced_ + total)
-                          : Status::OK();
-    }
-
-   private:
-    const Executor& ex_;
-    std::atomic<uint64_t>* emitted_;
-    uint64_t visited_ = 0;
-    uint64_t unreported_ = 0;
-  };
-
-  /// Partitioned hash join: both sides are split by key-hash prefix into
-  /// num_threads partitions; matching keys land in the same partition, so
-  /// partitions join independently on the pool. Outputs merge in
-  /// partition-index order — a fixed thread count yields a deterministic
-  /// row order, and any thread count yields the same relation.
-  StatusOr<RelationView> ParallelHashJoin(const PhysNode& n,
-                                          const Rows& lrows,
-                                          const Rows& rrows) {
-    INCDB_FAULT_POINT("exec.pool_dispatch");
-    const size_t P = plan_.opts.num_threads;
+    // The hash join indexes the smaller side once; chunks probe it with
+    // contiguous runs of the other side's rows.
     const bool build_left = lrows.size() <= rrows.size();
     const Rows& build = build_left ? lrows : rrows;
     const Rows& probe = build_left ? rrows : lrows;
-    std::vector<std::vector<uint32_t>> build_parts(P), probe_parts(P);
-    auto split = [&](const Rows& rows, const std::vector<size_t>& keys,
-                     std::vector<std::vector<uint32_t>>* parts) {
-      size_t h = 0;
-      for (uint32_t i = 0; i < rows.size(); ++i) {
-        if (KeyIndex::KeyHash(rows[i].first, keys, sql_mode(), &h)) {
-          (*parts)[h % P].push_back(i);
-        }
-      }
-    };
-    split(build, build_left ? n.lkeys : n.rkeys, &build_parts);
-    split(probe, build_left ? n.rkeys : n.lkeys, &probe_parts);
-
-    // Partitions emit raw (tuple, count) rows — the hash-indexed insert
-    // happens exactly once, at the canonical merge below.
-    std::vector<Rows> outs(P);
-    std::vector<Status> stats(P, Status::OK());
-    std::atomic<uint64_t> emitted{0};
-    RunPartitions(P, [&](size_t p) {
-      WorkerLimits lim(*this, &emitted);
-      auto sink = lim.SinkInto(&outs[p]);
-      stats[p] = [&]() -> Status {
-        INCDB_RETURN_IF_ERROR(lim(build_parts[p].size()));
-        HashJoinKernel hj(n, set_semantics(), sql_mode(), build_left, build,
-                          &build_parts[p]);
-        const std::vector<uint32_t>& plist = probe_parts[p];
-        for (size_t wb = 0; wb < plist.size(); wb += batch_size()) {
-          const size_t we = std::min(plist.size(), wb + batch_size());
-          INCDB_RETURN_IF_ERROR(lim(we - wb));
-          for (size_t qi = wb; qi < we; ++qi) {
-            const auto& [pt, pc] = probe[plist[qi]];
-            INCDB_RETURN_IF_ERROR(hj.Probe(pt, pc, lim, sink));
-          }
-        }
-        return lim.Report();
-      }();
-    });
-    for (const Status& st : stats) {
-      INCDB_RETURN_IF_ERROR(st);
-    }
-    return MergeJoinParts(outs, n);
-  }
-
-  /// Chunk-partitioned nested-loop join: left rows split into contiguous
-  /// chunks, each chunk joined with all right rows by its own kernel (the
-  /// right-side transposition is rebuilt per chunk: O(right rows), dwarfed
-  /// by the pair loop). Chunk outputs merged in chunk order reproduce the
-  /// exact left-major sequential pair order, so any thread count yields a
-  /// row-for-row identical relation.
-  StatusOr<RelationView> ParallelNLJoin(const PhysNode& n, const Rows& lrows,
-                                        const Rows& rrows) {
-    INCDB_FAULT_POINT("exec.pool_dispatch");
-    std::vector<Rows> parts(plan_.opts.num_threads);
-    std::atomic<uint64_t> emitted{0};
-    auto stats = RunChunks(
-        lrows.size(), [&](size_t p, size_t begin, size_t end) -> Status {
-          WorkerLimits lim(*this, &emitted);
-          NLJoinKernel nl(n, set_semantics(), rrows);
-          INCDB_RETURN_IF_ERROR(nl.Run(lrows, begin, end, batch_size(), lim,
-                                       lim.SinkInto(&parts[p])));
-          return lim.Report();
+    const KeyIndex index(build, build_left ? n.lkeys : n.rkeys, sql_mode());
+    return Sweep(
+        n, probe.size(), lrows.size() + rrows.size(), ChunkOp::kHashJoin,
+        [&](size_t begin, size_t end, auto& pre, auto& sink) -> Status {
+          return HashJoinKernel(n, set, build_left, build, index)
+              .Run(probe, begin, end, batch_size(), pre, sink);
         });
-    for (const Status& st : stats) {
-      INCDB_RETURN_IF_ERROR(st);
-    }
-    return MergeJoinParts(parts, n);
   }
 
   const Plan& plan_;
@@ -1015,8 +841,7 @@ class Executor {
   const ExecContext* ctx_;  // outlives the execution (held by the caller)
   const bool limited_;      // hoisted ctx_->limited(): one branch per checkpoint
   std::unordered_map<const PhysNode*, RelationView> memo_;
-  /// Scratch of the sequential σ/π∘σ/π sweeps (the parallel joins give
-  /// each worker its own kernel).
+  /// Scratch of the σ/π∘σ/π sweeps.
   WindowKernel window_;
   uint64_t produced_ = 0;
   uint64_t mem_used_ = 0;   // approx bytes of materialized tuples

@@ -9,13 +9,14 @@
 /// key columns), and hands every output row to a sink
 /// `Status(const Tuple&, uint64_t count)` that decides how the row lands:
 /// Relation::Insert / InsertUnique in the executor (eval/exec.cpp) and the
-/// delta propagator (eval/delta.cpp), a partition vector in the parallel
-/// joins, the refill buffer of the streaming cursor (api/session.cpp).
-/// The loops that sweep windows take a hook `Status(size_t units)` run
-/// before each window — the executor's deadline/cancel checkpoint. Sinks
-/// and hooks are template parameters, so the hot loops inline them.
-/// Kernels own only scratch and their build-side index: use one instance
-/// per thread (a KeyIndex alone may be probed from many).
+/// delta propagator (eval/delta.cpp), a chunk's part when the executor
+/// runs chunks on its pool, the refill buffer of the streaming cursor
+/// (api/session.cpp). The loops that sweep windows take a hook
+/// `Status(size_t units)` run before each window — the executor's
+/// deadline/cancel checkpoint. Sinks and hooks are template parameters,
+/// so the hot loops inline them. Kernels own only scratch: use one
+/// instance per thread. The hash join's KeyIndex is built by the caller
+/// and may be probed from any number of threads.
 
 #include <algorithm>
 #include <cstdint>
@@ -151,31 +152,38 @@ class JoinEmit {
   Tuple joint_, projected_;
 };
 
-/// \brief Hash join on n.lkeys = n.rkeys: a KeyIndex over the build side's
-/// row ids and the probe that feeds every key match, in build order,
-/// through the join emit rule.
+/// \brief Hash join on n.lkeys = n.rkeys: probes a KeyIndex over the
+/// build side's rows that the caller builds (once, shared by every
+/// kernel) and feeds every key match, in build order, through the join
+/// emit rule.
 class HashJoinKernel {
  public:
-  /// Indexes all build rows, or the ids in `*ids` (one partition's).
-  HashJoinKernel(const PhysNode& n, bool set, bool sql, bool build_left,
-                 const Rows& build,
-                 const std::vector<uint32_t>* ids = nullptr)
+  HashJoinKernel(const PhysNode& n, bool set, bool build_left,
+                 const Rows& build, const KeyIndex& index)
       : build_(build),
         probe_keys_(build_left ? n.rkeys : n.lkeys),
         build_left_(build_left),
         emit_(n, set),
-        index_(build, build_left ? n.lkeys : n.rkeys, sql, ids) {}
+        index_(index) {}
 
-  /// Joins probe row (pt, pc) with its key matches; `pre` runs once per
-  /// match.
+  /// Joins probe[begin, end) with its key matches; `pre` runs before each
+  /// window of `window` probe rows and once per match.
   template <typename Pre, typename Sink>
-  Status Probe(const Tuple& pt, uint64_t pc, Pre& pre, Sink& sink) {
-    for (uint32_t k = index_.Find(pt, probe_keys_); k != RowIndex::kEmpty;
-         k = index_.Next(k)) {
-      INCDB_RETURN_IF_ERROR(pre(1));
-      const auto& [bt, bc] = build_[index_.row(k)];
-      INCDB_RETURN_IF_ERROR(build_left_ ? emit_(bt, bc, pt, pc, sink)
-                                        : emit_(pt, pc, bt, bc, sink));
+  Status Run(const Rows& probe, size_t begin, size_t end, size_t window,
+             Pre&& pre, Sink&& sink) {
+    for (size_t wb = begin; wb < end; wb += window) {
+      const size_t we = std::min(end, wb + window);
+      INCDB_RETURN_IF_ERROR(pre(we - wb));
+      for (size_t i = wb; i < we; ++i) {
+        const auto& [pt, pc] = probe[i];
+        for (uint32_t k = index_.Find(pt, probe_keys_); k != RowIndex::kEmpty;
+             k = index_.Next(k)) {
+          INCDB_RETURN_IF_ERROR(pre(1));
+          const auto& [bt, bc] = build_[index_.row(k)];
+          INCDB_RETURN_IF_ERROR(build_left_ ? emit_(bt, bc, pt, pc, sink)
+                                            : emit_(pt, pc, bt, bc, sink));
+        }
+      }
     }
     return Status::OK();
   }
@@ -185,7 +193,7 @@ class HashJoinKernel {
   const std::vector<size_t>& probe_keys_;
   bool build_left_;
   JoinEmit emit_;
-  KeyIndex index_;
+  const KeyIndex& index_;
 };
 
 /// \brief Nested-loop join against a fixed right side.
@@ -258,16 +266,9 @@ Status JoinRows(const PhysNode& n, bool set, bool sql, const Rows& lrows,
   const bool build_left = lrows.size() <= rrows.size();
   const Rows& build = build_left ? lrows : rrows;
   const Rows& probe = build_left ? rrows : lrows;
-  HashJoinKernel hj(n, set, sql, build_left, build);
-  for (size_t begin = 0; begin < probe.size(); begin += window) {
-    const size_t end = std::min(probe.size(), begin + window);
-    INCDB_RETURN_IF_ERROR(pre(end - begin));
-    for (size_t i = begin; i < end; ++i) {
-      INCDB_RETURN_IF_ERROR(hj.Probe(probe[i].first, probe[i].second, pre,
-                                     sink));
-    }
-  }
-  return Status::OK();
+  const KeyIndex index(build, build_left ? n.lkeys : n.rkeys, sql);
+  return HashJoinKernel(n, set, build_left, build, index)
+      .Run(probe, 0, probe.size(), window, pre, sink);
 }
 
 }  // namespace incdb

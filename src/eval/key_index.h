@@ -53,19 +53,6 @@ class KeyIndex {
     }
   }
 
-  /// Hash of `row`'s `keys` columns into `*h`; false when SQL semantics
-  /// skips the row because a key column is null.
-  static bool KeyHash(const Tuple& row, const std::vector<size_t>& keys,
-                      bool sql, size_t* h) {
-    if (sql) {
-      for (size_t k : keys) {
-        if (row[k].is_null()) return false;
-      }
-    }
-    *h = row.ProjectedHash(keys);
-    return true;
-  }
-
   /// First entry whose key equals the `probe_keys` columns of `probe`, or
   /// RowIndex::kEmpty. Next walks the rest of that key's entries; row maps
   /// an entry to its row id.
@@ -85,6 +72,19 @@ class KeyIndex {
     uint32_t next;  ///< next entry with the same key, or kEmpty
     size_t hash;
   };
+
+  /// Hash of `row`'s `keys` columns into `*h`; false when SQL semantics
+  /// skips the row because a key column is null.
+  static bool KeyHash(const Tuple& row, const std::vector<size_t>& keys,
+                      bool sql, size_t* h) {
+    if (sql) {
+      for (size_t k : keys) {
+        if (row[k].is_null()) return false;
+      }
+    }
+    *h = row.ProjectedHash(keys);
+    return true;
+  }
 
   bool Matches(uint32_t o, size_t h, const Tuple& t,
                const std::vector<size_t>& t_keys) const {

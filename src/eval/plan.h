@@ -24,9 +24,10 @@
 ///     executed against any database with the same relation schemas.
 ///
 ///  2. Execute(plan, db) runs the operators. Leaf scans return a borrowed
-///     RelationView over the database's flat rows (no copy); the hash join
-///     optionally partitions build and probe by key-hash prefix across a
-///     small thread pool (EvalOptions::num_threads).
+///     RelationView over the database's flat rows (no copy); the binary
+///     operators optionally split their outer rows into contiguous chunks
+///     across a small thread pool (EvalOptions::num_threads) and return
+///     the sequential rows in order at any thread count.
 ///
 /// EvalSet / EvalBag / EvalSql (eval/eval.h) are thin compile+execute
 /// wrappers over this layer; the c-table evaluator (ctables/ceval.cpp)

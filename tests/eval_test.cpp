@@ -202,6 +202,25 @@ TEST(EvalSetTest, BudgetExhaustionSurfacesAsError) {
   EXPECT_EQ(res.status().code(), StatusCode::kResourceExhausted);
 }
 
+// Dom^4 over 65536 values is 2^64 tuples. The size pre-check must not
+// wrap to 0 and pass even the largest max_tuples; enumerating would run
+// until the deadline or memory gave out.
+TEST(EvalSetTest, DomSizePastTwoToThe64IsResourceExhausted) {
+  Database db;
+  Relation r({"x"});
+  for (int i = 0; i < 65536; ++i) r.Add({Value::Int(i)});
+  db.Put("R", std::move(r));
+  EvalOptions opts;
+  opts.max_tuples = UINT64_MAX;
+  auto res = EvalSet(DomK(4), db, opts, ExecContext::WithDeadlineMs(300));
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.status().code(), StatusCode::kResourceExhausted)
+      << res.status().ToString();
+  ASSERT_NE(res.status().detail(), nullptr);
+  EXPECT_EQ(res.status().detail()->budget_used, UINT64_MAX);
+  EXPECT_EQ(res.status().detail()->budget_limit, UINT64_MAX);
+}
+
 // --- Bag semantics -----------------------------------------------------------
 
 class BagTest : public ::testing::Test {

@@ -186,6 +186,7 @@ TEST_F(FaultSweepTest, ParallelPipelinesUnderFaultsStayReusable) {
                      {"a", "c"});
   EvalOptions par;
   par.num_threads = 4;
+  par.parallel_min_rows = 0;  // 400 + 400 rows: the pool only runs when forced
   par.use_result_cache = false;
   Session sess(std::move(db), par);
   auto pq = sess.Prepare(q, EvalMode::kSetSql);

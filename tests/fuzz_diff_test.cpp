@@ -321,12 +321,14 @@ StatusOr<Relation> RefEval(const AlgPtr& q, const Database& db,
 struct FuzzConfig {
   std::string label;
   EvalOptions opts;
+  size_t serial;  ///< index of the 1-thread config with the same base
 };
 
 /// Every rewrite pass individually off, everything on, everything off —
 /// the matrix the plan layer must be invisible on — crossed with the
 /// tested thread counts (parallel_min_rows = 0 forces the parallel
-/// operators even on fuzz-sized inputs).
+/// operators even on fuzz-sized inputs). The 1-thread config of each base
+/// comes first.
 std::vector<FuzzConfig> FuzzConfigs() {
   std::vector<size_t> thread_counts = {1, 2, 8};
   if (uint64_t extra = EnvOr("INCDB_FUZZ_THREADS", 0)) {
@@ -370,12 +372,13 @@ std::vector<FuzzConfig> FuzzConfigs() {
   }
   std::vector<FuzzConfig> configs;
   for (const auto& [name, base] : bases) {
+    const size_t serial = configs.size();
     for (size_t threads : thread_counts) {
       EvalOptions o = base;
       o.num_threads = threads;
       o.parallel_min_rows = 0;
       configs.push_back(
-          {name + "/t" + std::to_string(threads), o});
+          {name + "/t" + std::to_string(threads), o, serial});
     }
   }
   // The window-size matrix: the degenerate single-row window (1), a
@@ -383,6 +386,7 @@ std::vector<FuzzConfig> FuzzConfigs() {
   // the default (1024, already covered by the base configs above).
   // Bit-identity across all of them is the windowing contract.
   for (size_t batch : {size_t{1}, size_t{3}}) {
+    const size_t serial = configs.size();
     for (size_t threads : thread_counts) {
       EvalOptions o;
       o.num_threads = threads;
@@ -390,7 +394,7 @@ std::vector<FuzzConfig> FuzzConfigs() {
       o.batch_size = batch;
       configs.push_back({"all/b" + std::to_string(batch) + "/t" +
                              std::to_string(threads),
-                         o});
+                         o, serial});
     }
   }
   return configs;
@@ -414,6 +418,8 @@ void RunDifferential(EvalMode mode,
     ASSERT_TRUE(ref.ok()) << "case " << i << " reference failed for "
                           << q->ToString() << ": "
                           << ref.status().ToString();
+    std::vector<Relation> results;
+    results.reserve(configs.size());
     for (const FuzzConfig& cfg : configs) {
       auto res = eval(q, db, cfg.opts);
       ASSERT_TRUE(res.ok())
@@ -427,6 +433,17 @@ void RunDifferential(EvalMode mode,
       ASSERT_EQ(ref->attrs(), res->attrs())
           << "case " << i << " [" << cfg.label << "] schema diverges for "
           << q->ToString();
+      // Threads never change the row order.
+      if (cfg.opts.num_threads > 1) {
+        const Relation& serial = results[cfg.serial];
+        ASSERT_TRUE(serial.IdenticalTo(*res))
+            << "case " << i << " [" << cfg.label
+            << "] row order differs from [" << configs[cfg.serial].label
+            << "] for " << q->ToString() << "\n1 thread:\n"
+            << serial.ToString() << "\n" << cfg.opts.num_threads
+            << " threads:\n" << res->ToString();
+      }
+      results.push_back(std::move(*res));
     }
   }
 }

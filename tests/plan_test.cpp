@@ -2,10 +2,10 @@
 // on/off must produce identical relations across all three evaluation
 // modes on the desugar/chase corpus; compiled plans have the expected
 // shape (a conjunctive query joins with exactly one HashJoin and no
-// NLJoin); leaf scans borrow the database rows instead of copying; the
-// parallel partitioned hash join agrees with the sequential one; the
-// chunk-partitioned operators (NL join, difference, ⋉⇑) are row-for-row
-// identical to sequential at every thread count; and the query-identity
+// NLJoin); leaf scans borrow the database rows instead of copying; every
+// operator the executor splits into chunks (both joins, difference,
+// intersection, ⋉⇑, the semijoins, [NOT] IN) is row-for-row identical to
+// sequential at every thread count; and the query-identity
 // plan cache (src/eval/plan_cache.h) accounts hits/misses, distinguishes
 // α-renamed from structurally identical queries, invalidates on schema
 // change and survives concurrent lookups.
@@ -272,7 +272,8 @@ TEST(PlanExecTest, RelationViewOwnBorrowRenameMaterialize) {
 
 TEST(PlanExecTest, ParallelHashJoinMatchesSequential) {
   // Big enough to cross the parallel threshold; includes nulls so the
-  // SQL-mode null-key skipping is exercised too.
+  // SQL-mode null-key skipping is exercised too. Probe chunks merged in
+  // chunk order reproduce the sequential join row for row.
   std::mt19937_64 rng(8);
   Database db;
   Relation l({"a", "b"}), r({"c", "d"});
@@ -304,14 +305,14 @@ TEST(PlanExecTest, ParallelHashJoinMatchesSequential) {
         par.num_threads = threads;
         auto res = (*eval)(q, db, par);
         ASSERT_TRUE(res.ok());
-        EXPECT_TRUE(ref->SameRows(*res))
+        EXPECT_TRUE(ref->IdenticalTo(*res))
             << q->ToString() << " with " << threads << " threads";
       }
     }
   }
 }
 
-// A medium database for the chunk-partitioned operators: two overlapping
+// A medium database for the chunked operators: two overlapping
 // 3000-row relations with sprinkled nulls and bag multiplicities.
 Database ChunkOpDatabase() {
   std::mt19937_64 rng(9);
@@ -341,18 +342,33 @@ Database ChunkOpDatabase() {
   return db;
 }
 
-/// The chunk-partitioned operators promise more than SameRows: chunk
-/// outputs merged in chunk order reproduce the exact sequential insertion
-/// order, so the materialised relation is row-for-row identical at every
-/// thread count.
+/// Every operator the row driver splits into chunks promises more than
+/// SameRows: chunk outputs merged in chunk order reproduce the exact
+/// sequential insertion order, so the materialised relation is row-for-row
+/// identical at every thread count. parallel_min_rows = 0 sends each of
+/// them to the pool.
 TEST(PlanExecTest, ChunkParallelOperatorsAreBitIdenticalToSequential) {
   Database db = ChunkOpDatabase();
-  // Difference (HashDiff in all three modes, incl. SQL NOT-IN), ⋉⇑, and a
-  // non-equality join condition that compiles to an NLJoin.
+  const AlgPtr p1 = Scan("P1");
+  const AlgPtr p2 = Scan("P2");
+  const AlgPtr p2cd = Rename(p2, {"c", "d"});
+  // Difference (HashDiff in all three modes, incl. SQL NOT-IN),
+  // intersection (IN in SQL mode), ⋉⇑, a non-equality join condition that
+  // compiles to an NLJoin, the hash join plain and with a fused π, the
+  // semijoins and [NOT] IN, uncorrelated and correlated.
   std::vector<AlgPtr> queries = {
-      Diff(Scan("P1"), Scan("P2")),
-      AntijoinUnify(Scan("P1"), Scan("P2")),
+      Diff(p1, p2),
+      Intersect(p1, p2),
+      AntijoinUnify(p1, p2),
       Join(Scan("N1"), Scan("N2"), CLt("b", "d")),
+      Join(p1, p2cd, CEq("a", "c")),
+      Project(Select(Product(p1, p2cd), CEq("a", "c")), {"b", "d"}),
+      Semijoin(p1, p2cd, CEq("a", "c")),
+      Antijoin(p1, p2cd, CEq("a", "c")),
+      InPredicate(p1, p2cd, {"a"}, {"c"}, CTrue()),
+      NotInPredicate(p1, p2cd, {"a"}, {"c"}, CTrue()),
+      InPredicate(Scan("N1"), Scan("N2"), {"a"}, {"c"}, CLt("b", "d")),
+      NotInPredicate(Scan("N1"), Scan("N2"), {"a"}, {"c"}, CLt("b", "d")),
   };
   for (const AlgPtr& q : queries) {
     using EvalFn = StatusOr<Relation> (*)(const AlgPtr&, const Database&,
@@ -363,9 +379,10 @@ TEST(PlanExecTest, ChunkParallelOperatorsAreBitIdenticalToSequential) {
       auto ref = (*eval)(q, db, seq);
       ASSERT_TRUE(ref.ok()) << q->ToString() << ": "
                             << ref.status().ToString();
-      for (size_t threads : {2, 3, 8}) {
+      for (size_t threads : {2, 3, 4, 8}) {
         EvalOptions par = seq;
         par.num_threads = threads;
+        par.parallel_min_rows = 0;
         auto res = (*eval)(q, db, par);
         ASSERT_TRUE(res.ok()) << q->ToString() << " with " << threads
                               << " threads: " << res.status().ToString();
@@ -381,11 +398,26 @@ TEST(PlanExecTest, ChunkParallelOperatorsAreBitIdenticalToSequential) {
 TEST(PlanExecTest, ChunkParallelOperatorsHandleTinyInputs) {
   std::mt19937_64 rng(10);
   Database db = RandomDatabase(rng, /*tuples_per_rel=*/2);
+  const AlgPtr r = Scan("R");
+  const AlgPtr s = Scan("S");
+  const AlgPtr scd = Rename(s, {"c", "d"});
+  const AlgPtr empty = Select(r, CFalse());
   std::vector<AlgPtr> queries = {
-      Diff(Scan("R"), Scan("S")),
-      AntijoinUnify(Scan("R"), Scan("S")),
-      Join(Scan("R"), Rename(Scan("S"), {"c", "d"}), CNeq("R_a", "c")),
-      Diff(Select(Scan("R"), CFalse()), Scan("S")),  // empty left side
+      Diff(r, s),
+      Intersect(r, s),
+      AntijoinUnify(r, s),
+      Join(r, scd, CNeq("R_a", "c")),
+      Join(r, scd, CEq("R_a", "c")),
+      Project(Select(Product(r, scd), CEq("R_a", "c")), {"R_b"}),
+      Semijoin(r, scd, CEq("R_a", "c")),
+      Antijoin(r, scd, CEq("R_a", "c")),
+      InPredicate(r, scd, {"R_a"}, {"c"}, CTrue()),
+      NotInPredicate(r, scd, {"R_a"}, {"c"}, CTrue()),
+      InPredicate(r, scd, {"R_a"}, {"c"}, CNeq("R_b", "d")),
+      NotInPredicate(r, scd, {"R_a"}, {"c"}, CNeq("R_b", "d")),
+      Diff(empty, s),  // empty left side
+      Join(empty, scd, CEq("R_a", "c")),
+      Join(r, Rename(Select(s, CFalse()), {"c", "d"}), CEq("R_a", "c")),
   };
   for (const AlgPtr& q : queries) {
     using EvalFn = StatusOr<Relation> (*)(const AlgPtr&, const Database&,
@@ -394,13 +426,15 @@ TEST(PlanExecTest, ChunkParallelOperatorsHandleTinyInputs) {
       EvalOptions seq;
       seq.use_plan_cache = false;
       auto ref = (*eval)(q, db, seq);
-      ASSERT_TRUE(ref.ok());
-      for (size_t threads : {2, 8}) {
+      ASSERT_TRUE(ref.ok()) << q->ToString() << ": "
+                            << ref.status().ToString();
+      for (size_t threads : {2, 3, 4, 8}) {
         EvalOptions par = seq;
         par.num_threads = threads;
         par.parallel_min_rows = 0;
         auto res = (*eval)(q, db, par);
-        ASSERT_TRUE(res.ok());
+        ASSERT_TRUE(res.ok()) << q->ToString() << " with " << threads
+                              << " threads: " << res.status().ToString();
         EXPECT_TRUE(ref->IdenticalTo(*res))
             << q->ToString() << " with " << threads << " threads";
       }
@@ -776,7 +810,7 @@ TEST(PlanExecTest, ParallelJoinHonoursBudget) {
   db.Put("L", l);
   db.Put("Rr", r);
   // 8 distinct keys with 150 rows per side each: 180000 distinct pairs,
-  // far beyond the budget — every partition must abort promptly.
+  // far beyond the budget — every chunk must abort promptly.
   EvalOptions opts;
   opts.num_threads = 4;
   opts.max_tuples = 10;
@@ -823,6 +857,26 @@ TEST(ParallelPolicyTest, PairCountingOpsKeepUnitGrain) {
   EXPECT_EQ(ChunkGrain(ChunkOp::kNLJoin), 1u);
   EXPECT_EQ(ChunkGrain(ChunkOp::kUnifySemiJoin), 1u);
   EXPECT_GT(ChunkGrain(ChunkOp::kDifference), 1u);
+}
+
+// The hash join keeps its threshold of build + probe rows ≥
+// parallel_min_rows (grain 1). Intersection/IN, the semijoins and [NOT] IN
+// cost one hash probe per row, like the difference, and take its grain.
+TEST(ParallelPolicyTest, ChunkedHashProbeOpsTakeTheDifferenceGrain) {
+  constexpr size_t kDefaultMinRows = EvalOptions{}.parallel_min_rows;
+  EXPECT_EQ(ChunkGrain(ChunkOp::kHashJoin), 1u);
+  EXPECT_TRUE(ChunkParallelismProfitable(4, 600, kDefaultMinRows,
+                                         kDefaultMinRows, ChunkOp::kHashJoin));
+  EXPECT_FALSE(ChunkParallelismProfitable(
+      4, 600, kDefaultMinRows - 1, kDefaultMinRows, ChunkOp::kHashJoin));
+  for (ChunkOp op : {ChunkOp::kIntersect, ChunkOp::kSemiJoin, ChunkOp::kIn}) {
+    EXPECT_EQ(ChunkGrain(op), ChunkGrain(ChunkOp::kDifference));
+    EXPECT_EQ(ChunkGrain(op), 64u);
+    // The difference's bench shape stays sequential for them too.
+    EXPECT_FALSE(
+        ChunkParallelismProfitable(4, 15925, 26101, kDefaultMinRows, op));
+    EXPECT_TRUE(ChunkParallelismProfitable(4, 2, 4, 0, op));
+  }
 }
 
 }  // namespace

@@ -286,6 +286,7 @@ TEST(BudgetAuditTest, ParallelOperatorsHonourMaxTuples) {
   EvalOptions tight;
   tight.max_tuples = 8;
   tight.num_threads = 4;
+  tight.parallel_min_rows = 0;  // 64 pairs: the pool only runs when forced
   auto res = EvalSet(q, db, tight);
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kResourceExhausted)
