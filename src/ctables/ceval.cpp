@@ -5,10 +5,6 @@
 
 #include "core/fault.h"
 
-#include "algebra/builder.h"
-#include "eval/plan.h"
-#include "eval/plan_cache.h"
-
 namespace incdb {
 
 const char* ToString(CStrategy s) {
@@ -37,12 +33,11 @@ CCondPtr TupleEqCond(const Tuple& a, const Tuple& b) {
 }
 
 /// A selection condition θ with attribute positions resolved *once*
-/// against the input schema (the compiled plan's FilterSel nodes are
-/// visited once per evaluation, their tuples many times — the old
-/// per-tuple name resolution was pure overhead). Instantiate() translates
-/// θ on a concrete (possibly null-carrying) tuple into a condition on the
-/// nulls, under the possible-world reading: in every world all cells hold
-/// constants, so const(A) ↦ true and null(A) ↦ false.
+/// against the input schema (each σ node is visited once per evaluation,
+/// its tuples many times). Instantiate() translates θ on a concrete
+/// (possibly null-carrying) tuple into a condition on the nulls, under the
+/// possible-world reading: in every world all cells hold constants, so
+/// const(A) ↦ true and null(A) ↦ false.
 class CompiledSelCond {
  public:
   static StatusOr<CompiledSelCond> Make(const CondPtr& theta,
@@ -115,8 +110,7 @@ class CompiledSelCond {
         auto i = resolve(theta->lhs);
         if (!i.ok()) return i.status();
         node->i = *i;
-        // Parameter resolution: the lowered plan keeps the placeholder (so
-        // the plan cache shares one entry per query template); the bound
+        // Parameter resolution: the query keeps the placeholder; the bound
         // constant lands here, at per-evaluation condition compilation.
         auto bound = ResolveParamBinding(theta->constant, params);
         if (!bound.ok()) return bound.status();
@@ -163,10 +157,11 @@ class CompiledSelCond {
   std::unique_ptr<Node> root_;
 };
 
-/// Walks the 1:1-lowered physical plan (CompileForCTables): the plan layer
-/// contributes schema validation and resolved projection positions; the
-/// c-table semantics of each operator live here. Hash fast paths stay off:
-/// over c-tables a null join key is a *condition*, not a mismatch.
+/// Walks the desugared algebra tree, which CEval has validated once with
+/// OutputAttrs (so every scan, projection attribute and arity below is
+/// known to resolve), applying the c-table semantics of each operator. No
+/// hash fast path: over c-tables a null join key is a *condition*, not a
+/// mismatch.
 class CEvaluator {
  public:
   CEvaluator(const Database& db, CStrategy strategy,
@@ -177,7 +172,7 @@ class CEvaluator {
         ctx_(&ctx),
         limited_(ctx.limited()) {}
 
-  StatusOr<CTable> Eval(const PhysPtr& q) {
+  StatusOr<CTable> Eval(const AlgPtr& q) {
     auto out = EvalInner(q);
     if (!out.ok()) return out;
     switch (strategy_) {
@@ -191,7 +186,7 @@ class CEvaluator {
   }
 
   /// Top-level entry: applies the aware strategy's final pass.
-  StatusOr<CTable> EvalTop(const PhysPtr& q) {
+  StatusOr<CTable> EvalTop(const AlgPtr& q) {
     auto out = Eval(q);
     if (!out.ok()) return out;
     if (strategy_ == CStrategy::kAware || strategy_ == CStrategy::kLazy) {
@@ -250,20 +245,15 @@ class CEvaluator {
     return out;
   }
 
-  StatusOr<CTable> EvalInner(const PhysPtr& q) {
+  StatusOr<CTable> EvalInner(const AlgPtr& q) {
     INCDB_FAULT_POINT("ceval.node");
-    switch (q->op) {
-      case PhysOp::kScanView: {
-        auto it = cdb_.tables.find(q->rel_name);
-        if (it == cdb_.tables.end()) {
-          return Status::NotFound("no relation named " + q->rel_name);
-        }
-        return it->second;
-      }
-      case PhysOp::kFilterSel: {
+    switch (q->kind) {
+      case OpKind::kScan:
+        return cdb_.tables.at(q->rel_name);
+      case OpKind::kSelect: {
         auto in = Eval(q->left);
         if (!in.ok()) return in;
-        auto sel = CompiledSelCond::Make(q->cond, q->left->attrs, *params_);
+        auto sel = CompiledSelCond::Make(q->cond, in->attrs(), *params_);
         if (!sel.ok()) return sel.status();
         CTable out(in->attrs());
         for (const CTuple& ct : in->tuples()) {
@@ -272,31 +262,35 @@ class CEvaluator {
         }
         return out;
       }
-      case PhysOp::kProject: {
+      case OpKind::kProject: {
         auto in = Eval(q->left);
         if (!in.ok()) return in;
+        std::vector<size_t> pos;
+        pos.reserve(q->attrs.size());
+        for (const std::string& a : q->attrs) {
+          pos.push_back(IndexOf(in->attrs(), a));
+        }
         CTable out(q->attrs);
         for (const CTuple& ct : in->tuples()) {
-          out.Add(ct.data.Project(q->proj_pos), ct.cond);
+          out.Add(ct.data.Project(pos), ct.cond);
         }
         return out;
       }
-      case PhysOp::kRename: {
+      case OpKind::kRename: {
         auto in = Eval(q->left);
         if (!in.ok()) return in;
         CTable out(q->attrs);
         for (const CTuple& ct : in->tuples()) out.Add(ct.data, ct.cond);
         return out;
       }
-      case PhysOp::kNLJoin: {
-        // Lowered products only: CompileForCTables never forms a join
-        // with a condition or a fused projection.
-        assert(q->cond->kind == CondKind::kTrue && !q->fused_proj);
+      case OpKind::kProduct: {
         auto l = Eval(q->left);
         if (!l.ok()) return l;
         auto r = Eval(q->right);
         if (!r.ok()) return r;
-        CTable out(q->attrs);
+        std::vector<std::string> attrs = l->attrs();
+        attrs.insert(attrs.end(), r->attrs().begin(), r->attrs().end());
+        CTable out(std::move(attrs));
         for (const CTuple& lt : l->tuples()) {
           for (const CTuple& rt : r->tuples()) {
             INCDB_RETURN_IF_ERROR(Checkpoint());
@@ -305,7 +299,7 @@ class CEvaluator {
         }
         return out;
       }
-      case PhysOp::kUnion: {
+      case OpKind::kUnion: {
         auto l = Eval(q->left);
         if (!l.ok()) return l;
         auto r = Eval(q->right);
@@ -315,7 +309,7 @@ class CEvaluator {
         for (const CTuple& ct : r->tuples()) out.Add(ct.data, ct.cond);
         return out;
       }
-      case PhysOp::kHashDiff: {
+      case OpKind::kDifference: {
         auto l = Eval(q->left);
         if (!l.ok()) return l;
         auto r = Eval(q->right);
@@ -336,7 +330,7 @@ class CEvaluator {
         }
         return out;
       }
-      case PhysOp::kHashIntersect: {
+      case OpKind::kIntersect: {
         auto l = Eval(q->left);
         if (!l.ok()) return l;
         auto r = Eval(q->right);
@@ -354,8 +348,8 @@ class CEvaluator {
       }
       default:
         return Status::Unsupported(
-            "conditional evaluation covers the core grammar + ∩; desugar "
-            "the query first");
+            "conditional evaluation covers the core grammar + ∩ (no ÷, ⋉⇑ "
+            "or Dom)");
     }
   }
 
@@ -386,16 +380,13 @@ StatusOr<CTable> CEval(const AlgPtr& q, const Database& db, CStrategy s,
   if (ctx.limited()) INCDB_RETURN_IF_ERROR(ctx.Check());
   auto desugared = Desugar(q, db);
   if (!desugared.ok()) return desugared.status();
-  // Lowering through the shared plan layer performs schema validation and
-  // resolves projection positions once; the c-table semantics are applied
-  // by the walker above. Repeat evaluations of one query (the strategy
-  // benchmarks sweep the same workload per strategy) hit the shared
-  // query-identity plan cache instead of re-lowering — parameter
-  // placeholders stay in the lowered plan, so one template is one entry.
-  auto plan = PlanCache::Global().CompileForCTablesCached(*desugared, db);
-  if (!plan.ok()) return plan.status();
+  // One validation pass over the whole tree (unknown relations and
+  // attributes, arities, product disjointness); the walker then trusts
+  // every name it resolves.
+  auto attrs = OutputAttrs(*desugared, db);
+  if (!attrs.ok()) return attrs.status();
   CEvaluator ev(db, s, params, ctx);
-  return ev.EvalTop((*plan)->root);
+  return ev.EvalTop(*desugared);
 }
 
 StatusOr<Relation> CEvalCertain(const AlgPtr& q, const Database& db,

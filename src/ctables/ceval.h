@@ -17,8 +17,13 @@
 ///                         performed on a minimal rewriting of conditions.
 ///
 /// All four run in PTIME and have correctness guarantees:
-/// Eval⋆t(Q, D) ⊆ cert⊥(Q, D). Moreover Q+(D) = Evalᵉt(Q, D) and
-/// Q?(D) = Evalᵉp(Q, D) (Theorem 4.9), which the test suite verifies.
+/// Eval⋆t(Q, D) ⊆ cert⊥(Q, D). Theorem 4.9 also equates eager evaluation
+/// with the Fig. 2(b) scheme, Q+(D) = Evalᵉt(Q, D) and Q?(D) = Evalᵉp(Q, D).
+/// The test suite checks that equality on the query zoo only. Over random
+/// queries it checks Q+ ⊆ Evalᵉt and Evalᵉp ⊆ Q?: grounding decides
+/// satisfiability and validity exactly, so eager can be strictly more
+/// precise than Fig. 2(b): σ[a ≠ b ∧ a = b] grounds to f on every row,
+/// while σ? can keep rows whose a is null.
 
 #include "algebra/algebra.h"
 #include "core/database.h"
@@ -34,13 +39,13 @@ const char* ToString(CStrategy s);
 
 /// Evaluates `q` (core grammar + ∩; sugar is desugared internally) over the
 /// conditional database obtained from `db` with all-true conditions,
-/// applying the given strategy's grounding discipline.
+/// applying the given strategy's grounding discipline. ÷, ⋉⇑ and Dom are
+/// Unsupported.
 ///
 /// `params` binds `?i` parameter placeholders in selection conditions:
-/// the lowered plan is compiled (and cached) on the *parameterised* shape,
-/// and placeholders resolve against the bindings when each condition is
-/// instantiated per evaluation — so N bindings of one query template share
-/// one lowering. An unbound placeholder is an InvalidArgument error.
+/// the query keeps its placeholders, and each resolves against the
+/// bindings when its selection condition is instantiated. An unbound
+/// placeholder is an InvalidArgument error.
 ///
 /// `ctx` carries a deadline / cancellation token, checked on an amortized
 /// schedule inside the quadratic evaluation loops; a default-constructed

@@ -2,7 +2,7 @@
 // physical-plan layer: look the compiled plan up in the process-wide
 // query-identity cache (eval/plan_cache.h) — compiling on the first
 // encounter only — then run it (eval/exec.cpp). Callers that want manual
-// control can call Compile()/CompileCached() + Execute() themselves.
+// control can call Compile() + Execute() themselves.
 
 #include <cassert>
 

@@ -129,9 +129,8 @@ Status CompileNodeCond(PhysNode* node, const std::vector<std::string>& attrs,
 
 class Compiler {
  public:
-  Compiler(EvalMode mode, const EvalOptions& opts, const Database& db,
-           bool for_ctables)
-      : mode_(mode), opts_(opts), db_(db), for_ctables_(for_ctables) {}
+  Compiler(EvalMode mode, const EvalOptions& opts, const Database& db)
+      : mode_(mode), opts_(opts), db_(db) {}
 
   StatusOr<PhysPtr> CompileNode(const AlgPtr& q) {
     switch (q->kind) {
@@ -146,7 +145,6 @@ class Compiler {
       case OpKind::kProduct:
         return CompileJoinLike(q->left, q->right, CTrue(), nullptr);
       case OpKind::kJoin:
-        if (for_ctables_) return CTableUnsupported();
         return CompileJoinLike(q->left, q->right, q->cond, nullptr);
       case OpKind::kUnion:
         return CompileSetOp(q, PhysOp::kUnion, "union");
@@ -169,7 +167,6 @@ class Compiler {
       case OpKind::kNotIn:
         return CompileInPredicate(q, /*negated=*/true);
       case OpKind::kDistinct: {
-        if (for_ctables_) return CTableUnsupported();
         auto in = CompileNode(q->left);
         if (!in.ok()) return in;
         auto node = std::make_shared<PhysNode>();
@@ -184,12 +181,6 @@ class Compiler {
 
  private:
   bool set_semantics() const { return mode_ != EvalMode::kBagNaive; }
-
-  static Status CTableUnsupported() {
-    return Status::Unsupported(
-        "conditional evaluation covers the core grammar + ∩; desugar "
-        "the query first");
-  }
 
   /// Compiles `cond` against `attrs` into the node's predicate or program
   /// (validating attribute references on the way). Parameterised
@@ -218,7 +209,7 @@ class Compiler {
     // A selection directly over a product is a join (the predicate decides
     // which pairs survive) — fold it into the join machinery so the
     // conjunct-split / pushdown / OR-expansion passes see the condition.
-    if (!for_ctables_ && q->left->kind == OpKind::kProduct) {
+    if (q->left->kind == OpKind::kProduct) {
       return CompileJoinLike(q->left->left, q->left->right, q->cond, nullptr);
     }
     auto in = CompileNode(q->left);
@@ -237,7 +228,7 @@ class Compiler {
     // shape the desugared [NOT] IN / EXISTS and the Fig. 2 σ?-rules
     // produce).
     const Algebra* child = q->left.get();
-    if (!for_ctables_ && opts_.enable_projection_fusion &&
+    if (opts_.enable_projection_fusion &&
         (child->kind == OpKind::kJoin ||
          (child->kind == OpKind::kSelect &&
           child->left->kind == OpKind::kProduct) ||
@@ -261,8 +252,7 @@ class Compiler {
     }
     // π(σ(x)) over a non-join child: one fused pass filters and projects
     // at emit time.
-    if (!for_ctables_ && opts_.enable_projection_fusion &&
-        child->kind == OpKind::kSelect) {
+    if (opts_.enable_projection_fusion && child->kind == OpKind::kSelect) {
       auto in = CompileNode(child->left);
       if (!in.ok()) return in;
       auto node = std::make_shared<PhysNode>();
@@ -313,10 +303,6 @@ class Compiler {
 
   /// Binary operators whose inputs must agree on arity.
   StatusOr<PhysPtr> CompileSetOp(const AlgPtr& q, PhysOp op, const char* name) {
-    if (for_ctables_ &&
-        (op == PhysOp::kUnifySemiJoin)) {
-      return CTableUnsupported();
-    }
     auto l = CompileNode(q->left);
     if (!l.ok()) return l;
     auto r = CompileNode(q->right);
@@ -333,7 +319,6 @@ class Compiler {
   }
 
   StatusOr<PhysPtr> CompileDivision(const AlgPtr& q) {
-    if (for_ctables_) return CTableUnsupported();
     if (mode_ == EvalMode::kSetSql) {
       return Status::Unsupported("division is not part of the SQL evaluator");
     }
@@ -370,7 +355,6 @@ class Compiler {
   }
 
   StatusOr<PhysPtr> CompileDom(const AlgPtr& q) {
-    if (for_ctables_) return CTableUnsupported();
     auto node = std::make_shared<PhysNode>();
     node->op = PhysOp::kDom;
     node->attrs = q->attrs;
@@ -469,7 +453,7 @@ class Compiler {
 
     // Selection pushdown: conjuncts touching only one side filter that
     // side below the join instead of every pair.
-    if (!for_ctables_ && opts_.enable_selection_pushdown) {
+    if (opts_.enable_selection_pushdown) {
       std::vector<CondPtr> lpush, rpush, keep;
       for (const CondPtr& c : conj) {
         if (CondWithin(c, l->attrs)) {
@@ -496,9 +480,8 @@ class Compiler {
     // Conjunct split: hashable equi-conjuncts vs residual.
     std::vector<size_t> lkeys, rkeys;
     std::vector<CondPtr> residual;
-    SplitEquiConjuncts(conj, l->attrs, r->attrs,
-                       !for_ctables_ && opts_.enable_hash_join, &lkeys, &rkeys,
-                       &residual);
+    SplitEquiConjuncts(conj, l->attrs, r->attrs, opts_.enable_hash_join, &lkeys,
+                       &rkeys, &residual);
 
     // OR-expansion: a disjunctive join condition with no hashable
     // top-level equality (the shape the Fig. 2(b) σ?-rule produces:
@@ -506,7 +489,7 @@ class Compiler {
     // set semantics σ_{θ1∨θ2}(l×r) = σ_{θ1}(l×r) ∪ σ_{θ2}(l×r), and each
     // disjunct is re-optimised with its own fast path. (Not valid under
     // bags — rows satisfying both disjuncts would double-count.)
-    if (!for_ctables_ && opts_.enable_or_expansion && lkeys.empty() &&
+    if (opts_.enable_or_expansion && lkeys.empty() &&
         residual.size() == 1 && residual[0]->kind == CondKind::kOr &&
         set_semantics()) {
       auto a = BuildJoin(l, r, residual[0]->left, proj);
@@ -554,7 +537,6 @@ class Compiler {
   }
 
   StatusOr<PhysPtr> CompileSemiAnti(const AlgPtr& q, bool anti) {
-    if (for_ctables_) return CTableUnsupported();
     auto l = CompileNode(q->left);
     if (!l.ok()) return l;
     auto r = CompileNode(q->right);
@@ -582,7 +564,6 @@ class Compiler {
   }
 
   StatusOr<PhysPtr> CompileInPredicate(const AlgPtr& q, bool negated) {
-    if (for_ctables_) return CTableUnsupported();
     auto l = CompileNode(q->left);
     if (!l.ok()) return l;
     auto r = CompileNode(q->right);
@@ -618,7 +599,6 @@ class Compiler {
   EvalMode mode_;
   EvalOptions opts_;
   const Database& db_;
-  bool for_ctables_;
 };
 
 void CountEdges(const PhysPtr& n,
@@ -666,35 +646,6 @@ void CollectDataDeps(const PhysPtr& n, std::set<std::string>* names,
   if (n->right) CollectDataDeps(n->right, names, uses_dom, maintainable);
 }
 
-StatusOr<PlanPtr> CompileImpl(const AlgPtr& q, EvalMode mode,
-                              const EvalOptions& opts, const Database& db,
-                              bool for_ctables) {
-  if (opts.batch_size == 0) {
-    return Status::InvalidArgument(
-        "EvalOptions::batch_size must be at least 1 (it is the row window "
-        "every operator sweeps by)");
-  }
-  Compiler compiler(mode, opts, db, for_ctables);
-  auto root = compiler.CompileNode(q);
-  if (!root.ok()) return root.status();
-  auto plan = std::make_shared<Plan>();
-  plan->root = *root;
-  plan->mode = mode;
-  plan->opts = opts;
-  plan->opts.num_threads = ResolveNumThreads(opts.num_threads);
-  plan->param_count = ParamCount(q);
-  plan->for_ctables = for_ctables;
-  CountEdges(plan->root, &plan->refcount);
-  std::set<std::string> names;
-  plan->maintainable = !for_ctables;  // c-table evaluation walks the plan
-                                      // with its own semantics: never
-                                      // delta-maintain those results
-  CollectDataDeps(plan->root, &names, &plan->uses_dom, &plan->maintainable);
-  plan->scanned_rels.assign(names.begin(), names.end());
-  INCDB_RETURN_IF_ERROR(internal::MaybeVerifyPlan(*plan, &db));
-  return PlanPtr(plan);
-}
-
 void RenderNode(const PhysPtr& n, size_t depth, std::string* out) {
   out->append(2 * depth, ' ');
   out->append(ToString(n->op));
@@ -730,7 +681,27 @@ size_t ResolveNumThreads(size_t requested) {
 
 StatusOr<PlanPtr> Compile(const AlgPtr& q, EvalMode mode,
                           const EvalOptions& opts, const Database& db) {
-  return CompileImpl(q, mode, opts, db, /*for_ctables=*/false);
+  if (opts.batch_size == 0) {
+    return Status::InvalidArgument(
+        "EvalOptions::batch_size must be at least 1 (it is the row window "
+        "every operator sweeps by)");
+  }
+  Compiler compiler(mode, opts, db);
+  auto root = compiler.CompileNode(q);
+  if (!root.ok()) return root.status();
+  auto plan = std::make_shared<Plan>();
+  plan->root = *root;
+  plan->mode = mode;
+  plan->opts = opts;
+  plan->opts.num_threads = ResolveNumThreads(opts.num_threads);
+  plan->param_count = ParamCount(q);
+  CountEdges(plan->root, &plan->refcount);
+  std::set<std::string> names;
+  plan->maintainable = true;
+  CollectDataDeps(plan->root, &names, &plan->uses_dom, &plan->maintainable);
+  plan->scanned_rels.assign(names.begin(), names.end());
+  INCDB_RETURN_IF_ERROR(internal::MaybeVerifyPlan(*plan, &db));
+  return PlanPtr(plan);
 }
 
 namespace {
@@ -825,15 +796,9 @@ StatusOr<PlanPtr> BindPlanParams(const PlanPtr& plan,
   bound->scanned_rels = plan->scanned_rels;
   bound->uses_dom = plan->uses_dom;
   bound->maintainable = plan->maintainable;
-  bound->for_ctables = plan->for_ctables;
   CountEdges(bound->root, &bound->refcount);
   INCDB_RETURN_IF_ERROR(internal::MaybeVerifyPlan(*bound));
   return PlanPtr(bound);
-}
-
-StatusOr<PlanPtr> CompileForCTables(const AlgPtr& q, const Database& db) {
-  return CompileImpl(q, EvalMode::kSetNaive, EvalOptions{}, db,
-                     /*for_ctables=*/true);
 }
 
 size_t CountOps(const Plan& plan, PhysOp op) {

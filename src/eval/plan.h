@@ -30,9 +30,10 @@
 ///     the sequential rows in order at any thread count.
 ///
 /// EvalSet / EvalBag / EvalSql (eval/eval.h) are thin compile+execute
-/// wrappers over this layer; the c-table evaluator (ctables/ceval.cpp)
-/// walks plans produced by CompileForCTables, and the FO evaluator
-/// (logic/fo_eval.cpp) shares ScanResolver for copy-free scans.
+/// wrappers over this layer, and the FO evaluator (logic/fo_eval.cpp)
+/// shares ScanResolver for copy-free scans. Every plan is run by the
+/// executor; the c-table evaluator (ctables/ceval.cpp) walks the algebra
+/// itself.
 
 #include <functional>
 #include <map>
@@ -164,16 +165,11 @@ struct Plan {
   bool uses_dom = false;
   /// True when every operator of the DAG belongs to the monotone subset
   /// incremental result maintenance can propagate row-level deltas
-  /// through (scan, filter, fused project-filter, project, rename, union,
-  /// hash/NL join). Difference, intersection, division, semijoins,
-  /// distinct, Dom and c-table plans are excluded — cached results of
-  /// non-maintainable plans fall back to invalidation on mutation.
+  /// through (OpIsMaintainable: scan, filter, fused project-filter,
+  /// project, rename, union, hash/NL join). Difference, intersection,
+  /// division, semijoins, distinct and Dom are excluded — cached results
+  /// of non-maintainable plans fall back to invalidation on mutation.
   bool maintainable = false;
-  /// True when the plan came from CompileForCTables — the c-table
-  /// evaluator walks it with its own semantics, so such plans are never
-  /// executed directly and never delta-maintained. Recorded so the plan
-  /// verifier can check maintainable ⇔ (supported ops ∧ ¬for_ctables).
-  bool for_ctables = false;
 };
 using PlanPtr = std::shared_ptr<const Plan>;
 
@@ -194,12 +190,6 @@ size_t ResolveNumThreads(size_t requested);
 /// operator sweeps by.
 StatusOr<PlanPtr> Compile(const AlgPtr& q, EvalMode mode,
                           const EvalOptions& opts, const Database& db);
-
-/// Pure 1:1 lowering with every rewrite pass off and σ/π kept as separate
-/// operators — the plan shape the c-table evaluator interprets (hash joins
-/// are unsound over c-tables: a null join key is a *condition*, not a
-/// mismatch).
-StatusOr<PlanPtr> CompileForCTables(const AlgPtr& q, const Database& db);
 
 /// Substitutes parameter bindings into a compiled plan template: nodes on
 /// a path to a parameterised condition (or Dom extra) are copied with the

@@ -192,10 +192,10 @@ void AppendOptions(std::string* k, const EvalOptions& opts) {
   AppendU64(k, opts.batch_size);
 }
 
-void BuildKey(std::string* key, const AlgPtr& q, uint8_t mode_tag,
+void BuildKey(std::string* key, const AlgPtr& q, EvalMode mode,
               const EvalOptions& opts, const Database& db) {
   key->clear();
-  AppendByte(key, mode_tag);
+  AppendByte(key, static_cast<uint8_t>(mode));
   AppendOptions(key, opts);
   AppendAlg(key, q, db);
 }
@@ -207,16 +207,13 @@ std::string& KeyBuffer() {
   return buffer;
 }
 
-/// Mode tags: the three Execute modes plus the c-table lowering, which has
-/// its own key space (its plans are interpreted, never Execute()d).
-uint8_t ModeTag(EvalMode mode) { return static_cast<uint8_t>(mode); }
-constexpr uint8_t kCTablesTag = 0x80;
-
 }  // namespace
 
-template <typename CompileFn>
-StatusOr<PlanPtr> PlanCache::LookupOrCompile(const std::string& key,
-                                             CompileFn&& compile) {
+StatusOr<PlanPtr> PlanCache::CompileCached(const AlgPtr& q, EvalMode mode,
+                                           const EvalOptions& opts,
+                                           const Database& db) {
+  std::string& key = KeyBuffer();
+  BuildKey(&key, q, mode, opts, db);
   {
     std::lock_guard<std::mutex> lk(mu_);
     auto it = map_.find(key);
@@ -229,7 +226,7 @@ StatusOr<PlanPtr> PlanCache::LookupOrCompile(const std::string& key,
   }
   // Compile outside the lock: a racing thread on the same cold key wastes
   // one compile, but never blocks the cache for microseconds.
-  auto plan = compile();
+  auto plan = Compile(q, mode, opts, db);
   if (!plan.ok()) return plan.status();
   // A cached plan is served to arbitrarily many later executions — a
   // malformed one must never enter the map (Debug/sanitizer builds only;
@@ -250,21 +247,6 @@ StatusOr<PlanPtr> PlanCache::LookupOrCompile(const std::string& key,
     ++evictions_;
   }
   return *plan;
-}
-
-StatusOr<PlanPtr> PlanCache::CompileCached(const AlgPtr& q, EvalMode mode,
-                                           const EvalOptions& opts,
-                                           const Database& db) {
-  std::string& key = KeyBuffer();
-  BuildKey(&key, q, ModeTag(mode), opts, db);
-  return LookupOrCompile(key, [&] { return Compile(q, mode, opts, db); });
-}
-
-StatusOr<PlanPtr> PlanCache::CompileForCTablesCached(const AlgPtr& q,
-                                                     const Database& db) {
-  std::string& key = KeyBuffer();
-  BuildKey(&key, q, kCTablesTag, EvalOptions{}, db);
-  return LookupOrCompile(key, [&] { return CompileForCTables(q, db); });
 }
 
 PlanCacheStats PlanCache::stats() const {
@@ -289,15 +271,10 @@ PlanCache& PlanCache::Global() {
   return *cache;
 }
 
-StatusOr<PlanPtr> CompileCached(const AlgPtr& q, EvalMode mode,
-                                const EvalOptions& opts, const Database& db) {
-  return PlanCache::Global().CompileCached(q, mode, opts, db);
-}
-
 std::string PlanCacheKey(const AlgPtr& q, EvalMode mode,
                          const EvalOptions& opts, const Database& db) {
   std::string key;
-  BuildKey(&key, q, ModeTag(mode), opts, db);
+  BuildKey(&key, q, mode, opts, db);
   return key;
 }
 

@@ -74,26 +74,16 @@ class PlanCache {
   StatusOr<PlanPtr> CompileCached(const AlgPtr& q, EvalMode mode,
                                   const EvalOptions& opts, const Database& db);
 
-  /// The CompileForCTables twin (1:1 lowering, its own key space — a plan
-  /// compiled for the c-table interpreter is never served to Execute and
-  /// vice versa).
-  StatusOr<PlanPtr> CompileForCTablesCached(const AlgPtr& q,
-                                            const Database& db);
-
   PlanCacheStats stats() const;
 
   /// Drops every entry (explicit invalidation); counters keep running.
   void Clear();
 
   /// The process-wide cache behind EvalSet/EvalBag/EvalSql
-  /// (EvalOptions::use_plan_cache) and the c-table evaluator.
+  /// (EvalOptions::use_plan_cache).
   static PlanCache& Global();
 
  private:
-  template <typename CompileFn>
-  StatusOr<PlanPtr> LookupOrCompile(const std::string& key,
-                                    CompileFn&& compile);
-
   struct Entry {
     PlanPtr plan;
     std::list<std::string>::iterator lru_it;  ///< Position in lru_.
@@ -105,10 +95,6 @@ class PlanCache {
   std::list<std::string> lru_;  ///< Keys, most recently used first.
   std::unordered_map<std::string, Entry> map_;
 };
-
-/// Convenience wrappers over PlanCache::Global().
-StatusOr<PlanPtr> CompileCached(const AlgPtr& q, EvalMode mode,
-                                const EvalOptions& opts, const Database& db);
 
 /// The exact key bytes a lookup would use — exposed so tests can assert
 /// what does (and does not) participate in query identity. The result

@@ -502,11 +502,10 @@ class PlanVerifier {
                           ? "uses_dom set but the plan has no Dom operator"
                           : "plan has a Dom operator but uses_dom is unset");
     }
-    const bool expect_maintainable = ops_maintainable && !plan_.for_ctables;
-    if (plan_.maintainable != expect_maintainable) {
+    if (plan_.maintainable != ops_maintainable) {
       return Fail("", plan_.maintainable
                           ? "maintainable set but the plan contains "
-                            "unsupported operators (or is a c-table lowering)"
+                            "unsupported operators"
                           : "maintainable unset though every operator is in "
                             "the delta-propagation subset");
     }

@@ -6,14 +6,14 @@
 /// physical plans.
 ///
 /// Every layer that produces or rewrites a Plan — Compile's lowering +
-/// rewrite passes, CompileForCTables' 1:1 lowering, BindPlanParams'
-/// clone-substitution, the plan cache, delta maintenance — relies on a set
-/// of IR invariants that nothing used to check explicitly: schema
-/// positions stay in bounds, predicates resolve against their input
-/// schema, the operator DAG stays acyclic, the maintainability marker
-/// matches the supported-op subset. VerifyPlan() walks the DAG once and
-/// validates all of them, returning kInternal with a *path-to-node*
-/// diagnostic ("root.left.right (HashJoin): ...") on the first violation.
+/// rewrite passes, BindPlanParams' clone-substitution, the plan cache,
+/// delta maintenance — relies on a set of IR invariants that nothing used
+/// to check explicitly: schema positions stay in bounds, predicates
+/// resolve against their input schema, the operator DAG stays acyclic, the
+/// maintainability marker matches the supported-op subset. VerifyPlan()
+/// walks the DAG once and validates all of them, returning kInternal with
+/// a *path-to-node* diagnostic ("root.left.right (HashJoin): ...") on the
+/// first violation.
 ///
 /// **What is checked, per node:**
 ///  * child shape: leaves (ScanView, Dom) have no inputs, unary operators
@@ -43,19 +43,18 @@
 ///    condition or Dom extra;
 ///  * Plan::scanned_rels / uses_dom agree with the actual leaves;
 ///  * Plan::maintainable holds exactly when every operator belongs to the
-///    delta-propagation subset and the plan is not a c-table lowering;
+///    delta-propagation subset (OpIsMaintainable);
 ///  * EvalOptions::num_threads was resolved (1..kMaxEvalThreads).
 ///
 /// **Wiring.** Under INCDB_VERIFY_PLANS (on in Debug builds and every
 /// sanitizer CI job, compiled out of Release hot paths) the verifier runs
-/// automatically after Compile / CompileForCTables / BindPlanParams, at
-/// plan-cache insertion and at delta-maintenance entry; a finding turns
-/// the producing call into a kInternal error instead of letting a
-/// malformed plan reach the executor. VerifyPlan itself is always
-/// compiled and callable — tests assert zero findings over the fuzz
-/// corpus in every build type. When the wiring is compiled in, setting
-/// the environment variable INCDB_VERIFY_PLANS=0 disables it at runtime
-/// (it defaults to enabled).
+/// automatically after Compile / BindPlanParams, at plan-cache insertion
+/// and at delta-maintenance entry; a finding turns the producing call into
+/// a kInternal error instead of letting a malformed plan reach the
+/// executor. VerifyPlan itself is always compiled and callable — tests
+/// assert zero findings over the fuzz corpus in every build type. When
+/// the wiring is compiled in, setting the environment variable
+/// INCDB_VERIFY_PLANS=0 disables it at runtime (it defaults to enabled).
 
 #include "core/database.h"
 #include "core/status.h"

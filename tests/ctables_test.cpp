@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "approx/approx.h"
 #include "certain/certain.h"
 #include "ctables/ceval.h"
@@ -231,6 +234,56 @@ TEST_P(StrategyProperty, LaterStrategiesAreAtLeastAsPrecise) {
   }
 }
 
+TEST_P(StrategyProperty, RandomQueriesStayWithinFig2bAndCertainBounds) {
+  // Theorem 4.9 over RandomQueryGen shapes rather than the fixed zoo:
+  // Q+ ⊆ Evalᵉt and Evalᵉp ⊆ Q? (Fig. 2(b) fed the same core-grammar
+  // query), and Eval⋆t ⊆ cert⊥ for every strategy on the query as
+  // generated (so CEval's own desugaring and native ∩ run too). Only
+  // containment holds here: GroundCC decides satisfiability and validity
+  // exactly, so σ[a ≠ b ∧ a = b] grounds to f where Fig. 2(b)'s σ? can
+  // keep rows whose a is null. Queries with order comparisons (no exact
+  // cert⊥) or outside the Fig. 2 grammar (÷, ⋉⇑, Dom, const/null tests)
+  // are skipped. Six seeds × kQueries = 180 qualifying queries per run;
+  // INCDB_FUZZ_SEED moves the whole corpus.
+  constexpr size_t kQueries = 30;
+  std::mt19937_64 rng(testing_util::EnvOr("INCDB_FUZZ_SEED", 20260730) +
+                      static_cast<uint64_t>(GetParam()));
+  testing_util::RandomQueryGen gen(rng);
+  size_t qualifying = 0;
+  for (int i = 0; i < 1000 && qualifying < kQueries; ++i) {
+    Database db = testing_util::RandomDatabase(rng, 3, 3, 2);
+    AlgPtr q = gen.Gen(2 + i % 3);
+    if (QueryHasOrderComparison(q)) continue;
+    auto prepared = PrepareForTranslation(q, db);
+    if (!prepared.ok()) continue;
+    ++qualifying;
+    auto plus = EvalPlus(*prepared, db);
+    auto maybe = EvalMaybe(*prepared, db);
+    auto et = CEvalCertain(*prepared, db, CStrategy::kEager);
+    auto ep = CEvalPossible(*prepared, db, CStrategy::kEager);
+    auto cert = CertWithNulls(q, db);
+    ASSERT_TRUE(plus.ok() && maybe.ok() && et.ok() && ep.ok() && cert.ok())
+        << q->ToString();
+    EXPECT_TRUE(plus->SubBagOf(*et))
+        << (*prepared)->ToString() << "\n Q+: " << plus->ToString()
+        << "\n Evalᵉt: " << et->ToString();
+    EXPECT_TRUE(ep->SubBagOf(*maybe))
+        << (*prepared)->ToString() << "\n Evalᵉp: " << ep->ToString()
+        << "\n Q?: " << maybe->ToString();
+    for (CStrategy s : {CStrategy::kEager, CStrategy::kSemiEager,
+                        CStrategy::kLazy, CStrategy::kAware}) {
+      auto ct = CEvalCertain(q, db, s);
+      ASSERT_TRUE(ct.ok()) << q->ToString() << " " << ToString(s) << ": "
+                           << ct.status().ToString();
+      EXPECT_TRUE(ct->SubBagOf(*cert))
+          << q->ToString() << " strategy " << ToString(s)
+          << "\n Eval⋆t: " << ct->ToString()
+          << "\n cert⊥: " << cert->ToString();
+    }
+  }
+  EXPECT_EQ(qualifying, kQueries) << "the generator ran dry";
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, StrategyProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
 
@@ -324,6 +377,39 @@ TEST(StrategyTest, SugarOperatorsAreDesugaredInternally) {
   auto aware = CEvalCertain(q, db, CStrategy::kAware);
   ASSERT_TRUE(aware.ok());
   EXPECT_TRUE(aware->Empty());
+}
+
+TEST(StrategyTest, ErrorCodes) {
+  // Codes, not messages: validation failures of the query, an unbound
+  // parameter, and the operators outside the c-table grammar.
+  std::mt19937_64 rng(5);
+  Database db = testing_util::RandomDatabase(rng);
+  const AlgPtr r = Scan("R");
+  const AlgPtr t = Scan("T");
+  const std::vector<std::pair<AlgPtr, StatusCode>> cases = {
+      {Scan("Nope"), StatusCode::kNotFound},
+      {Select(r, CEqc("zz", kC1)), StatusCode::kNotFound},
+      {Project(r, {"zz"}), StatusCode::kNotFound},
+      {Rename(r, {"x"}), StatusCode::kInvalidArgument},
+      {Product(r, r), StatusCode::kInvalidArgument},
+      {Union(r, t), StatusCode::kInvalidArgument},
+      {Diff(r, t), StatusCode::kInvalidArgument},
+      {Intersect(r, t), StatusCode::kInvalidArgument},
+      {Select(r, CEqc("R_a", Value::Param(0))), StatusCode::kInvalidArgument},
+      {Division(r, Rename(t, {"R_b"})), StatusCode::kUnsupported},
+      {AntijoinUnify(r, Scan("S")), StatusCode::kUnsupported},
+      {DomK(1), StatusCode::kUnsupported},
+  };
+  for (const auto& [q, code] : cases) {
+    for (CStrategy s : {CStrategy::kEager, CStrategy::kSemiEager,
+                        CStrategy::kLazy, CStrategy::kAware}) {
+      auto res = CEval(q, db, s);
+      ASSERT_FALSE(res.ok()) << q->ToString() << " " << ToString(s);
+      EXPECT_EQ(res.status().code(), code)
+          << q->ToString() << " " << ToString(s) << ": "
+          << res.status().ToString();
+    }
+  }
 }
 
 TEST(StrategyTest, OrderConditionsRejected) {

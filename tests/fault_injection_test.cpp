@@ -1,7 +1,7 @@
 // The fault sweep: the differential-fuzzer corpus re-run with the
 // deterministic FaultInjector armed. The contract under injected faults
 // at every site (scan resolve, node eval, materialization, pool
-// dispatch, snapshot pin, result-cache insert) is strict:
+// dispatch, snapshot pin, result-cache insert, c-table node) is strict:
 //
 //  * every outcome is either the bit-identical correct result or a
 //    *structured* error — kCancelled / kResourceExhausted with
@@ -27,6 +27,7 @@
 
 #include "api/session.h"
 #include "core/fault.h"
+#include "ctables/ceval.h"
 #include "eval/eval.h"
 #include "tests/testing_util.h"
 
@@ -209,6 +210,60 @@ TEST_F(FaultSweepTest, ParallelPipelinesUnderFaultsStayReusable) {
     ASSERT_TRUE(after.ok()) << "pool poisoned by fault_seed " << fseed;
     EXPECT_TRUE(ref->SameRows(*after));
   }
+}
+
+// The c-table walker rolls "ceval.node" once per algebra node. Over the
+// zoo × the four strategies × the sweep's fault seeds, every result is
+// the fault-free c-table or a structured error, and the next fault-free
+// call answers the fault-free c-table again. Each run arms its fault seed
+// plus the run's index, so faults land on different nodes of each query.
+TEST_F(FaultSweepTest, CTableWalkerUnderFaultsIsCorrectOrStructured) {
+  const double rate = 0.2;
+  std::vector<uint64_t> fault_seeds = {11, 4242, 987654321};
+  if (uint64_t extra = EnvOr("INCDB_FAULT_SEED", 0)) {
+    fault_seeds.push_back(extra);
+  }
+  FaultInjector& fi = FaultInjector::Global();
+  uint64_t run = 0, fired_runs = 0;
+  for (uint64_t db_seed = 1; db_seed <= 4; ++db_seed) {
+    std::mt19937_64 rng(db_seed);
+    Database db = RandomDatabase(rng, 3);
+    for (const AlgPtr& q : testing_util::QueryZoo()) {
+      for (CStrategy s : {CStrategy::kEager, CStrategy::kSemiEager,
+                          CStrategy::kLazy, CStrategy::kAware}) {
+        auto ref = CEval(q, db, s);
+        ASSERT_TRUE(ref.ok()) << q->ToString() << ": "
+                              << ref.status().ToString();
+        const std::string want = ref->ToString();
+        for (uint64_t fseed : fault_seeds) {
+          const uint64_t seed = fseed + run++;
+          const std::string where = q->ToString() + " strategy " +
+                                    ToString(s) + " fault_seed " +
+                                    std::to_string(seed) + " rate " +
+                                    std::to_string(rate);
+          fi.Configure(seed, rate);
+          auto res = CEval(q, db, s);
+          if (fi.injected() > 0) ++fired_runs;
+          fi.Disable();
+          if (res.ok()) {
+            EXPECT_EQ(res->ToString(), want)
+                << where << ": survived faults but diverged";
+          } else {
+            EXPECT_TRUE(StructuredFaultOutcome(res.status()) &&
+                        res.status().detail() != nullptr)
+                << where << ": unstructured failure "
+                << res.status().ToString();
+          }
+          auto after = CEval(q, db, s);
+          ASSERT_TRUE(after.ok()) << where << ": unusable after fault: "
+                                  << after.status().ToString();
+          EXPECT_EQ(after->ToString(), want)
+              << where << ": post-fault evaluation diverges";
+        }
+      }
+    }
+  }
+  EXPECT_GT(fired_runs, 0u) << "no fault ever injected — dead sweep";
 }
 
 // Determinism contract the reproduction workflow rests on: re-arming with

@@ -1,10 +1,9 @@
 // Tests for the plan verifier (src/eval/verify.h). Two halves:
 //
 //  * Zero-findings sweeps: every plan the compiler produces over the
-//    QueryZoo, the sugar corpus, 150 seeded random queries, parameter
-//    templates (before AND after binding) and the c-table lowering must
-//    pass VerifyPlan — across all three evaluation modes and a matrix of
-//    rewrite-pass toggles. The verifier is also wired into Compile /
+//    QueryZoo, the sugar corpus, 150 seeded random queries and parameter
+//    templates (before AND after binding) must pass VerifyPlan — across
+//    all three evaluation modes and a matrix of rewrite-pass toggles. The verifier is also wired into Compile /
 //    BindPlanParams / the plan cache / delta propagation in Debug builds,
 //    so the rest of the test suite doubles as a corpus there; this sweep
 //    keeps the coverage in every build type.
@@ -203,19 +202,6 @@ TEST(VerifySweep, ParamTemplatesBeforeAndAfterBinding) {
   }
 }
 
-TEST(VerifySweep, CTableLoweringsVerify) {
-  std::mt19937_64 rng(13);
-  Database db = RandomDatabase(rng);
-  for (const AlgPtr& q : QueryZoo()) {
-    auto plan = CompileForCTables(q, db);
-    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-    EXPECT_TRUE((*plan)->for_ctables);
-    EXPECT_FALSE((*plan)->maintainable);
-    Status st = VerifyPlan(*plan, &db);
-    ASSERT_TRUE(st.ok()) << st.ToString();
-  }
-}
-
 TEST(VerifyWiring, RuntimeToggleMatchesEnvironment) {
   const char* env = std::getenv("INCDB_VERIFY_PLANS");
   bool expect = env == nullptr || std::string(env) != "0";
@@ -326,13 +312,6 @@ TEST(VerifyNegative, BogusMaintainable) {
   Plan denying = *scan;
   denying.maintainable = false;
   ExpectRejected(denying, &db, "maintainable unset");
-
-  // C-table lowerings are never maintainable, whatever their operators.
-  auto ct = CompileForCTables(Scan("R"), db);
-  ASSERT_TRUE(ct.ok()) << ct.status().ToString();
-  Plan ct_lying = **ct;
-  ct_lying.maintainable = true;
-  ExpectRejected(ct_lying, &db, "maintainable set");
 }
 
 TEST(VerifyNegative, MalformedPredicateProgram) {
