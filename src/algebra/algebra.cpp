@@ -54,6 +54,23 @@ void CollectConstants(const CondPtr& c, std::vector<Value>* out) {
 
 }  // namespace
 
+Status CheckInColumns(const AlgPtr& q) {
+  if (q->attrs.size() != q->attrs2.size() || q->attrs.empty()) {
+    return Status::InvalidArgument(
+        "IN predicate: compare column lists must be non-empty and of equal "
+        "length");
+  }
+  return Status::OK();
+}
+
+AlgPtr WithChildren(const AlgPtr& q, AlgPtr left, AlgPtr right) {
+  if (left == q->left && right == q->right) return q;
+  auto out = std::make_shared<Algebra>(*q);
+  out->left = std::move(left);
+  out->right = std::move(right);
+  return out;
+}
+
 StatusOr<std::vector<std::string>> OutputAttrs(const AlgPtr& q,
                                                const Database& db) {
   switch (q->kind) {
@@ -169,11 +186,7 @@ StatusOr<std::vector<std::string>> OutputAttrs(const AlgPtr& q,
       if (!l.ok()) return l;
       auto r = OutputAttrs(q->right, db);
       if (!r.ok()) return r;
-      if (q->attrs.size() != q->attrs2.size() || q->attrs.empty()) {
-        return Status::InvalidArgument(
-            "IN predicate: compare column lists must be non-empty and of "
-            "equal length");
-      }
+      INCDB_RETURN_IF_ERROR(CheckInColumns(q));
       for (const std::string& a : q->attrs) {
         if (std::find(l->begin(), l->end(), a) == l->end()) {
           return Status::NotFound("IN: left column " + a + " not in input");
@@ -355,40 +368,25 @@ size_t ParamCount(const AlgPtr& q) {
 }
 
 StatusOr<AlgPtr> BindParams(const AlgPtr& q, const std::vector<Value>& params) {
+  auto out = MapChildren(
+      q, [&params](const AlgPtr& c) { return BindParams(c, params); });
+  if (!out.ok()) return out;
   bool dom_param = false;
   for (const Value& v : q->dom_extra) dom_param |= v.is_param();
   const bool cond_param = q->cond && CondHasParam(q->cond);
-
-  AlgPtr left = q->left, right = q->right;
-  if (q->left) {
-    auto l = BindParams(q->left, params);
-    if (!l.ok()) return l;
-    left = *l;
-  }
-  if (q->right) {
-    auto r = BindParams(q->right, params);
-    if (!r.ok()) return r;
-    right = *r;
-  }
-  if (!cond_param && !dom_param && left == q->left && right == q->right) {
-    return q;  // parameter-free subtree: share
-  }
-  auto out = std::make_shared<Algebra>(*q);
-  out->left = std::move(left);
-  out->right = std::move(right);
+  if (!cond_param && !dom_param) return out;
+  auto bound = std::make_shared<Algebra>(**out);
   if (cond_param) {
-    auto bound = BindCondParams(q->cond, params);
-    if (!bound.ok()) return bound.status();
-    out->cond = *bound;
+    auto cond = BindCondParams(q->cond, params);
+    if (!cond.ok()) return cond.status();
+    bound->cond = *cond;
   }
-  if (dom_param) {
-    for (Value& v : out->dom_extra) {
-      auto bound = ResolveParamBinding(v, params);
-      if (!bound.ok()) return bound.status();
-      v = *bound;
-    }
+  for (Value& v : bound->dom_extra) {
+    auto value = ResolveParamBinding(v, params);
+    if (!value.ok()) return value.status();
+    v = *value;
   }
-  return AlgPtr(out);
+  return AlgPtr(bound);
 }
 
 bool QueryHasOrderComparison(const AlgPtr& q) {

@@ -18,6 +18,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algebra/condition.h"
@@ -73,9 +74,38 @@ struct Algebra {
 StatusOr<std::vector<std::string>> OutputAttrs(const AlgPtr& q,
                                                const Database& db);
 
-/// Rewrites the sugar operators (kJoin, kSemijoin, kAntijoin) into the core
-/// grammar, leaving everything else untouched. Needs the database to
-/// resolve schemas (the semijoin expansion projects back onto the left
+/// The compare-column check of a kIn / kNotIn node: kInvalidArgument
+/// unless its left and right lists are non-empty and of equal length.
+Status CheckInColumns(const AlgPtr& q);
+
+/// A copy of `q` over the children `left` and `right`, every other field
+/// kept — or `q` itself when both are the children it already has. The one
+/// place a rewrite rebuilds a node as the same operator.
+AlgPtr WithChildren(const AlgPtr& q, AlgPtr left, AlgPtr right);
+
+/// The structural step of every algebra rewrite: rewrites each child of
+/// `q` with `f` (left first, stopping at the first error) and rebuilds `q`
+/// through WithChildren, so a subtree `f` leaves unchanged stays shared.
+template <typename F>
+StatusOr<AlgPtr> MapChildren(const AlgPtr& q, F&& f) {
+  AlgPtr left, right;
+  if (q->left) {
+    StatusOr<AlgPtr> l = f(q->left);
+    if (!l.ok()) return l;
+    left = std::move(l).value();
+  }
+  if (q->right) {
+    StatusOr<AlgPtr> r = f(q->right);
+    if (!r.ok()) return r;
+    right = std::move(r).value();
+  }
+  return WithChildren(q, std::move(left), std::move(right));
+}
+
+/// Rewrites the sugar operators (⋈, ⋉, ▷, [NOT] IN, δ) into the core
+/// grammar; every other operator only has its children desugared, so a
+/// sugar-free subtree comes back as the same pointer. Needs the database
+/// to resolve schemas (the semijoin expansion projects back onto the left
 /// attributes). Note: the expansion is faithful under *set* semantics; the
 /// evaluators also execute the sugar operators natively with EXISTS-style
 /// multiplicity handling for bags.
@@ -106,9 +136,10 @@ std::vector<Value> QueryConstants(const AlgPtr& q);
 size_t ParamCount(const AlgPtr& q);
 
 /// Substitutes every parameter placeholder ?i by `params[i]` throughout
-/// the subtree (conditions and Dom extras). Parameter-free subtrees are
-/// shared, not copied. Errors when an index is out of range or a binding
-/// is not a constant.
+/// the subtree (conditions and Dom extras); the rest of the tree is
+/// rebuilt through MapChildren, so parameter-free subtrees are shared, not
+/// copied. Errors when an index is out of range or a binding is not a
+/// constant.
 StatusOr<AlgPtr> BindParams(const AlgPtr& q, const std::vector<Value>& params);
 
 /// All base relations scanned by the subtree.

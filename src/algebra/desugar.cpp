@@ -1,88 +1,47 @@
-#include <cassert>
-
 #include "algebra/algebra.h"
 #include "algebra/builder.h"
 
 namespace incdb {
 
 StatusOr<AlgPtr> Desugar(const AlgPtr& q, const Database& db) {
+  auto rec = [&db](const AlgPtr& c) { return Desugar(c, db); };
+  // Set-semantics no-op; under bags every downstream consumer of the
+  // desugared (set-based) translations deduplicates anyway.
+  if (q->kind == OpKind::kDistinct) return rec(q->left);
   switch (q->kind) {
-    case OpKind::kScan:
-    case OpKind::kDom:
-      return q;
-    case OpKind::kSelect: {
-      auto in = Desugar(q->left, db);
-      if (!in.ok()) return in;
-      return Select(std::move(in).value(), q->cond);
-    }
-    case OpKind::kProject: {
-      auto in = Desugar(q->left, db);
-      if (!in.ok()) return in;
-      return Project(std::move(in).value(), q->attrs);
-    }
-    case OpKind::kRename: {
-      auto in = Desugar(q->left, db);
-      if (!in.ok()) return in;
-      return Rename(std::move(in).value(), q->attrs);
-    }
-    case OpKind::kDistinct:
-      // Set-semantics no-op; under bags every downstream consumer of the
-      // desugared (set-based) translations deduplicates anyway.
-      return Desugar(q->left, db);
-    default:
+    case OpKind::kJoin:
+    case OpKind::kSemijoin:
+    case OpKind::kAntijoin:
+    case OpKind::kIn:
+    case OpKind::kNotIn:
       break;
+    default:
+      return MapChildren(q, rec);
   }
 
-  auto l = Desugar(q->left, db);
+  auto l = rec(q->left);
   if (!l.ok()) return l;
-  auto r = Desugar(q->right, db);
+  auto r = rec(q->right);
   if (!r.ok()) return r;
   AlgPtr left = std::move(l).value();
   AlgPtr right = std::move(r).value();
+  if (q->kind == OpKind::kJoin) return Select(Product(left, right), q->cond);
 
-  switch (q->kind) {
-    case OpKind::kProduct:
-      return Product(left, right);
-    case OpKind::kUnion:
-      return Union(left, right);
-    case OpKind::kDifference:
-      return Diff(left, right);
-    case OpKind::kIntersect:
-      return Intersect(left, right);
-    case OpKind::kDivision:
-      return Division(left, right);
-    case OpKind::kAntijoinUnify:
-      return AntijoinUnify(left, right);
-    case OpKind::kJoin:
-      return Select(Product(left, right), q->cond);
-    case OpKind::kSemijoin: {
-      auto lattrs = OutputAttrs(left, db);
-      if (!lattrs.ok()) return lattrs.status();
-      return Project(Select(Product(left, right), q->cond), *lattrs);
+  // ⋉θ is π_{attrs(Q1)}(σθ(Q1 × Q2)) and ▷θ subtracts it from Q1. Under
+  // set/naive semantics, [NOT] IN is the semijoin/antijoin on
+  // θ ∧ (lcols = rcols).
+  CondPtr cond = q->cond;
+  if (q->kind == OpKind::kIn || q->kind == OpKind::kNotIn) {
+    INCDB_RETURN_IF_ERROR(CheckInColumns(q));
+    for (size_t i = 0; i < q->attrs.size(); ++i) {
+      cond = CAnd(cond, CEq(q->attrs[i], q->attrs2[i]));
     }
-    case OpKind::kAntijoin: {
-      auto lattrs = OutputAttrs(left, db);
-      if (!lattrs.ok()) return lattrs.status();
-      AlgPtr semi = Project(Select(Product(left, right), q->cond), *lattrs);
-      return Diff(left, semi);
-    }
-    case OpKind::kIn:
-    case OpKind::kNotIn: {
-      // Under set/naive semantics, [NOT] IN is the semijoin/antijoin on
-      // θ ∧ (lcols = rcols).
-      CondPtr cond = q->cond;
-      for (size_t i = 0; i < q->attrs.size(); ++i) {
-        cond = CAnd(cond, CEq(q->attrs[i], q->attrs2[i]));
-      }
-      auto lattrs = OutputAttrs(left, db);
-      if (!lattrs.ok()) return lattrs.status();
-      AlgPtr semi = Project(Select(Product(left, right), cond), *lattrs);
-      if (q->kind == OpKind::kIn) return semi;
-      return Diff(left, semi);
-    }
-    default:
-      return Status::Internal("Desugar: unexpected operator");
   }
+  auto lattrs = OutputAttrs(left, db);
+  if (!lattrs.ok()) return lattrs.status();
+  AlgPtr semi = Project(Select(Product(left, right), cond), *lattrs);
+  if (q->kind == OpKind::kSemijoin || q->kind == OpKind::kIn) return semi;
+  return Diff(left, semi);
 }
 
 }  // namespace incdb

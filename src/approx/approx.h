@@ -19,6 +19,10 @@
 /// Both translations consume the paper's core grammar
 /// {scan, σ, π, ρ, ×, ∪, −}; PrepareForTranslation() desugars the
 /// convenience operators and rewrites ∩ as Q1 − (Q1 − Q2) first.
+/// Each translator spells out only the rules that do more than translate
+/// their inputs (− and σ, and every Qf rule but ρ's); scans, ∪, ×, π and ρ
+/// go through MapChildren, so subtrees a translation leaves unchanged are
+/// shared with its input.
 /// The translated queries are ordinary relational algebra and are meant to
 /// be run with the *naive* evaluators (EvalSet / EvalBag).
 

@@ -5,10 +5,12 @@ namespace incdb {
 
 namespace {
 
-/// Mutually recursive Fig. 2(a) rules. Dom^k nodes are named after the
-/// subquery whose complement they approximate, so set operations compose;
-/// they carry the constants mentioned anywhere in the original query (the
-/// active domain of the naive-evaluation setting).
+/// Mutually recursive Fig. 2(a) rules. Qt translates scans, ∪, ×, π and ρ
+/// structurally (MapChildren) and rewrites − and σ; every Qf rule but ρ's
+/// builds new operators. Dom^k nodes are named after the subquery whose
+/// complement they approximate, so set operations compose; they carry the
+/// constants mentioned anywhere in the original query (the active domain
+/// of the naive-evaluation setting).
 class Fig2aTranslator {
  public:
   Fig2aTranslator(const Database& db, std::vector<Value> query_consts)
@@ -16,15 +18,6 @@ class Fig2aTranslator {
 
   StatusOr<AlgPtr> True(const AlgPtr& q) {
     switch (q->kind) {
-      case OpKind::kScan:
-        return q;  // Rt = R
-      case OpKind::kUnion: {
-        auto l = True(q->left);
-        if (!l.ok()) return l;
-        auto r = True(q->right);
-        if (!r.ok()) return r;
-        return Union(*l, *r);
-      }
       case OpKind::kDifference: {
         // (Q1 − Q2)t = Q1t ∩ Q2f
         auto l = True(q->left);
@@ -38,23 +31,12 @@ class Fig2aTranslator {
         if (!in.ok()) return in;
         return Select(*in, StarTranslate(q->cond));
       }
-      case OpKind::kProduct: {
-        auto l = True(q->left);
-        if (!l.ok()) return l;
-        auto r = True(q->right);
-        if (!r.ok()) return r;
-        return Product(*l, *r);
-      }
-      case OpKind::kProject: {
-        auto in = True(q->left);
-        if (!in.ok()) return in;
-        return Project(*in, q->attrs);
-      }
-      case OpKind::kRename: {
-        auto in = True(q->left);
-        if (!in.ok()) return in;
-        return Rename(*in, q->attrs);
-      }
+      case OpKind::kScan:  // Rt = R
+      case OpKind::kUnion:
+      case OpKind::kProduct:
+      case OpKind::kProject:
+      case OpKind::kRename:
+        return MapChildren(q, [this](const AlgPtr& c) { return True(c); });
       default:
         return Status::Unsupported(
             "Qt translation: run PrepareForTranslation first");
@@ -111,11 +93,8 @@ class Fig2aTranslator {
         return Diff(Project(*in, q->attrs),
                     Project(Diff(Dom(*in_attrs), *in), q->attrs));
       }
-      case OpKind::kRename: {
-        auto in = False(q->left);
-        if (!in.ok()) return in;
-        return Rename(*in, q->attrs);
-      }
+      case OpKind::kRename:
+        return MapChildren(q, [this](const AlgPtr& c) { return False(c); });
       default:
         return Status::Unsupported(
             "Qf translation: run PrepareForTranslation first");

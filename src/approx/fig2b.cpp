@@ -7,67 +7,19 @@ namespace {
 
 /// Rewrites ∩ as Q1 − (Q1 − Q2) after full desugaring.
 StatusOr<AlgPtr> StripIntersect(const AlgPtr& q) {
-  auto rec = [](const AlgPtr& c) { return StripIntersect(c); };
-  switch (q->kind) {
-    case OpKind::kScan:
-    case OpKind::kDom:
-      return q;
-    case OpKind::kSelect: {
-      auto in = rec(q->left);
-      if (!in.ok()) return in;
-      return Select(std::move(in).value(), q->cond);
-    }
-    case OpKind::kProject: {
-      auto in = rec(q->left);
-      if (!in.ok()) return in;
-      return Project(std::move(in).value(), q->attrs);
-    }
-    case OpKind::kRename: {
-      auto in = rec(q->left);
-      if (!in.ok()) return in;
-      return Rename(std::move(in).value(), q->attrs);
-    }
-    case OpKind::kProduct:
-    case OpKind::kUnion:
-    case OpKind::kDifference:
-    case OpKind::kIntersect:
-    case OpKind::kAntijoinUnify:
-    case OpKind::kDivision: {
-      auto l = rec(q->left);
-      if (!l.ok()) return l;
-      auto r = rec(q->right);
-      if (!r.ok()) return r;
-      AlgPtr left = std::move(l).value();
-      AlgPtr right = std::move(r).value();
-      switch (q->kind) {
-        case OpKind::kProduct:
-          return Product(left, right);
-        case OpKind::kUnion:
-          return Union(left, right);
-        case OpKind::kDifference:
-          return Diff(left, right);
-        case OpKind::kIntersect:
-          return Diff(left, Diff(left, right));
-        case OpKind::kAntijoinUnify:
-          return AntijoinUnify(left, right);
-        default:
-          return Division(left, right);
-      }
-    }
-    default:
-      return Status::Internal("StripIntersect: sugar operator not desugared");
-  }
+  auto out = MapChildren(q, StripIntersect);
+  if (!out.ok() || q->kind != OpKind::kIntersect) return out;
+  const AlgPtr& left = (*out)->left;
+  return Diff(left, Diff(left, (*out)->right));
 }
 
-}  // namespace
-
-namespace {
 bool SelectionsAreTranslatable(const AlgPtr& q) {
   if (q->cond && HasNullConstTest(q->cond)) return false;
   if (q->left && !SelectionsAreTranslatable(q->left)) return false;
   if (q->right && !SelectionsAreTranslatable(q->right)) return false;
   return true;
 }
+
 }  // namespace
 
 StatusOr<AlgPtr> PrepareForTranslation(const AlgPtr& q, const Database& db) {
@@ -91,100 +43,62 @@ StatusOr<AlgPtr> PrepareForTranslation(const AlgPtr& q, const Database& db) {
 
 namespace {
 
-/// Mutually recursive Fig. 2(b) rules over the core grammar.
-/// Preconditions: q is core grammar (PrepareForTranslation output).
-StatusOr<AlgPtr> Plus(const AlgPtr& q, const Database& db);
-StatusOr<AlgPtr> Maybe(const AlgPtr& q, const Database& db);
+/// Mutually recursive Fig. 2(b) rules over the core grammar. Only − and σ
+/// do more than translate their inputs: R+ = R? = R, and ∪, ×, π, ρ map
+/// over their children. Preconditions: q is core grammar
+/// (PrepareForTranslation output).
+StatusOr<AlgPtr> Plus(const AlgPtr& q);
+StatusOr<AlgPtr> Maybe(const AlgPtr& q);
 
-StatusOr<AlgPtr> Plus(const AlgPtr& q, const Database& db) {
+StatusOr<AlgPtr> Plus(const AlgPtr& q) {
   switch (q->kind) {
-    case OpKind::kScan:
-      return q;  // R+ = R
-    case OpKind::kUnion: {
-      auto l = Plus(q->left, db);
-      if (!l.ok()) return l;
-      auto r = Plus(q->right, db);
-      if (!r.ok()) return r;
-      return Union(*l, *r);
-    }
     case OpKind::kDifference: {
       // (Q1 − Q2)+ = Q1+ ⋉⇑ Q2?
-      auto l = Plus(q->left, db);
+      auto l = Plus(q->left);
       if (!l.ok()) return l;
-      auto r = Maybe(q->right, db);
+      auto r = Maybe(q->right);
       if (!r.ok()) return r;
       return AntijoinUnify(*l, *r);
     }
     case OpKind::kSelect: {
       // (σθ Q)+ = σθ*(Q+)
-      auto in = Plus(q->left, db);
+      auto in = Plus(q->left);
       if (!in.ok()) return in;
       return Select(*in, StarTranslate(q->cond));
     }
-    case OpKind::kProduct: {
-      auto l = Plus(q->left, db);
-      if (!l.ok()) return l;
-      auto r = Plus(q->right, db);
-      if (!r.ok()) return r;
-      return Product(*l, *r);
-    }
-    case OpKind::kProject: {
-      auto in = Plus(q->left, db);
-      if (!in.ok()) return in;
-      return Project(*in, q->attrs);
-    }
-    case OpKind::kRename: {
-      auto in = Plus(q->left, db);
-      if (!in.ok()) return in;
-      return Rename(*in, q->attrs);
-    }
+    case OpKind::kScan:
+    case OpKind::kUnion:
+    case OpKind::kProduct:
+    case OpKind::kProject:
+    case OpKind::kRename:
+      return MapChildren(q, Plus);
     default:
       return Status::Unsupported("Q+ translation: run PrepareForTranslation");
   }
 }
 
-StatusOr<AlgPtr> Maybe(const AlgPtr& q, const Database& db) {
+StatusOr<AlgPtr> Maybe(const AlgPtr& q) {
   switch (q->kind) {
-    case OpKind::kScan:
-      return q;  // R? = R
-    case OpKind::kUnion: {
-      auto l = Maybe(q->left, db);
-      if (!l.ok()) return l;
-      auto r = Maybe(q->right, db);
-      if (!r.ok()) return r;
-      return Union(*l, *r);
-    }
     case OpKind::kDifference: {
       // (Q1 − Q2)? = Q1? − Q2+
-      auto l = Maybe(q->left, db);
+      auto l = Maybe(q->left);
       if (!l.ok()) return l;
-      auto r = Plus(q->right, db);
+      auto r = Plus(q->right);
       if (!r.ok()) return r;
-      return Diff(*l, *r);
+      return WithChildren(q, *l, *r);
     }
     case OpKind::kSelect: {
       // (σθ Q)? = σ¬(¬θ)*(Q?)
-      auto in = Maybe(q->left, db);
+      auto in = Maybe(q->left);
       if (!in.ok()) return in;
       return Select(*in, Negate(StarTranslate(Negate(q->cond))));
     }
-    case OpKind::kProduct: {
-      auto l = Maybe(q->left, db);
-      if (!l.ok()) return l;
-      auto r = Maybe(q->right, db);
-      if (!r.ok()) return r;
-      return Product(*l, *r);
-    }
-    case OpKind::kProject: {
-      auto in = Maybe(q->left, db);
-      if (!in.ok()) return in;
-      return Project(*in, q->attrs);
-    }
-    case OpKind::kRename: {
-      auto in = Maybe(q->left, db);
-      if (!in.ok()) return in;
-      return Rename(*in, q->attrs);
-    }
+    case OpKind::kScan:
+    case OpKind::kUnion:
+    case OpKind::kProduct:
+    case OpKind::kProject:
+    case OpKind::kRename:
+      return MapChildren(q, Maybe);
     default:
       return Status::Unsupported("Q? translation: run PrepareForTranslation");
   }
@@ -195,13 +109,13 @@ StatusOr<AlgPtr> Maybe(const AlgPtr& q, const Database& db) {
 StatusOr<AlgPtr> TranslatePlus(const AlgPtr& q, const Database& db) {
   auto core = PrepareForTranslation(q, db);
   if (!core.ok()) return core;
-  return Plus(*core, db);
+  return Plus(*core);
 }
 
 StatusOr<AlgPtr> TranslateMaybe(const AlgPtr& q, const Database& db) {
   auto core = PrepareForTranslation(q, db);
   if (!core.ok()) return core;
-  return Maybe(*core, db);
+  return Maybe(*core);
 }
 
 StatusOr<Relation> EvalPlus(const AlgPtr& q, const Database& db,

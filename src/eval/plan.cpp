@@ -568,6 +568,7 @@ class Compiler {
     if (!l.ok()) return l;
     auto r = CompileNode(q->right);
     if (!r.ok()) return r;
+    INCDB_RETURN_IF_ERROR(CheckInColumns(q));
     auto node = std::make_shared<PhysNode>();
     node->op = PhysOp::kInPred;
     node->anti = negated;

@@ -1,10 +1,12 @@
 // Unit tests for src/algebra: selection conditions (negation propagation,
-// θ* translation, three evaluation modes), AST validation, desugaring and
-// fragment classifiers.
+// θ* translation, three evaluation modes), AST validation, desugaring, the
+// structural rewrite step (WithChildren / MapChildren) and fragment
+// classifiers.
 
 #include <gtest/gtest.h>
 
 #include "algebra/builder.h"
+#include "approx/approx.h"
 #include "eval/eval.h"
 #include "tests/testing_util.h"
 
@@ -231,6 +233,90 @@ TEST(DesugarTest, InPredicatesMatchUnderNaiveSemantics) {
   auto expanded = EvalSet(*core, db);
   ASSERT_TRUE(direct.ok() && expanded.ok());
   EXPECT_TRUE(direct->SameRows(*expanded));
+}
+
+// --- The structural rewrite step --------------------------------------------
+
+TEST(RewriteStepTest, SugarFreeQueriesComeBackAsTheInputPointer) {
+  // Desugar and PrepareForTranslation rebuild only what they rewrite: a
+  // query without sugar and without ∩ is returned as the input itself.
+  Database db = FigureOne(true);
+  AlgPtr q = Diff(
+      Project(Select(Scan("Orders"), CNeqc("price", Value::Int(30))), {"oid"}),
+      Rename(Project(Scan("Payments"), {"oid"}), {"oid"}));
+  auto desugared = Desugar(q, db);
+  auto prepared = PrepareForTranslation(q, db);
+  ASSERT_TRUE(desugared.ok() && prepared.ok());
+  EXPECT_EQ(desugared->get(), q.get());
+  EXPECT_EQ(prepared->get(), q.get());
+
+  // Only the path down to a rewritten node is copied; siblings are shared.
+  AlgPtr lhs = Project(Scan("Orders"), {"oid"});
+  AlgPtr sugared =
+      Union(lhs, Distinct(Rename(Project(Scan("Payments"), {"oid"}), {"oid"})));
+  auto out = Desugar(sugared, db);
+  ASSERT_TRUE(out.ok());
+  EXPECT_NE(out->get(), sugared.get());
+  EXPECT_EQ((*out)->kind, OpKind::kUnion);
+  EXPECT_EQ((*out)->left.get(), lhs.get());
+  EXPECT_EQ((*out)->right.get(), sugared->right->left.get());
+}
+
+TEST(RewriteStepTest, WithChildrenKeepsEveryField) {
+  const AlgPtr l = Scan("L"), r = Scan("R");
+  const AlgPtr l2 = Scan("L2"), r2 = Scan("R2");
+  AlgPtr in = NotInPredicate(l, r, {"a", "b"}, {"c", "d"}, CEq("a", "c"));
+  EXPECT_EQ(WithChildren(in, l, r).get(), in.get());
+
+  AlgPtr copy = WithChildren(in, l2, r);
+  EXPECT_NE(copy.get(), in.get());
+  EXPECT_EQ(copy->kind, OpKind::kNotIn);
+  EXPECT_EQ(copy->attrs, in->attrs);
+  EXPECT_EQ(copy->attrs2, in->attrs2);
+  EXPECT_EQ(copy->cond, in->cond);
+  EXPECT_EQ(copy->left, l2);
+  EXPECT_EQ(copy->right, r);
+
+  // A new right child alone is a change too.
+  AlgPtr right_only = WithChildren(in, l, r2);
+  EXPECT_NE(right_only.get(), in.get());
+  EXPECT_EQ(right_only->left, l);
+  EXPECT_EQ(right_only->right, r2);
+
+  // The copy is field for field, whatever the operator keeps: a Dom node
+  // given a child still carries its arity, names and extra constants.
+  AlgPtr dom = DomK({"x", "y"}, {Value::Int(7), Value::String("s")});
+  EXPECT_EQ(WithChildren(dom, nullptr, nullptr).get(), dom.get());
+  AlgPtr dom_copy = WithChildren(dom, l, nullptr);
+  EXPECT_NE(dom_copy.get(), dom.get());
+  EXPECT_EQ(dom_copy->kind, OpKind::kDom);
+  EXPECT_EQ(dom_copy->dom_arity, 2u);
+  EXPECT_EQ(dom_copy->attrs, dom->attrs);
+  EXPECT_EQ(dom_copy->dom_extra, dom->dom_extra);
+}
+
+TEST(RewriteStepTest, MapChildrenStopsAtTheFirstError) {
+  AlgPtr q = Product(Scan("A"), Scan("B"));
+  std::vector<std::string> seen;
+  auto failed = MapChildren(q, [&seen](const AlgPtr& c) -> StatusOr<AlgPtr> {
+    seen.push_back(c->rel_name);
+    return Status::NotFound("no " + c->rel_name);
+  });
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().message(), "no A");
+  EXPECT_EQ(seen, std::vector<std::string>{"A"});
+
+  auto same = MapChildren(q, [](const AlgPtr& c) -> StatusOr<AlgPtr> {
+    return c;
+  });
+  ASSERT_TRUE(same.ok());
+  EXPECT_EQ(same->get(), q.get());
+  auto renamed = MapChildren(q, [](const AlgPtr& c) -> StatusOr<AlgPtr> {
+    return c->rel_name == "B" ? Scan("C") : c;
+  });
+  ASSERT_TRUE(renamed.ok());
+  EXPECT_EQ((*renamed)->ToString(), "(A × C)");
+  EXPECT_EQ((*renamed)->left, q->left);
 }
 
 // --- Classifiers ------------------------------------------------------------

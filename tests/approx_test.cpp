@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/session.h"
 #include "approx/approx.h"
 #include "certain/certain.h"
 #include "certain/valuation_family.h"
@@ -15,9 +16,11 @@
 namespace incdb {
 namespace {
 
+using testing_util::EnvOr;
 using testing_util::FigureOne;
 using testing_util::QueryZoo;
 using testing_util::RandomDatabase;
+using testing_util::RandomQueryGen;
 
 // --- Structure of the translations -------------------------------------------
 
@@ -203,6 +206,109 @@ TEST_P(SchemeProperty, QfIsSubsetOfCertainlyFalse) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchemeProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// --- Theorem 4.7 over random queries, through the Session ---------------------
+
+// Every Int constant c of a condition becomes the placeholder ?c, so
+// binding ?i to Int(i) gives back the literal condition.
+CondPtr ParameteriseCond(const CondPtr& c) {
+  auto out = std::make_shared<Condition>(*c);
+  switch (c->kind) {
+    case CondKind::kAnd:
+    case CondKind::kOr:
+      out->left = ParameteriseCond(c->left);
+      out->right = ParameteriseCond(c->right);
+      return out;
+    case CondKind::kEqAttrConst:
+    case CondKind::kNeqAttrConst:
+    case CondKind::kLtAttrConst:
+    case CondKind::kLeAttrConst:
+    case CondKind::kGtAttrConst:
+    case CondKind::kGeAttrConst:
+      if (c->constant.kind() != ValueKind::kInt) return c;
+      out->constant =
+          Value::Param(static_cast<uint32_t>(c->constant.as_int()));
+      return out;
+    default:
+      return c;
+  }
+}
+
+AlgPtr Parameterise(const AlgPtr& q) {
+  auto mapped = MapChildren(
+      q, [](const AlgPtr& c) -> StatusOr<AlgPtr> { return Parameterise(c); });
+  if (!q->cond) return *mapped;
+  auto out = std::make_shared<Algebra>(**mapped);
+  out->cond = ParameteriseCond(q->cond);
+  return out;
+}
+
+TEST(SchemeRandomTest, SandwichHoldsThroughSessionWithBindings) {
+  // Theorem 4.7 over the differential fuzzer's random queries, through
+  // the Session's bind-then-translate path: with every Int constant
+  // turned into a placeholder, CertainPlus/CertainMaybe under the
+  // bindings answer exactly Q+/Q? of the literal query, and
+  // v(Q+(D)) ⊆ Q(v(D)) ⊆ v(Q?(D)) for every valuation of the family.
+  // Only what PrepareForTranslation rejects is skipped; order comparisons
+  // stay, since the sandwich holds valuation by valuation.
+  // INCDB_FUZZ_SEED moves the whole corpus.
+  constexpr size_t kQueries = 600;
+  std::mt19937_64 rng(EnvOr("INCDB_FUZZ_SEED", 20260730));
+  RandomQueryGen gen(rng);
+  size_t qualifying = 0, with_params = 0;
+  for (int i = 0; i < 10000 && qualifying < kQueries; ++i) {
+    Database db = RandomDatabase(rng, 3, 3, 2);
+    AlgPtr q = gen.Gen(2 + i % 3);
+    if (!PrepareForTranslation(q, db).ok()) continue;
+    ++qualifying;
+    AlgPtr tmpl = Parameterise(q);
+    std::vector<Value> params;
+    for (size_t p = 0; p < ParamCount(tmpl); ++p) {
+      params.push_back(Value::Int(static_cast<int64_t>(p)));
+    }
+    with_params += params.empty() ? 0 : 1;
+
+    Session sess(db);
+    auto plus = sess.CertainPlus(tmpl, params);
+    auto maybe = sess.CertainMaybe(tmpl, params);
+    auto plus_lit = EvalPlus(q, db);
+    auto maybe_lit = EvalMaybe(q, db);
+    ASSERT_TRUE(plus.ok() && maybe.ok() && plus_lit.ok() && maybe_lit.ok())
+        << q->ToString() << ": " << plus.status().ToString() << " / "
+        << maybe.status().ToString();
+    EXPECT_TRUE(plus->IdenticalTo(*plus_lit))
+        << tmpl->ToString() << "\n bound Q+: " << plus->ToString()
+        << "\n literal Q+: " << plus_lit->ToString();
+    EXPECT_TRUE(maybe->IdenticalTo(*maybe_lit))
+        << tmpl->ToString() << "\n bound Q?: " << maybe->ToString()
+        << "\n literal Q?: " << maybe_lit->ToString();
+
+    std::set<uint64_t> ids = db.NullIds();
+    std::vector<uint64_t> nulls(ids.begin(), ids.end());
+    std::vector<Value> consts = FamilyConstants(db, QueryConstants(q));
+    Status st = ForEachValuation(
+        nulls, consts, 200000, [&](const Valuation& v) {
+          auto ans = EvalSet(q, v.ApplySet(db));
+          EXPECT_TRUE(ans.ok()) << ans.status().ToString();
+          if (!ans.ok()) return false;
+          for (const Tuple& t : plus->SortedTuples()) {
+            EXPECT_TRUE(ans->Contains(v.Apply(t)))
+                << "false positive in Q+ for " << q->ToString();
+          }
+          Relation vmaybe = v.ApplySet(*maybe);
+          for (const Tuple& t : ans->SortedTuples()) {
+            EXPECT_TRUE(vmaybe.Contains(t))
+                << "Q? missed possible answer for " << q->ToString();
+          }
+          return !::testing::Test::HasFailure();
+        });
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_EQ(qualifying, kQueries);
+  // The bindings path is exercised, not only parameter-free queries.
+  EXPECT_GE(with_params, kQueries / 4);
+}
 
 // --- Complete databases: no loss ----------------------------------------------
 

@@ -399,6 +399,13 @@ TEST(StrategyTest, ErrorCodes) {
       {Division(r, Rename(t, {"R_b"})), StatusCode::kUnsupported},
       {AntijoinUnify(r, Scan("S")), StatusCode::kUnsupported},
       {DomK(1), StatusCode::kUnsupported},
+      // [NOT] IN compare lists of different lengths, or empty.
+      {InPredicate(r, t, {"R_a", "R_b"}, {"T_a"}, CTrue()),
+       StatusCode::kInvalidArgument},
+      {InPredicate(r, t, {}, {}, CTrue()), StatusCode::kInvalidArgument},
+      {NotInPredicate(r, t, {"R_a", "R_b"}, {"T_a"}, CTrue()),
+       StatusCode::kInvalidArgument},
+      {NotInPredicate(r, t, {}, {}, CTrue()), StatusCode::kInvalidArgument},
   };
   for (const auto& [q, code] : cases) {
     for (CStrategy s : {CStrategy::kEager, CStrategy::kSemiEager,

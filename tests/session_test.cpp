@@ -692,6 +692,59 @@ TEST(SessionTest, CertainWrappersBindParamsBeforeTranslation) {
   EXPECT_FALSE(sess.CertainPlus(tmpl, {Value::Null(1)}).ok());
 }
 
+TEST(SessionTest, DomExtraParameterBindsInAlgebraAndPlan) {
+  // A placeholder may sit in a Dom extra, not only in a condition: it is
+  // counted, substituted by BindParams and by the prepared plan's binding.
+  Session sess(FigureOne(true));
+  AlgPtr q = DomK(1, {Value::Param(0)});
+  EXPECT_EQ(ParamCount(q), 1u);
+  auto bound = BindParams(q, {Value::Int(99)});
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  EXPECT_EQ(ParamCount(*bound), 0u);
+  EXPECT_EQ(QueryConstants(*bound), std::vector<Value>{Value::Int(99)});
+
+  auto pq = sess.Prepare(q, EvalMode::kSetNaive);
+  ASSERT_TRUE(pq.ok()) << pq.status().ToString();
+  EXPECT_EQ(pq->param_count(), 1u);
+  auto prepared = pq->Execute({Value::Int(99)});
+  auto direct = EvalSet(*bound, sess.db());
+  ASSERT_TRUE(prepared.ok() && direct.ok()) << prepared.status().ToString();
+  EXPECT_TRUE(prepared->Contains(Tuple{Value::Int(99)}));
+  EXPECT_TRUE(prepared->IdenticalTo(*direct));
+}
+
+TEST(SessionTest, MalformedInColumnListsAreInvalidArgument) {
+  // Hand-built [NOT] IN nodes whose compare lists differ in length or are
+  // empty. Every path that can answer them rejects them with OutputAttrs'
+  // message, instead of reading past the shorter list or answering as if
+  // the predicate were EXISTS.
+  Session sess(FigureOne(true));
+  const AlgPtr orders = Project(Scan("Orders"), {"oid", "price"});
+  const AlgPtr payments = Rename(Scan("Payments"), {"pcid", "poid"});
+  std::vector<AlgPtr> cases;
+  for (auto* in : {&InPredicate, &NotInPredicate}) {
+    cases.push_back(in(orders, payments, {"oid", "price"}, {"poid"}, CTrue()));
+    cases.push_back(in(orders, payments, {}, {}, CTrue()));
+  }
+  for (const AlgPtr& q : cases) {
+    const Status want = OutputAttrs(q, sess.db()).status();
+    ASSERT_EQ(want.code(), StatusCode::kInvalidArgument) << q->ToString();
+    auto expect_rejected = [&](const Status& got, const char* path) {
+      EXPECT_EQ(got.code(), StatusCode::kInvalidArgument)
+          << path << " " << q->ToString() << ": " << got.ToString();
+      EXPECT_EQ(got.message(), want.message()) << path << " " << q->ToString();
+    };
+    for (EvalMode mode :
+         {EvalMode::kSetNaive, EvalMode::kBagNaive, EvalMode::kSetSql}) {
+      expect_rejected(sess.Prepare(q, mode).status(), "Prepare");
+    }
+    expect_rejected(EvalSql(q, sess.db()).status(), "EvalSql");
+    expect_rejected(sess.CertainPlus(q).status(), "CertainPlus");
+    expect_rejected(sess.CertainMaybe(q).status(), "CertainMaybe");
+    expect_rejected(sess.CertainWithNulls(q).status(), "CertainWithNulls");
+  }
+}
+
 TEST(SessionTest, CEvalResolvesParamsAtInstantiation) {
   Database db = FigureOne(true);
   // (In)equality only: the [36] strategies have no order atoms.
