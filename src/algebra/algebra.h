@@ -11,8 +11,10 @@
 ///  * the unification anti-semijoin ⋉⇑ of Fig. 2 (r̄ survives iff no s̄ on
 ///    the right unifies with it);
 ///  * Dom^k, the k-fold product of the active domain (Fig. 2(a));
-///  * sugar operators (join/semijoin/antijoin with conditions) that
-///    Desugar() rewrites into the core grammar.
+///  * sugar operators (join/semijoin/antijoin with conditions, [NOT] IN,
+///    δ) that Desugar() rewrites into the core grammar. The Fig. 2(b)
+///    translation keeps ⋉ and ▷: it has direct rules for them
+///    (approx/approx.h).
 ///
 /// Nodes are immutable and shared; building twice the same subtree is fine.
 
@@ -103,16 +105,25 @@ StatusOr<AlgPtr> MapChildren(const AlgPtr& q, F&& f) {
 }
 
 /// Rewrites the sugar operators (⋈, ⋉, ▷, [NOT] IN, δ) into the core
-/// grammar; every other operator only has its children desugared, so a
-/// sugar-free subtree comes back as the same pointer. Needs the database
-/// to resolve schemas (the semijoin expansion projects back onto the left
-/// attributes). Note: the expansion is faithful under *set* semantics; the
-/// evaluators also execute the sugar operators natively with EXISTS-style
-/// multiplicity handling for bags.
+/// grammar: DesugarToSemijoins, then each ⋉θ becomes
+/// π_{attrs(Q1)}(σθ(Q1 × Q2)) and each ▷θ subtracts that from Q1. Every
+/// other operator only has its children desugared, so a sugar-free subtree
+/// comes back as the same pointer. Needs the database to resolve schemas
+/// (the semijoin expansion projects back onto the left attributes). Note:
+/// the expansion is faithful under *set* semantics; the evaluators also
+/// execute the sugar operators natively with EXISTS-style multiplicity
+/// handling for bags.
 StatusOr<AlgPtr> Desugar(const AlgPtr& q, const Database& db);
 
-/// True iff the subtree uses only the paper's core grammar
-/// {scan, σ, π, ρ, ×, ∪, −, ∩} — what the Fig. 2 translations accept.
+/// The first half of Desugar, and the form the Fig. 2(b) translation reads
+/// (PrepareForTranslation): ⋈θ becomes σθ(Q1 × Q2), δ is dropped and
+/// [NOT] IN becomes ⋉/▷ on θ ∧ (lcols = rcols), its naive reading; ⋉θ
+/// and ▷θ stay. Sugar-free subtrees come back as the same pointer.
+StatusOr<AlgPtr> DesugarToSemijoins(const AlgPtr& q);
+
+/// True iff the subtree uses no sugar: only the paper's core grammar
+/// {scan, σ, π, ρ, ×, ∪, −, ∩} — what Desugar returns and the c-table
+/// evaluator walks. (The Fig. 2 translations also read ⋉ and ▷.)
 bool IsCoreGrammar(const AlgPtr& q);
 
 /// True iff the subtree is *positive* relational algebra extended with

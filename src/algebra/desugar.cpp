@@ -3,45 +3,58 @@
 
 namespace incdb {
 
-StatusOr<AlgPtr> Desugar(const AlgPtr& q, const Database& db) {
-  auto rec = [&db](const AlgPtr& c) { return Desugar(c, db); };
+namespace {
+
+/// Expands every ⋉θ / ▷θ of a DesugarToSemijoins result: ⋉θ is
+/// π_{attrs(Q1)}(σθ(Q1 × Q2)) and ▷θ subtracts it from Q1.
+StatusOr<AlgPtr> ExpandSemijoins(const AlgPtr& q, const Database& db) {
+  auto out = MapChildren(
+      q, [&db](const AlgPtr& c) { return ExpandSemijoins(c, db); });
+  if (!out.ok()) return out;
+  const AlgPtr& n = *out;
+  if (n->kind != OpKind::kSemijoin && n->kind != OpKind::kAntijoin) {
+    return out;
+  }
+  auto lattrs = OutputAttrs(n->left, db);
+  if (!lattrs.ok()) return lattrs.status();
+  AlgPtr semi = Project(Select(Product(n->left, n->right), n->cond), *lattrs);
+  if (n->kind == OpKind::kSemijoin) return semi;
+  return Diff(n->left, semi);
+}
+
+}  // namespace
+
+StatusOr<AlgPtr> DesugarToSemijoins(const AlgPtr& q) {
   // Set-semantics no-op; under bags every downstream consumer of the
   // desugared (set-based) translations deduplicates anyway.
-  if (q->kind == OpKind::kDistinct) return rec(q->left);
+  if (q->kind == OpKind::kDistinct) return DesugarToSemijoins(q->left);
+  auto out = MapChildren(q, DesugarToSemijoins);
+  if (!out.ok()) return out;
+  const AlgPtr& n = *out;
   switch (q->kind) {
     case OpKind::kJoin:
-    case OpKind::kSemijoin:
-    case OpKind::kAntijoin:
+      return Select(Product(n->left, n->right), q->cond);
     case OpKind::kIn:
-    case OpKind::kNotIn:
-      break;
-    default:
-      return MapChildren(q, rec);
-  }
-
-  auto l = rec(q->left);
-  if (!l.ok()) return l;
-  auto r = rec(q->right);
-  if (!r.ok()) return r;
-  AlgPtr left = std::move(l).value();
-  AlgPtr right = std::move(r).value();
-  if (q->kind == OpKind::kJoin) return Select(Product(left, right), q->cond);
-
-  // ⋉θ is π_{attrs(Q1)}(σθ(Q1 × Q2)) and ▷θ subtracts it from Q1. Under
-  // set/naive semantics, [NOT] IN is the semijoin/antijoin on
-  // θ ∧ (lcols = rcols).
-  CondPtr cond = q->cond;
-  if (q->kind == OpKind::kIn || q->kind == OpKind::kNotIn) {
-    INCDB_RETURN_IF_ERROR(CheckInColumns(q));
-    for (size_t i = 0; i < q->attrs.size(); ++i) {
-      cond = CAnd(cond, CEq(q->attrs[i], q->attrs2[i]));
+    case OpKind::kNotIn: {
+      // Under naive semantics, [NOT] IN is the semijoin/antijoin on
+      // θ ∧ (lcols = rcols).
+      INCDB_RETURN_IF_ERROR(CheckInColumns(q));
+      CondPtr cond = q->cond;
+      for (size_t i = 0; i < q->attrs.size(); ++i) {
+        cond = CAnd(cond, CEq(q->attrs[i], q->attrs2[i]));
+      }
+      return q->kind == OpKind::kIn ? Semijoin(n->left, n->right, cond)
+                                    : Antijoin(n->left, n->right, cond);
     }
+    default:
+      return out;
   }
-  auto lattrs = OutputAttrs(left, db);
-  if (!lattrs.ok()) return lattrs.status();
-  AlgPtr semi = Project(Select(Product(left, right), cond), *lattrs);
-  if (q->kind == OpKind::kSemijoin || q->kind == OpKind::kIn) return semi;
-  return Diff(left, semi);
+}
+
+StatusOr<AlgPtr> Desugar(const AlgPtr& q, const Database& db) {
+  auto semijoins = DesugarToSemijoins(q);
+  if (!semijoins.ok()) return semijoins;
+  return ExpandSemijoins(*semijoins, db);
 }
 
 }  // namespace incdb

@@ -16,13 +16,44 @@
 /// (Theorem 4.7). Under bag semantics the same translation brackets the
 /// minimal multiplicity: #(ā,Q+(D)) ≤ □Q(D,ā) ≤ #(ā,Q?(D)) (Theorem 4.8).
 ///
-/// Both translations consume the paper's core grammar
-/// {scan, σ, π, ρ, ×, ∪, −}; PrepareForTranslation() desugars the
-/// convenience operators and rewrites ∩ as Q1 − (Q1 − Q2) first.
+/// The Fig. 2(b) translation reads the core grammar {scan, σ, π, ρ, ×, ∪,
+/// −} plus ⋉θ and ▷θ; PrepareForTranslation() desugars ⋈, δ and
+/// [NOT] IN (into ⋉/▷ on θ ∧ lcols = rcols) and rewrites ∩ as
+/// Q1 − (Q1 − Q2) first. With θ* the certainly-true condition (each ≠ and
+/// order comparison guarded by const(·)) and θ? = ¬(¬θ)*, its rules for
+/// the semijoins are
+///
+///   (Q1 ⋉θ Q2)+ = Q1+ ⋉θ* Q2+        (Q1 ⋉θ Q2)? = Q1? ⋉θ? Q2?
+///   (Q1 ▷θ Q2)+ = Q1+ ▷θ? Q2?        (Q1 ▷θ Q2)? = Q1? ▷θ* Q2+
+///
+/// Each follows from three facts, for every valuation v: θ*(t, u) implies
+/// θ(v(t), v(u)); θ(v(t), v(u)) implies θ?(t, u), since (¬θ)*(t, u) would
+/// imply ¬θ(v(t), v(u)); and the inputs satisfy v(Q+(D)) ⊆ Q(v(D)) ⊆
+/// v(Q?(D)). Write s' for a partner of s, a row of Q2(v(D)) with θ(s, s').
+///  * ⋉, Q+: a kept t has a u ∈ Q2+(D) with θ*(t, u), so v(u) ∈ Q2(v(D))
+///    is a partner of v(t) ∈ Q1(v(D)).
+///  * ⋉, Q?: s ∈ (Q1 ⋉θ Q2)(v(D)) is v(t) for a t ∈ Q1?(D), and its
+///    partner is v(u) for a u ∈ Q2?(D); θ?(t, u) holds, so t is kept.
+///  * ▷, Q+: a kept t has v(t) ∈ Q1(v(D)); a partner of v(t) would be
+///    v(u) for a u ∈ Q2?(D) with θ?(t, u), which ▷θ? excluded.
+///  * ▷, Q?: s ∈ (Q1 ▷θ Q2)(v(D)) is v(t) for a t ∈ Q1?(D); a u ∈ Q2+(D)
+///    with θ*(t, u) would make v(u) a partner of s, so t is kept.
+/// fig2b.cpp repeats each argument beside its rule. Each argument is about
+/// one t, and ⋉ and ▷ keep a left row with its own multiplicity, so the
+/// rules keep Theorem 4.8's bag bracket as well. Under sets the ⋉ rules give
+/// what the expansion π(σθ(Q1 × Q2)) translates to; the ▷ rules are more
+/// precise than translating Q1 − π(σθ(Q1 × Q2)). That Q+ is
+/// Q1+ ⋉⇑ π(σθ?(Q1? × Q2?)), which also drops t when another row of Q1?
+/// unifies with t. So the direct Q+ contains the expansion's Q+, and the
+/// direct Q? is contained in the expansion's Q?.
+/// Theorem 4.9's equality with the c-table evaluation concerns the core
+/// translation: Desugar the query first to compare them.
+///
+/// Scheme (a) has no ⋉/▷ rules; it translates their Desugar expansion.
 /// Each translator spells out only the rules that do more than translate
-/// their inputs (− and σ, and every Qf rule but ρ's); scans, ∪, ×, π and ρ
-/// go through MapChildren, so subtrees a translation leaves unchanged are
-/// shared with its input.
+/// their inputs (−, σ, ⋉ and ▷, and every Qf rule but ρ's); scans, ∪, ×,
+/// π and ρ go through MapChildren, so subtrees a translation leaves
+/// unchanged are shared with its input.
 /// The translated queries are ordinary relational algebra and are meant to
 /// be run with the *naive* evaluators (EvalSet / EvalBag).
 
@@ -33,8 +64,11 @@
 
 namespace incdb {
 
-/// Desugars sugar operators and ∩ so the result uses only the grammar the
-/// Fig. 2 translations accept. Fails for ÷ / ⋉⇑ / Dom inputs.
+/// Desugars ⋈, δ and [NOT] IN (DesugarToSemijoins) and rewrites ∩, so the
+/// result uses only the grammar the Fig. 2 translations accept: the core
+/// grammar plus ⋉ and ▷. Fails for ÷ / ⋉⇑ / Dom inputs, for const(·) /
+/// null(·) tests, and for queries that do not resolve against the schemas
+/// of `db`.
 StatusOr<AlgPtr> PrepareForTranslation(const AlgPtr& q, const Database& db);
 
 /// Fig. 2(b): the certain-answer under-approximation Q+.

@@ -10,7 +10,8 @@ namespace {
 /// builds new operators. Dom^k nodes are named after the subquery whose
 /// complement they approximate, so set operations compose; they carry the
 /// constants mentioned anywhere in the original query (the active domain
-/// of the naive-evaluation setting).
+/// of the naive-evaluation setting). Scheme (a) has no ⋉/▷ rules, so it
+/// reads the core grammar (PrepareCore).
 class Fig2aTranslator {
  public:
   Fig2aTranslator(const Database& db, std::vector<Value> query_consts)
@@ -110,17 +111,24 @@ class Fig2aTranslator {
   std::vector<Value> query_consts_;
 };
 
+/// PrepareForTranslation, then Desugar's expansion of the ⋉/▷ it keeps.
+StatusOr<AlgPtr> PrepareCore(const AlgPtr& q, const Database& db) {
+  auto prepared = PrepareForTranslation(q, db);
+  if (!prepared.ok()) return prepared;
+  return Desugar(*prepared, db);
+}
+
 }  // namespace
 
 StatusOr<AlgPtr> TranslateCertTrue(const AlgPtr& q, const Database& db) {
-  auto core = PrepareForTranslation(q, db);
+  auto core = PrepareCore(q, db);
   if (!core.ok()) return core;
   Fig2aTranslator tr(db, QueryConstants(q));
   return tr.True(*core);
 }
 
 StatusOr<AlgPtr> TranslateCertFalse(const AlgPtr& q, const Database& db) {
-  auto core = PrepareForTranslation(q, db);
+  auto core = PrepareCore(q, db);
   if (!core.ok()) return core;
   Fig2aTranslator tr(db, QueryConstants(q));
   return tr.False(*core);

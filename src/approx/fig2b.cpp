@@ -5,7 +5,7 @@ namespace incdb {
 
 namespace {
 
-/// Rewrites ∩ as Q1 − (Q1 − Q2) after full desugaring.
+/// Rewrites ∩ as Q1 − (Q1 − Q2) after desugaring.
 StatusOr<AlgPtr> StripIntersect(const AlgPtr& q) {
   auto out = MapChildren(q, StripIntersect);
   if (!out.ok() || q->kind != OpKind::kIntersect) return out;
@@ -13,40 +13,61 @@ StatusOr<AlgPtr> StripIntersect(const AlgPtr& q) {
   return Diff(left, Diff(left, (*out)->right));
 }
 
-bool SelectionsAreTranslatable(const AlgPtr& q) {
-  if (q->cond && HasNullConstTest(q->cond)) return false;
-  if (q->left && !SelectionsAreTranslatable(q->left)) return false;
-  if (q->right && !SelectionsAreTranslatable(q->right)) return false;
-  return true;
-}
-
-}  // namespace
-
-StatusOr<AlgPtr> PrepareForTranslation(const AlgPtr& q, const Database& db) {
-  auto desugared = Desugar(q, db);
-  if (!desugared.ok()) return desugared;
-  auto core = StripIntersect(*desugared);
-  if (!core.ok()) return core;
-  if (!IsCoreGrammar(*core)) {
-    return Status::Unsupported(
-        "the Fig. 2 translations are defined for the core grammar "
-        "{scan, σ, π, ρ, ×, ∪, −}; the query uses ÷, ⋉⇑ or Dom");
+/// kUnsupported unless the subtree has no ÷, ⋉⇑ or Dom (after
+/// DesugarToSemijoins and the ∩ strip, it is then the core grammar plus ⋉
+/// and ▷) and no const(·)/null(·) test.
+Status CheckTranslatable(const AlgPtr& q) {
+  switch (q->kind) {
+    case OpKind::kDivision:
+    case OpKind::kAntijoinUnify:
+    case OpKind::kDom:
+      return Status::Unsupported(
+          "the Fig. 2 translations are defined for the core grammar "
+          "{scan, σ, π, ρ, ×, ∪, −} plus ⋉ and ▷; the query uses ÷, ⋉⇑ or "
+          "Dom");
+    default:
+      break;
   }
-  if (!SelectionsAreTranslatable(*core)) {
+  if (q->cond && HasNullConstTest(q->cond)) {
     return Status::Unsupported(
         "the Fig. 2 translations accept the paper's source condition "
         "grammar over = and ≠ only; const(·)/null(·) tests in the *source* "
         "query are not certain-answer meaningful (see HasNullConstTest)");
   }
-  return core;
+  if (q->left) INCDB_RETURN_IF_ERROR(CheckTranslatable(q->left));
+  if (q->right) INCDB_RETURN_IF_ERROR(CheckTranslatable(q->right));
+  return Status::OK();
+}
+
+}  // namespace
+
+StatusOr<AlgPtr> PrepareForTranslation(const AlgPtr& q, const Database& db) {
+  auto semijoins = DesugarToSemijoins(q);
+  if (!semijoins.ok()) return semijoins;
+  auto prepared = StripIntersect(*semijoins);
+  if (!prepared.ok()) return prepared;
+  INCDB_RETURN_IF_ERROR(CheckTranslatable(*prepared));
+  // The rules below never look at a schema, so the query is checked
+  // against the database once, here, instead of failing later in the
+  // compiled translation.
+  auto attrs = OutputAttrs(*prepared, db);
+  if (!attrs.ok()) return attrs.status();
+  return prepared;
 }
 
 namespace {
 
-/// Mutually recursive Fig. 2(b) rules over the core grammar. Only − and σ
-/// do more than translate their inputs: R+ = R? = R, and ∪, ×, π, ρ map
-/// over their children. Preconditions: q is core grammar
-/// (PrepareForTranslation output).
+/// θ? = ¬(¬θ)*: false only where θ is certainly false, i.e. θ(v(t)) fails
+/// for every valuation v.
+CondPtr MaybeCond(const CondPtr& c) {
+  return Negate(StarTranslate(Negate(c)));
+}
+
+/// Mutually recursive Fig. 2(b) rules. −, σ, ⋉ and ▷ do more than
+/// translate their inputs: R+ = R? = R, and ∪, ×, π, ρ map over their
+/// children. Preconditions: q is PrepareForTranslation output. Beside each
+/// ⋉/▷ rule, its soundness for a valuation v, from the three facts
+/// approx.h lists.
 StatusOr<AlgPtr> Plus(const AlgPtr& q);
 StatusOr<AlgPtr> Maybe(const AlgPtr& q);
 
@@ -65,6 +86,27 @@ StatusOr<AlgPtr> Plus(const AlgPtr& q) {
       auto in = Plus(q->left);
       if (!in.ok()) return in;
       return Select(*in, StarTranslate(q->cond));
+    }
+    case OpKind::kSemijoin: {
+      // (Q1 ⋉θ Q2)+ = Q1+ ⋉θ* Q2+. A kept t has a u ∈ Q2+(D) with
+      // θ*(t, u); then v(t) ∈ Q1(v(D)), v(u) ∈ Q2(v(D)) and
+      // θ(v(t), v(u)), so v(t) ∈ (Q1 ⋉θ Q2)(v(D)).
+      auto l = Plus(q->left);
+      if (!l.ok()) return l;
+      auto r = Plus(q->right);
+      if (!r.ok()) return r;
+      return Semijoin(*l, *r, StarTranslate(q->cond));
+    }
+    case OpKind::kAntijoin: {
+      // (Q1 ▷θ Q2)+ = Q1+ ▷θ? Q2?. A kept t has v(t) ∈ Q1(v(D)), and no
+      // u ∈ Q2?(D) with θ?(t, u). A partner s ∈ Q2(v(D)) of v(t) would be
+      // some v(u) with u ∈ Q2?(D) and θ(v(t), v(u)), hence θ?(t, u); so
+      // there is none and v(t) ∈ (Q1 ▷θ Q2)(v(D)).
+      auto l = Plus(q->left);
+      if (!l.ok()) return l;
+      auto r = Maybe(q->right);
+      if (!r.ok()) return r;
+      return Antijoin(*l, *r, MaybeCond(q->cond));
     }
     case OpKind::kScan:
     case OpKind::kUnion:
@@ -88,10 +130,31 @@ StatusOr<AlgPtr> Maybe(const AlgPtr& q) {
       return WithChildren(q, *l, *r);
     }
     case OpKind::kSelect: {
-      // (σθ Q)? = σ¬(¬θ)*(Q?)
+      // (σθ Q)? = σθ?(Q?)
       auto in = Maybe(q->left);
       if (!in.ok()) return in;
-      return Select(*in, Negate(StarTranslate(Negate(q->cond))));
+      return Select(*in, MaybeCond(q->cond));
+    }
+    case OpKind::kSemijoin: {
+      // (Q1 ⋉θ Q2)? = Q1? ⋉θ? Q2?. Each s ∈ (Q1 ⋉θ Q2)(v(D)) is v(t) for
+      // a t ∈ Q1?(D), and its partner is v(u) for a u ∈ Q2?(D); as
+      // θ(v(t), v(u)) holds, so does θ?(t, u), and t is kept.
+      auto l = Maybe(q->left);
+      if (!l.ok()) return l;
+      auto r = Maybe(q->right);
+      if (!r.ok()) return r;
+      return Semijoin(*l, *r, MaybeCond(q->cond));
+    }
+    case OpKind::kAntijoin: {
+      // (Q1 ▷θ Q2)? = Q1? ▷θ* Q2+. Each s ∈ (Q1 ▷θ Q2)(v(D)) is v(t) for
+      // a t ∈ Q1?(D). A u ∈ Q2+(D) with θ*(t, u) would give
+      // v(u) ∈ Q2(v(D)) with θ(s, v(u)), a partner of s; so there is
+      // none, and t is kept.
+      auto l = Maybe(q->left);
+      if (!l.ok()) return l;
+      auto r = Plus(q->right);
+      if (!r.ok()) return r;
+      return Antijoin(*l, *r, StarTranslate(q->cond));
     }
     case OpKind::kScan:
     case OpKind::kUnion:

@@ -19,10 +19,13 @@
 /// All four run in PTIME and have correctness guarantees:
 /// Eval⋆t(Q, D) ⊆ cert⊥(Q, D). Theorem 4.9 also equates eager evaluation
 /// with the Fig. 2(b) scheme, Q+(D) = Evalᵉt(Q, D) and Q?(D) = Evalᵉp(Q, D).
-/// The test suite checks that equality on the query zoo only. Over random
-/// queries it checks Q+ ⊆ Evalᵉt and Evalᵉp ⊆ Q?: grounding decides
-/// satisfiability and validity exactly, so eager can be strictly more
-/// precise than Fig. 2(b): σ[a ≠ b ∧ a = b] grounds to f on every row,
+/// The theorem concerns the core translation: this evaluator desugars ⋉
+/// and ▷, while Fig. 2(b)'s direct ⋉/▷ rules (approx/approx.h) can be more
+/// precise than translating that expansion, so Q+ and Q? are compared on
+/// Desugar(Q). The test suite checks that equality on the query zoo only.
+/// Over random queries it checks Q+ ⊆ Evalᵉt and Evalᵉp ⊆ Q?: grounding
+/// decides satisfiability and validity exactly, so eager can be strictly
+/// more precise than Fig. 2(b): σ[a ≠ b ∧ a = b] grounds to f on every row,
 /// while σ? can keep rows whose a is null.
 
 #include "algebra/algebra.h"

@@ -56,15 +56,17 @@ struct EvalOptions {
   uint64_t max_tuples = 100'000'000;
   /// Hash join on top-level equality conjuncts (vs nested loops).
   bool enable_hash_join = true;
-  /// σ_{θ1∨θ2}(l×r) = σ_{θ1}(l×r) ∪ σ_{θ2}(l×r) under set semantics —
-  /// rescues the disjunctions produced by the Fig. 2(b) σ?-rule.
+  /// σ_{θ1∨θ2}(l×r) = σ_{θ1}(l×r) ∪ σ_{θ2}(l×r) under set semantics, and
+  /// likewise for ⋉; l ▷_{θ1∨θ2} r = (l ▷_{θ1} r) ▷_{θ2} r in every mode —
+  /// rescues the disjunctions produced by the Fig. 2(b) σ?- and ▷-rules.
   bool enable_or_expansion = true;
   /// π(σ(l×r)) projects at emit time instead of materialising pairs.
   bool enable_projection_fusion = true;
   /// Null-mask index for ⋉⇑ probes (vs quadratic unifiability scans).
   bool enable_unify_index = true;
   /// One-sided filter conjuncts of a join condition move below the join
-  /// (through products and renames) at plan-compile time.
+  /// (through products and renames) at plan-compile time, and so do the
+  /// right-only conjuncts of a semijoin or antijoin condition.
   bool enable_selection_pushdown = true;
   /// Worker threads for the binary physical operators (both joins,
   /// difference, intersection, ⋉⇑, semijoin/antijoin, [NOT] IN). >1 lets

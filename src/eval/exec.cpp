@@ -645,13 +645,21 @@ class Executor {
     // syntactically equal (naive) — the key index covers both, as naive
     // equality is exactly key identity and SQL-mode null keys are skipped.
     // Without key columns every right row shares the empty key, so the
-    // probe walks them all, and the checkpoint weight follows that work.
+    // probe walks them all, and the checkpoint weight follows that work —
+    // unless no residual reads the right row: then the first key match
+    // decides, and a keyless probe needs only the first right row.
     const Rows& rrows = r->rows();
-    const KeyIndex index(rrows, n.rkeys, sql_mode());
+    const bool first_match_decides =
+        n.trivial_residual || n.residual_left_only;
+    const std::vector<uint32_t> first_row = {0};
+    const bool keyless_once =
+        n.lkeys.empty() && first_match_decides && !rrows.empty();
+    const KeyIndex index(rrows, n.rkeys, sql_mode(),
+                         keyless_once ? &first_row : nullptr);
     const bool set = set_semantics();
     return SweepKeep(
         n, ChunkOp::kSemiJoin, l->rows(), rrows,
-        n.lkeys.empty() ? 1 + rrows.size() : 1,
+        n.lkeys.empty() && !first_match_decides ? 1 + rrows.size() : 1,
         [&, joint = Tuple()](const Tuple& lt, uint64_t lc) mutable
         -> uint64_t {
           bool match = false;
@@ -662,6 +670,7 @@ class Executor {
               joint.AssignConcat(lt, rrows[index.row(k)].first);
             }
             match = n.trivial_residual || n.pred(joint) == TV3::kT;
+            if (n.residual_left_only) break;
           }
           if (match == n.anti) return 0;
           return set ? 1 : lc;

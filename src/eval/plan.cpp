@@ -429,6 +429,46 @@ class Compiler {
     return PhysPtr(node);
   }
 
+  /// Selection pushdown (enable_selection_pushdown): each conjunct of
+  /// `*conj` that reads only the left input filters `*l` below the
+  /// operator, and each one that reads only the right input filters `*r`;
+  /// the rest stay in `*conj`. A null `l` keeps the left-only conjuncts.
+  Status PushDown(std::vector<CondPtr>* conj, PhysPtr* l, PhysPtr* r) {
+    if (!opts_.enable_selection_pushdown) return Status::OK();
+    std::vector<CondPtr> lpush, rpush, keep;
+    for (const CondPtr& c : *conj) {
+      if (l != nullptr && CondWithin(c, (*l)->attrs)) {
+        lpush.push_back(c);
+      } else if (CondWithin(c, (*r)->attrs)) {
+        rpush.push_back(c);
+      } else {
+        keep.push_back(c);
+      }
+    }
+    if (!lpush.empty()) {
+      auto fl = MakeFilter(*l, CAndAll(lpush));
+      if (!fl.ok()) return fl.status();
+      *l = *fl;
+    }
+    if (!rpush.empty()) {
+      auto fr = MakeFilter(*r, CAndAll(rpush));
+      if (!fr.ok()) return fr.status();
+      *r = *fr;
+    }
+    *conj = std::move(keep);
+    return Status::OK();
+  }
+
+  /// The union of two OR-expansion branches over the same schema.
+  static PhysPtr UnionOf(PhysPtr a, PhysPtr b) {
+    auto node = std::make_shared<PhysNode>();
+    node->op = PhysOp::kUnion;
+    node->attrs = a->attrs;
+    node->left = std::move(a);
+    node->right = std::move(b);
+    return node;
+  }
+
   StatusOr<PhysPtr> CompileJoinLike(const AlgPtr& lq, const AlgPtr& rq,
                                     const CondPtr& cond,
                                     const std::vector<std::string>* proj) {
@@ -450,32 +490,7 @@ class Compiler {
 
     std::vector<CondPtr> conj;
     Conjuncts(cond, &conj);
-
-    // Selection pushdown: conjuncts touching only one side filter that
-    // side below the join instead of every pair.
-    if (opts_.enable_selection_pushdown) {
-      std::vector<CondPtr> lpush, rpush, keep;
-      for (const CondPtr& c : conj) {
-        if (CondWithin(c, l->attrs)) {
-          lpush.push_back(c);
-        } else if (CondWithin(c, r->attrs)) {
-          rpush.push_back(c);
-        } else {
-          keep.push_back(c);
-        }
-      }
-      if (!lpush.empty()) {
-        auto fl = MakeFilter(l, CAndAll(lpush));
-        if (!fl.ok()) return fl;
-        l = *fl;
-      }
-      if (!rpush.empty()) {
-        auto fr = MakeFilter(r, CAndAll(rpush));
-        if (!fr.ok()) return fr;
-        r = *fr;
-      }
-      if (!lpush.empty() || !rpush.empty()) conj = std::move(keep);
-    }
+    INCDB_RETURN_IF_ERROR(PushDown(&conj, &l, &r));
 
     // Conjunct split: hashable equi-conjuncts vs residual.
     std::vector<size_t> lkeys, rkeys;
@@ -496,12 +511,7 @@ class Compiler {
       if (!a.ok()) return a;
       auto b = BuildJoin(l, r, residual[0]->right, proj);
       if (!b.ok()) return b;
-      auto node = std::make_shared<PhysNode>();
-      node->op = PhysOp::kUnion;
-      node->attrs = (*a)->attrs;
-      node->left = *a;
-      node->right = *b;
-      return PhysPtr(node);
+      return UnionOf(*a, *b);
     }
 
     auto node = std::make_shared<PhysNode>();
@@ -541,25 +551,61 @@ class Compiler {
     if (!l.ok()) return l;
     auto r = CompileNode(q->right);
     if (!r.ok()) return r;
-    auto joint = JointAttrs(*l, *r, "semijoin");
+    return BuildSemiAnti(*l, *r, q->cond, anti);
+  }
+
+  /// l ⋉cond r, or l ▷cond r with `anti`: an EXISTS probe per left row.
+  /// Also the re-entry point for its OR-expansion, whose links share the
+  /// compiled inputs.
+  StatusOr<PhysPtr> BuildSemiAnti(const PhysPtr& l, PhysPtr r,
+                                  const CondPtr& cond, bool anti) {
+    auto joint = JointAttrs(l, r, "semijoin");
     if (!joint.ok()) return joint.status();
+    // The probe only asks whether some right row passes the conjuncts, so
+    // the right-only ones filter the right input. The left-only ones stay:
+    // an antijoin keeps the left rows that fail them.
+    std::vector<CondPtr> conj;
+    Conjuncts(cond, &conj);
+    INCDB_RETURN_IF_ERROR(PushDown(&conj, nullptr, &r));
     // Split into equi-conjuncts usable for hashing and a residual
     // predicate (always extracted: the EXISTS probe needs only *any*
     // match, so hashing never loses multiplicities).
-    std::vector<CondPtr> conj;
-    Conjuncts(q->cond, &conj);
+    std::vector<size_t> lkeys, rkeys;
+    std::vector<CondPtr> residual;
+    SplitEquiConjuncts(conj, l->attrs, r->attrs, /*extract=*/true, &lkeys,
+                       &rkeys, &residual);
+
+    // OR-expansion: a disjunction with no hash key (the θ? of the Fig.
+    // 2(b) ▷ rule: a = b ∨ null(a) ∨ null(b)) would probe every right row
+    // per left row. A left row has a partner under θ1 ∨ θ2 iff it has one
+    // under θ1 or one under θ2, so l ▷θ1∨θ2 r = (l ▷θ1 r) ▷θ2 r under
+    // sets, bags and 3VL alike, and l ⋉θ1∨θ2 r = (l ⋉θ1 r) ∪ (l ⋉θ2 r)
+    // under set semantics. Each link is re-optimised with its own fast
+    // path and shares r, which the executor evaluates once.
+    if (opts_.enable_or_expansion && lkeys.empty() && residual.size() == 1 &&
+        residual[0]->kind == CondKind::kOr && (anti || set_semantics())) {
+      auto a = BuildSemiAnti(l, r, residual[0]->left, anti);
+      if (!a.ok()) return a;
+      if (anti) return BuildSemiAnti(*a, r, residual[0]->right, true);
+      auto b = BuildSemiAnti(l, r, residual[0]->right, false);
+      if (!b.ok()) return b;
+      return UnionOf(*a, *b);
+    }
+
     auto node = std::make_shared<PhysNode>();
     node->op = PhysOp::kHashSemi;
     node->anti = anti;
-    node->attrs = (*l)->attrs;
-    node->left = *l;
-    node->right = *r;
-    node->left_arity = (*l)->attrs.size();
-    std::vector<CondPtr> residual;
-    SplitEquiConjuncts(conj, (*l)->attrs, (*r)->attrs, /*extract=*/true,
-                       &node->lkeys, &node->rkeys, &residual);
+    node->attrs = l->attrs;
+    node->left = l;
+    node->right = r;
+    node->left_arity = l->attrs.size();
+    node->lkeys = std::move(lkeys);
+    node->rkeys = std::move(rkeys);
     node->trivial_residual = residual.empty();
-    INCDB_RETURN_IF_ERROR(AttachCond(node.get(), CAndAll(residual), *joint));
+    CondPtr res = CAndAll(residual);
+    node->residual_left_only =
+        !node->trivial_residual && CondWithin(res, l->attrs);
+    INCDB_RETURN_IF_ERROR(AttachCond(node.get(), res, *joint));
     return PhysPtr(node);
   }
 

@@ -13,13 +13,16 @@
 ///       * conjunct split — top-level equality conjuncts of a join
 ///         condition become hash-join keys (enable_hash_join);
 ///       * selection pushdown — one-sided conjuncts move below the join,
-///         through products and renames (enable_selection_pushdown);
+///         through products and renames, and right-only conjuncts below
+///         a semijoin or antijoin (enable_selection_pushdown);
 ///       * projection fusion — π over a join-shaped child projects at emit
 ///         time; π over a plain σ becomes a FusedProjectFilter
 ///         (enable_projection_fusion);
 ///       * OR-expansion — a disjunctive join condition with no hashable
 ///         equality becomes a union of per-disjunct joins under set
-///         semantics, each branch re-optimised (enable_or_expansion).
+///         semantics, each branch re-optimised; a semijoin likewise, and
+///         an antijoin becomes a chain of per-disjunct antijoins in every
+///         mode (enable_or_expansion).
 ///     The database is consulted for *schemas only*: a compiled plan can be
 ///     executed against any database with the same relation schemas.
 ///
@@ -132,6 +135,9 @@ struct PhysNode {
   std::vector<size_t> lkeys, rkeys;  ///< kHashJoin / kHashSemi key positions.
   bool anti = false;               ///< kHashSemi: antijoin; kInPred: NOT IN.
   bool trivial_residual = false;   ///< kHashSemi: no residual predicate.
+  /// kHashSemi: the residual reads only left columns, so the first key
+  /// match decides it.
+  bool residual_left_only = false;
   bool correlated = false;         ///< kInPred: θ references both sides.
   std::vector<size_t> lpos, rpos;  ///< kInPred compare columns.
   std::vector<size_t> keep_pos, div_l, div_r;  ///< kDivision alignment.

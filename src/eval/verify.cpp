@@ -304,6 +304,14 @@ class PlanVerifier {
       return FailNode(n, path,
                       "trivial_residual flag disagrees with the condition");
     }
+    bool left_only = !n.trivial_residual;
+    for (const std::string& a : CondAttrs(n.cond)) {
+      left_only &= IndexOf(n.left->attrs, a) != n.left->attrs.size();
+    }
+    if (n.residual_left_only != left_only) {
+      return FailNode(n, path,
+                      "residual_left_only flag disagrees with the condition");
+    }
     return CheckCond(n, path, joint);
   }
 

@@ -31,7 +31,9 @@
 ///    bound one does not), and the parameter-free conditions recompile
 ///    into a well-formed columnar register program
 ///    (BatchPredicate::Validate — postorder stack discipline, register
-///    count, operand kinds and column bounds);
+///    count, operand kinds and column bounds); a semijoin's
+///    trivial_residual / residual_left_only flags say exactly whether its
+///    residual is `true` / reads only left columns;
 ///  * scan ↔ catalog: with a database supplied, every ScanView's recorded
 ///    schema matches the catalog's current schema for that relation.
 ///

@@ -3,9 +3,16 @@
 //  * Theorem 4.6: Qt(D) ⊆ cert⊥(Q,D), Qf(D) ⊆ cert⊥(¬Q,D), Qt = Q on
 //    complete databases;
 //  * Theorem 4.7: Q+(D) ⊆ cert⊥(Q,D) and v(Q+(D)) ⊆ Q(v(D)) ⊆ v(Q?(D));
-//  * Theorem 4.8: bag bounds #(ā,Q+(D)) ≤ □Q(D,ā) ≤ #(ā,Q?(D)).
+//  * Theorem 4.8: bag bounds #(ā,Q+(D)) ≤ □Q(D,ā) ≤ #(ā,Q?(D));
+//  * the direct ⋉/▷ rules: sound, and at least as precise as translating
+//    the core expansion.
 
 #include <gtest/gtest.h>
+
+#include <random>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "api/session.h"
 #include "approx/approx.h"
@@ -18,6 +25,8 @@ namespace {
 
 using testing_util::EnvOr;
 using testing_util::FigureOne;
+using testing_util::IdentityBindings;
+using testing_util::Parameterise;
 using testing_util::QueryZoo;
 using testing_util::RandomDatabase;
 using testing_util::RandomQueryGen;
@@ -209,40 +218,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SchemeProperty,
 
 // --- Theorem 4.7 over random queries, through the Session ---------------------
 
-// Every Int constant c of a condition becomes the placeholder ?c, so
-// binding ?i to Int(i) gives back the literal condition.
-CondPtr ParameteriseCond(const CondPtr& c) {
-  auto out = std::make_shared<Condition>(*c);
-  switch (c->kind) {
-    case CondKind::kAnd:
-    case CondKind::kOr:
-      out->left = ParameteriseCond(c->left);
-      out->right = ParameteriseCond(c->right);
-      return out;
-    case CondKind::kEqAttrConst:
-    case CondKind::kNeqAttrConst:
-    case CondKind::kLtAttrConst:
-    case CondKind::kLeAttrConst:
-    case CondKind::kGtAttrConst:
-    case CondKind::kGeAttrConst:
-      if (c->constant.kind() != ValueKind::kInt) return c;
-      out->constant =
-          Value::Param(static_cast<uint32_t>(c->constant.as_int()));
-      return out;
-    default:
-      return c;
-  }
-}
-
-AlgPtr Parameterise(const AlgPtr& q) {
-  auto mapped = MapChildren(
-      q, [](const AlgPtr& c) -> StatusOr<AlgPtr> { return Parameterise(c); });
-  if (!q->cond) return *mapped;
-  auto out = std::make_shared<Algebra>(**mapped);
-  out->cond = ParameteriseCond(q->cond);
-  return out;
-}
-
 TEST(SchemeRandomTest, SandwichHoldsThroughSessionWithBindings) {
   // Theorem 4.7 over the differential fuzzer's random queries, through
   // the Session's bind-then-translate path: with every Int constant
@@ -262,10 +237,7 @@ TEST(SchemeRandomTest, SandwichHoldsThroughSessionWithBindings) {
     if (!PrepareForTranslation(q, db).ok()) continue;
     ++qualifying;
     AlgPtr tmpl = Parameterise(q);
-    std::vector<Value> params;
-    for (size_t p = 0; p < ParamCount(tmpl); ++p) {
-      params.push_back(Value::Int(static_cast<int64_t>(p)));
-    }
+    std::vector<Value> params = IdentityBindings(tmpl);
     with_params += params.empty() ? 0 : 1;
 
     Session sess(db);
@@ -362,7 +334,8 @@ TEST(ApproxBagTest, PlusAndMaybeBracketMinimalMultiplicity) {
 
 TEST(TranslateTest, DistinctAndSqlSugarAreHandled) {
   // The SQL translator emits Distinct and [NOT] IN nodes; the Fig. 2
-  // pipeline must accept them via PrepareForTranslation.
+  // pipeline accepts them via PrepareForTranslation, which drops δ and
+  // turns NOT IN into the ▷ the Fig. 2(b) rules translate directly.
   Database db = FigureOne(true);
   AlgPtr q = Distinct(NotInPredicate(
       Project(Scan("Orders"), {"oid"}),
@@ -370,10 +343,154 @@ TEST(TranslateTest, DistinctAndSqlSugarAreHandled) {
       {"poid"}, CTrue()));
   auto prepared = PrepareForTranslation(q, db);
   ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-  EXPECT_TRUE(IsCoreGrammar(*prepared));
+  EXPECT_EQ((*prepared)->kind, OpKind::kAntijoin) << (*prepared)->ToString();
+  EXPECT_EQ((*prepared)->cond->ToString(),
+            CAnd(CTrue(), CEq("oid", "poid"))->ToString());
+  EXPECT_TRUE(IsCoreGrammar((*prepared)->left));
+  EXPECT_TRUE(IsCoreGrammar((*prepared)->right));
+  EXPECT_FALSE(IsCoreGrammar(*prepared));  // ▷ is sugar, kept on purpose
   auto plus = EvalPlus(q, db);
   ASSERT_TRUE(plus.ok());
   EXPECT_TRUE(plus->Empty());  // nothing certainly unpaid under the NULL
+}
+
+// --- The direct ⋉/▷ rules ------------------------------------------------------
+
+bool HasOp(const AlgPtr& q, OpKind kind) {
+  return q->kind == kind || (q->left && HasOp(q->left, kind)) ||
+         (q->right && HasOp(q->right, kind));
+}
+
+bool HasSemijoinSugar(const AlgPtr& q) {
+  return HasOp(q, OpKind::kSemijoin) || HasOp(q, OpKind::kAntijoin) ||
+         HasOp(q, OpKind::kIn) || HasOp(q, OpKind::kNotIn);
+}
+
+/// Every gate the direct ⋉/▷ rules must pass on `q` over `db`, with the
+/// failing query in each message:
+///  * Q+(Desugar q) ⊆ Q+(q) ⊆ cert⊥(q) and Q?(q) ⊆ Q?(Desugar q): the
+///    direct rules are sound and at least as precise as translating the
+///    expansion;
+///  * v(Q+(D)) ⊆ Q(v(D)) ⊆ v(Q?(D)) for every valuation v (Theorem 4.7);
+///  * #(ā, Q+(D)) ≤ □Q(D, ā) ≤ #(ā, Q?(D)) under EvalBag (Theorem 4.8),
+///    for queries without δ, which PrepareForTranslation drops.
+/// cert⊥ and □Q need a generic query, so order comparisons skip them.
+void CheckDirectRules(const AlgPtr& q, const Database& db) {
+  const std::string where = q->ToString();
+  auto desugared = Desugar(q, db);
+  ASSERT_TRUE(desugared.ok()) << where;
+  auto plus = EvalPlus(q, db);
+  auto maybe = EvalMaybe(q, db);
+  auto old_plus = EvalPlus(*desugared, db);
+  auto old_maybe = EvalMaybe(*desugared, db);
+  ASSERT_TRUE(plus.ok() && maybe.ok() && old_plus.ok() && old_maybe.ok())
+      << where << ": " << plus.status().ToString() << " / "
+      << maybe.status().ToString();
+  EXPECT_TRUE(old_plus->SubBagOf(*plus))
+      << where << "\n Q+(Desugar q): " << old_plus->ToString()
+      << "\n Q+(q): " << plus->ToString();
+  EXPECT_TRUE(maybe->SubBagOf(*old_maybe))
+      << where << "\n Q?(q): " << maybe->ToString()
+      << "\n Q?(Desugar q): " << old_maybe->ToString();
+  const bool generic = !QueryHasOrderComparison(q);
+  if (generic) {
+    auto cert = CertWithNulls(q, db);
+    ASSERT_TRUE(cert.ok()) << where << ": " << cert.status().ToString();
+    EXPECT_TRUE(plus->SubBagOf(*cert))
+        << where << "\n Q+: " << plus->ToString()
+        << "\n cert⊥: " << cert->ToString();
+  }
+
+  std::set<uint64_t> ids = db.NullIds();
+  std::vector<uint64_t> nulls(ids.begin(), ids.end());
+  std::vector<Value> consts = FamilyConstants(db, QueryConstants(q));
+  Status st = ForEachValuation(nulls, consts, 200000, [&](const Valuation& v) {
+    auto ans = EvalSet(q, v.ApplySet(db));
+    EXPECT_TRUE(ans.ok()) << ans.status().ToString();
+    if (!ans.ok()) return false;
+    for (const Tuple& t : plus->SortedTuples()) {
+      EXPECT_TRUE(ans->Contains(v.Apply(t)))
+          << "false positive " << t.ToString() << " in Q+ for " << where;
+    }
+    Relation vmaybe = v.ApplySet(*maybe);
+    for (const Tuple& t : ans->SortedTuples()) {
+      EXPECT_TRUE(vmaybe.Contains(t))
+          << "Q? missed possible answer " << t.ToString() << " for " << where;
+    }
+    return !::testing::Test::HasFailure();
+  });
+  ASSERT_TRUE(st.ok()) << st.ToString();
+
+  if (!generic || HasOp(q, OpKind::kDistinct)) return;
+  auto plus_q = TranslatePlus(q, db);
+  auto maybe_q = TranslateMaybe(q, db);
+  ASSERT_TRUE(plus_q.ok() && maybe_q.ok()) << where;
+  auto bag_plus = EvalBag(*plus_q, db);
+  auto bag_maybe = EvalBag(*maybe_q, db);
+  ASSERT_TRUE(bag_plus.ok() && bag_maybe.ok()) << where;
+  std::set<Tuple> probes;
+  for (const auto& [t, c] : bag_plus->rows()) probes.insert(t);
+  for (const auto& [t, c] : bag_maybe->rows()) probes.insert(t);
+  for (const Tuple& t : probes) {
+    auto bounds = BagMultiplicityBounds(q, db, t);
+    ASSERT_TRUE(bounds.ok()) << where << ": " << bounds.status().ToString();
+    EXPECT_LE(bag_plus->Count(t), bounds->min)
+        << where << " tuple " << t.ToString();
+    EXPECT_LE(bounds->min, bag_maybe->Count(t))
+        << where << " tuple " << t.ToString();
+  }
+}
+
+TEST(SemijoinRulesTest, ZooAndRandomQueriesPassEveryGate) {
+  // The zoo's ⋉/▷/[NOT] IN shapes over a few databases, then kQueries
+  // random queries that use them; INCDB_FUZZ_SEED moves the corpus.
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    std::mt19937_64 rng(seed);
+    Database db = RandomDatabase(rng, 3, 3, 2);
+    for (const AlgPtr& q : QueryZoo()) {
+      if (!HasSemijoinSugar(q)) continue;
+      CheckDirectRules(q, db);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+  constexpr size_t kQueries = 600;
+  std::mt19937_64 rng(EnvOr("INCDB_FUZZ_SEED", 20260730) + 18);
+  RandomQueryGen gen(rng);
+  size_t qualifying = 0;
+  for (int i = 0; i < 20000 && qualifying < kQueries; ++i) {
+    Database db = RandomDatabase(rng, 3, 3, 2);
+    AlgPtr q = gen.Gen(2 + i % 3);
+    if (!HasSemijoinSugar(q) || !PrepareForTranslation(q, db).ok()) continue;
+    ++qualifying;
+    CheckDirectRules(q, db);
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_EQ(qualifying, kQueries) << "the generator ran dry";
+}
+
+TEST(SemijoinRulesTest, DirectAntijoinRuleKeepsMoreCertainAnswers) {
+  // R = {1, ⊥1}, S = {2}: 1 has no partner under θ? = (a = b ∨ null(a) ∨
+  // null(b)), so (R ▷ S)+ = R+ ▷θ? S? keeps it, and 1 is certain. The
+  // expansion's Q+ = R+ ⋉⇑ π(σθ?(R? × S?)) loses it: ⊥1 pairs with 2
+  // through null(a), and 1 unifies with ⊥1.
+  Database db;
+  Relation r({"a"}), s({"b"});
+  r.Add({Value::Int(1)});
+  r.Add({Value::Null(1)});
+  s.Add({Value::Int(2)});
+  db.Put("R", r);
+  db.Put("S", s);
+  AlgPtr q = Antijoin(Scan("R"), Scan("S"), CEq("a", "b"));
+  auto desugared = Desugar(q, db);
+  ASSERT_TRUE(desugared.ok());
+  auto old_plus = EvalPlus(*desugared, db);
+  auto plus = EvalPlus(q, db);
+  auto cert = CertWithNulls(q, db);
+  ASSERT_TRUE(old_plus.ok() && plus.ok() && cert.ok());
+  const std::vector<Tuple> one = {Tuple{Value::Int(1)}};
+  EXPECT_TRUE(old_plus->Empty()) << old_plus->ToString();
+  EXPECT_EQ(plus->SortedTuples(), one);
+  EXPECT_EQ(cert->SortedTuples(), one);
 }
 
 }  // namespace

@@ -84,13 +84,18 @@ TEST(DesugarTest, SugaredAndDesugaredAgreeOnFigureOne) {
 }
 
 TEST(DesugarTest, IdentityOnCoreGrammarZoo) {
-  // The QueryZoo is sugar-free, so desugaring must be a structural no-op.
+  // On the QueryZoo's sugar-free shapes desugaring must be a structural
+  // no-op; its ⋉/▷/[NOT] IN shapes must come out in the core grammar.
   std::mt19937_64 rng(11);
   Database rdb = RandomDatabase(rng);
   for (const AlgPtr& q : QueryZoo()) {
     auto core = Desugar(q, rdb);
     ASSERT_TRUE(core.ok()) << q->ToString();
-    EXPECT_EQ((*core)->ToString(), q->ToString());
+    if (IsCoreGrammar(q)) {
+      EXPECT_EQ((*core)->ToString(), q->ToString());
+    } else {
+      EXPECT_TRUE(IsCoreGrammar(*core)) << (*core)->ToString();
+    }
   }
 }
 

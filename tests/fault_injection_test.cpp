@@ -1,7 +1,9 @@
 // The fault sweep: the differential-fuzzer corpus re-run with the
 // deterministic FaultInjector armed. The contract under injected faults
 // at every site (scan resolve, node eval, materialization, pool
-// dispatch, snapshot pin, result-cache insert, c-table node) is strict:
+// dispatch, snapshot pin, result-cache insert, c-table node) is strict —
+// for plain queries, cursors, the c-table walker and the Q+/Q? answers
+// of Session::CertainPlus / CertainMaybe:
 //
 //  * every outcome is either the bit-identical correct result or a
 //    *structured* error — kCancelled / kResourceExhausted with
@@ -26,6 +28,7 @@
 #include <vector>
 
 #include "api/session.h"
+#include "approx/approx.h"
 #include "core/fault.h"
 #include "ctables/ceval.h"
 #include "eval/eval.h"
@@ -122,6 +125,69 @@ TEST_F(FaultSweepTest, FuzzerCorpusUnderFaultsIsCorrectOrStructured) {
     }
   }
   // The sweep is meaningless if the roll rate never actually fired.
+  EXPECT_GT(injected_total, 0u) << "no fault ever injected — dead sweep";
+}
+
+// Theorem 4.7's gate with faults armed: the random corpus the sandwich
+// test of approx_test runs (every query the Fig. 2 translations accept,
+// its Int constants turned into placeholders and bound back), through
+// Session::CertainPlus / CertainMaybe. Each armed call returns the
+// unarmed answer exactly or fails structured, and the next unarmed call
+// answers exactly again.
+TEST_F(FaultSweepTest, CertainAnswersUnderFaultsAreExactOrStructured) {
+  const uint64_t cases = EnvOr("INCDB_FAULT_CASES", 200);
+  const double rate = 0.05;
+  std::vector<uint64_t> fault_seeds = {11, 4242, 987654321};
+  if (uint64_t extra = EnvOr("INCDB_FAULT_SEED", 0)) {
+    fault_seeds.push_back(extra);
+  }
+  std::mt19937_64 rng(EnvOr("INCDB_FUZZ_SEED", 20260730));
+  RandomQueryGen gen(rng);
+  FaultInjector& fi = FaultInjector::Global();
+  uint64_t qualifying = 0, injected_total = 0;
+  for (int i = 0; i < 10000 && qualifying < cases; ++i) {
+    Database db = RandomDatabase(rng, 3, 3, 2);
+    AlgPtr q = gen.Gen(2 + i % 3);
+    if (!PrepareForTranslation(q, db).ok()) continue;
+    ++qualifying;
+    const AlgPtr tmpl = testing_util::Parameterise(q);
+    const std::vector<Value> params = testing_util::IdentityBindings(tmpl);
+    Session sess(std::move(db));
+    for (bool plus : {true, false}) {
+      auto call = [&] {
+        return plus ? sess.CertainPlus(tmpl, params)
+                    : sess.CertainMaybe(tmpl, params);
+      };
+      auto ref = call();
+      ASSERT_TRUE(ref.ok()) << q->ToString() << ": "
+                            << ref.status().ToString();
+      for (uint64_t fseed : fault_seeds) {
+        // Offset by the case, so faults land on different sites per query.
+        const uint64_t seed = fseed + qualifying;
+        const std::string where = q->ToString() + (plus ? " Q+" : " Q?") +
+                                  " fault_seed " + std::to_string(seed) +
+                                  " rate " + std::to_string(rate);
+        fi.Configure(seed, rate);
+        auto res = call();
+        injected_total += fi.injected();
+        fi.Disable();
+        if (res.ok()) {
+          EXPECT_TRUE(ref->IdenticalTo(*res))
+              << where << ": survived faults but diverged";
+        } else {
+          EXPECT_TRUE(StructuredFaultOutcome(res.status()) &&
+                      res.status().detail() != nullptr)
+              << where << ": unstructured failure " << res.status().ToString();
+        }
+        auto after = call();
+        ASSERT_TRUE(after.ok()) << where << ": unusable after fault: "
+                                << after.status().ToString();
+        EXPECT_TRUE(ref->IdenticalTo(*after))
+            << where << ": post-fault answer diverges";
+      }
+    }
+  }
+  EXPECT_EQ(qualifying, cases) << "the generator ran dry";
   EXPECT_GT(injected_total, 0u) << "no fault ever injected — dead sweep";
 }
 

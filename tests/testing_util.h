@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <memory>
 #include <random>
 #include <string>
 #include <utility>
@@ -78,10 +79,12 @@ inline Database RandomDatabase(std::mt19937_64& rng, size_t tuples_per_rel = 4,
   return db;
 }
 
-/// A fixed family of interesting core-grammar query shapes over the
-/// RandomDatabase schema (random structural generation is hard to keep
-/// schema-correct; an enumerated zoo combined with random databases gives
-/// the same property-test coverage deterministically).
+/// A fixed family of interesting query shapes over the RandomDatabase
+/// schema (random structural generation is hard to keep schema-correct; an
+/// enumerated zoo combined with random databases gives the same
+/// property-test coverage deterministically). The positive shapes are
+/// core grammar; the negative ones add ⋉, ▷, IN and NOT IN, which the
+/// Fig. 2(b) translation has direct rules for.
 inline std::vector<AlgPtr> QueryZoo(bool include_negative = true) {
   std::vector<AlgPtr> zoo;
   AlgPtr r = Scan("R");
@@ -118,6 +121,27 @@ inline std::vector<AlgPtr> QueryZoo(bool include_negative = true) {
   zoo.push_back(Intersect(Project(r, {"R_a"}), Project(s, {"S_a"})));
   zoo.push_back(Select(Diff(r, s), COr(CEqc("R_a", Value::Int(0)),
                                        CNeqc("R_b", Value::Int(2)))));
+
+  // Semijoin / antijoin shapes: a one-column key, ...
+  AlgPtr ra = Project(r, {"R_a"});
+  AlgPtr tx = Rename(t, {"T_x"});
+  zoo.push_back(Semijoin(ra, tx, CEq("R_a", "T_x")));
+  zoo.push_back(Antijoin(ra, tx, CEq("R_a", "T_x")));
+  zoo.push_back(InPredicate(ra, t, {"R_a"}, {"T_a"}, CTrue()));
+  zoo.push_back(NotInPredicate(ra, t, {"R_a"}, {"T_a"}, CTrue()));
+  // ... a correlated key with a right-only conjunct, ...
+  AlgPtr sxy = Rename(s, {"S_x", "S_y"});
+  zoo.push_back(Antijoin(
+      r, sxy, CAnd(CEq("R_b", "S_x"), CNeqc("S_y", Value::Int(0)))));
+  zoo.push_back(
+      InPredicate(r, sxy, {"R_a"}, {"S_x"}, CEq("R_b", "S_y")));
+  // ... and a NOT IN nested in a NOT IN, as in TPC-H-lite W8.
+  zoo.push_back(NotInPredicate(
+      ra,
+      Project(Select(NotInPredicate(sxy, t, {"S_x"}, {"T_a"}, CTrue()),
+                     CNeqc("S_y", Value::Int(0))),
+              {"S_x"}),
+      {"R_a"}, {"S_x"}, CTrue()));
   return zoo;
 }
 
@@ -146,6 +170,51 @@ inline Database RandomBagDatabase(std::mt19937_64& rng,
   for (size_t i = 0; i < tuples_per_rel; ++i) t.Add({value()}, count());
   db.Put("T", std::move(t));
   return db;
+}
+
+/// `c` with every Int constant i of a comparison replaced by the
+/// placeholder ?i, so binding ?i to Int(i) gives back `c`.
+inline CondPtr ParameteriseCond(const CondPtr& c) {
+  auto out = std::make_shared<Condition>(*c);
+  switch (c->kind) {
+    case CondKind::kAnd:
+    case CondKind::kOr:
+      out->left = ParameteriseCond(c->left);
+      out->right = ParameteriseCond(c->right);
+      return out;
+    case CondKind::kEqAttrConst:
+    case CondKind::kNeqAttrConst:
+    case CondKind::kLtAttrConst:
+    case CondKind::kLeAttrConst:
+    case CondKind::kGtAttrConst:
+    case CondKind::kGeAttrConst:
+      if (c->constant.kind() != ValueKind::kInt) return c;
+      out->constant =
+          Value::Param(static_cast<uint32_t>(c->constant.as_int()));
+      return out;
+    default:
+      return c;
+  }
+}
+
+/// The template of `q` whose bindings {?i ↦ Int(i)} give back `q`: every
+/// condition goes through ParameteriseCond.
+inline AlgPtr Parameterise(const AlgPtr& q) {
+  auto mapped = MapChildren(
+      q, [](const AlgPtr& c) -> StatusOr<AlgPtr> { return Parameterise(c); });
+  if (!q->cond) return *mapped;
+  auto out = std::make_shared<Algebra>(**mapped);
+  out->cond = ParameteriseCond(q->cond);
+  return out;
+}
+
+/// The bindings Parameterise's template needs: ?i ↦ Int(i).
+inline std::vector<Value> IdentityBindings(const AlgPtr& tmpl) {
+  std::vector<Value> params;
+  for (size_t p = 0; p < ParamCount(tmpl); ++p) {
+    params.push_back(Value::Int(static_cast<int64_t>(p)));
+  }
+  return params;
 }
 
 /// \brief Seeded random algebra queries over the RandomDatabase schema
