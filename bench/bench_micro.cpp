@@ -741,3 +741,98 @@ INCDB_BENCH(nl_join_parallel) {
         .Param("pairs", static_cast<int64_t>(1200) * 1200);
   }
 }
+
+/// W4 (customer ⋈ orders ⋈ nation) written in each of its 6 FROM orders,
+/// as SQL under 3VL and as its Fig. 2(b) Q+ and Q? under naive set
+/// semantics (as Session::CertainPlus / CertainMaybe run them), at scale 2
+/// with 5% nulls. The compiler plans σ/× trees from the join graph, so no
+/// order should pay for a keyless product: each record carries its ratio
+/// to the best order of the same form (the bar is 1.5×). The orders of a
+/// form run round-robin, each keeping its fastest run, so drift on a
+/// shared host reaches all of them alike; each round starts one order
+/// later, because an order's place in the round alone moved Q? by up to
+/// 1.3×. Orders that disagree on the answer fail the run.
+INCDB_BENCH(join_order) {
+  tpch::GenOptions gen;
+  gen.scale = 2.0;
+  gen.null_rate = 0.05;
+  Database db = tpch::Generate(gen);
+  constexpr const char* kForms[] = {"sql", "plus", "maybe"};
+  auto eval = [&db](size_t form, const AlgPtr& q) {
+    return form == 0 ? EvalSql(q, db) : EvalSet(q, db);
+  };
+  struct Run {
+    std::string from;
+    size_t form;
+    AlgPtr query;
+    Relation rows;
+    double ms;
+  };
+  std::vector<Run> runs;
+  std::vector<std::string> tables = {"customer", "nation", "orders"};
+  do {
+    const std::string from = tables[0] + ", " + tables[1] + ", " + tables[2];
+    auto q = ParseSqlToAlgebra(
+        "SELECT c_custkey, o_orderkey, n_name FROM " + from +
+            " WHERE c_custkey = o_custkey AND c_nationkey = n_nationkey AND "
+            "o_totalprice > 1000",
+        db);
+    if (!q.ok()) {
+      std::printf("join_order: %s\n", q.status().ToString().c_str());
+      ctx.SetFailed();
+      return;
+    }
+    const StatusOr<AlgPtr> algs[] = {q, TranslatePlus(*q, db),
+                                     TranslateMaybe(*q, db)};
+    for (size_t f = 0; f < 3; ++f) {
+      StatusOr<Relation> rows =
+          algs[f].ok() ? eval(f, *algs[f]) : algs[f].status();
+      if (!rows.ok()) {
+        std::printf("join_order: %s %s: %s\n", from.c_str(), kForms[f],
+                    rows.status().ToString().c_str());
+        ctx.SetFailed();
+        return;
+      }
+      runs.push_back({from, f, *algs[f], std::move(*rows), 1e300});
+    }
+  } while (std::next_permutation(tables.begin(), tables.end()));
+  const size_t orders = runs.size() / 3;
+  for (size_t f = 0; f < 3; ++f) {
+    for (int rep = 0; rep < ctx.warmup() + ctx.reps(); ++rep) {
+      for (size_t k = 0; k < orders; ++k) {
+        // Run i of form f is runs[3 * i + f]; each rep starts one order
+        // later, so every order takes every place in the round-robin.
+        Run& r = runs[3 * ((k + static_cast<size_t>(rep)) % orders) + f];
+        const auto start = std::chrono::steady_clock::now();
+        eval(r.form, r.query).ok();
+        const double ms = std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+        if (rep >= ctx.warmup()) r.ms = std::min(r.ms, ms);
+      }
+    }
+  }
+
+  std::printf("\n%-28s %6s %10s %10s %8s\n", "join_order (W4, scale 2)",
+              "form", "rows", "ms", "x best");
+  for (size_t f = 0; f < 3; ++f) {
+    double best = 1e300;
+    for (const Run& r : runs) {
+      if (r.form == f) best = std::min(best, r.ms);
+    }
+    for (const Run& r : runs) {
+      if (r.form != f) continue;
+      if (!r.rows.SameRows(runs[f].rows)) ctx.SetFailed();  // first order
+      const double ratio = r.ms / best;
+      const auto rows = static_cast<int64_t>(r.rows.rows().size());
+      std::printf("%-28s %6s %10lld %10.2f %8.2f\n", r.from.c_str(),
+                  kForms[f], static_cast<long long>(rows), r.ms, ratio);
+      ctx.Report("join_order", r.ms)
+          .Param("from", r.from)
+          .Param("form", kForms[f])
+          .Param("scale", gen.scale)
+          .Param("rows", rows)
+          .Param("ratio_to_best", ratio);
+    }
+  }
+}

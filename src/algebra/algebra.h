@@ -105,7 +105,7 @@ StatusOr<AlgPtr> MapChildren(const AlgPtr& q, F&& f) {
 }
 
 /// Rewrites the sugar operators (⋈, ⋉, ▷, [NOT] IN, δ) into the core
-/// grammar: DesugarToSemijoins, then each ⋉θ becomes
+/// grammar: DesugarToSemijoins, then δ is dropped, each ⋉θ becomes
 /// π_{attrs(Q1)}(σθ(Q1 × Q2)) and each ▷θ subtracts that from Q1. Every
 /// other operator only has its children desugared, so a sugar-free subtree
 /// comes back as the same pointer. Needs the database to resolve schemas
@@ -116,9 +116,10 @@ StatusOr<AlgPtr> MapChildren(const AlgPtr& q, F&& f) {
 StatusOr<AlgPtr> Desugar(const AlgPtr& q, const Database& db);
 
 /// The first half of Desugar, and the form the Fig. 2(b) translation reads
-/// (PrepareForTranslation): ⋈θ becomes σθ(Q1 × Q2), δ is dropped and
-/// [NOT] IN becomes ⋉/▷ on θ ∧ (lcols = rcols), its naive reading; ⋉θ
-/// and ▷θ stay. Sugar-free subtrees come back as the same pointer.
+/// (PrepareForTranslation): ⋈θ becomes σθ(Q1 × Q2) and [NOT] IN becomes
+/// ⋉/▷ on θ ∧ (lcols = rcols), its naive reading; ⋉θ, ▷θ and δ stay
+/// (the bag bracket of Theorem 4.8 needs δ). Sugar-free subtrees come back
+/// as the same pointer.
 StatusOr<AlgPtr> DesugarToSemijoins(const AlgPtr& q);
 
 /// True iff the subtree uses no sugar: only the paper's core grammar

@@ -5,9 +5,11 @@ namespace incdb {
 
 namespace {
 
-/// Expands every ⋉θ / ▷θ of a DesugarToSemijoins result: ⋉θ is
-/// π_{attrs(Q1)}(σθ(Q1 × Q2)) and ▷θ subtracts it from Q1.
+/// Finishes Desugar on a DesugarToSemijoins result: drops δ (a no-op
+/// under the set semantics the expansion is faithful to) and expands every
+/// ⋉θ / ▷θ: ⋉θ is π_{attrs(Q1)}(σθ(Q1 × Q2)) and ▷θ subtracts it from Q1.
 StatusOr<AlgPtr> ExpandSemijoins(const AlgPtr& q, const Database& db) {
+  if (q->kind == OpKind::kDistinct) return ExpandSemijoins(q->left, db);
   auto out = MapChildren(
       q, [&db](const AlgPtr& c) { return ExpandSemijoins(c, db); });
   if (!out.ok()) return out;
@@ -25,9 +27,6 @@ StatusOr<AlgPtr> ExpandSemijoins(const AlgPtr& q, const Database& db) {
 }  // namespace
 
 StatusOr<AlgPtr> DesugarToSemijoins(const AlgPtr& q) {
-  // Set-semantics no-op; under bags every downstream consumer of the
-  // desugared (set-based) translations deduplicates anyway.
-  if (q->kind == OpKind::kDistinct) return DesugarToSemijoins(q->left);
   auto out = MapChildren(q, DesugarToSemijoins);
   if (!out.ok()) return out;
   const AlgPtr& n = *out;

@@ -17,11 +17,17 @@
 /// minimal multiplicity: #(ā,Q+(D)) ≤ □Q(D,ā) ≤ #(ā,Q?(D)) (Theorem 4.8).
 ///
 /// The Fig. 2(b) translation reads the core grammar {scan, σ, π, ρ, ×, ∪,
-/// −} plus ⋉θ and ▷θ; PrepareForTranslation() desugars ⋈, δ and
+/// −} plus ⋉θ, ▷θ and δ; PrepareForTranslation() desugars ⋈ and
 /// [NOT] IN (into ⋉/▷ on θ ∧ lcols = rcols) and rewrites ∩ as
-/// Q1 − (Q1 − Q2) first. With θ* the certainly-true condition (each ≠ and
-/// order comparison guarded by const(·)) and θ? = ¬(¬θ)*, its rules for
-/// the semijoins are
+/// Q1 − (Q1 − Q2) first. δ maps over its input: (δQ)+ = δ(Q+) and
+/// (δQ)? = δ(Q?). Under sets δ is the identity. Under bags it keeps both
+/// halves of Theorem 4.8's bracket, since #(ā, δQ) = min(1, #(ā, Q)) and
+/// min(1, ·) is monotone: □(δQ)(D, ā) = min(1, □Q(D, ā)) lies between
+/// min(1, #(ā, Q+(D))) and min(1, #(ā, Q?(D))). (Dropping δ instead would
+/// break the lower half: for R = {(1,1), (1,2)} and q = δ(π_a R), π_a R
+/// counts (1) twice while □q = 1.) With θ* the certainly-true condition
+/// (each ≠ and order comparison guarded by const(·)) and θ? = ¬(¬θ)*, its
+/// rules for the semijoins are
 ///
 ///   (Q1 ⋉θ Q2)+ = Q1+ ⋉θ* Q2+        (Q1 ⋉θ Q2)? = Q1? ⋉θ? Q2?
 ///   (Q1 ▷θ Q2)+ = Q1+ ▷θ? Q2?        (Q1 ▷θ Q2)? = Q1? ▷θ* Q2+
@@ -64,9 +70,10 @@
 
 namespace incdb {
 
-/// Desugars ⋈, δ and [NOT] IN (DesugarToSemijoins) and rewrites ∩, so the
+/// Desugars ⋈ and [NOT] IN (DesugarToSemijoins) and rewrites ∩, so the
 /// result uses only the grammar the Fig. 2 translations accept: the core
-/// grammar plus ⋉ and ▷. Fails for ÷ / ⋉⇑ / Dom inputs, for const(·) /
+/// grammar plus ⋉, ▷ and δ (Fig. 2(a) reads its Desugar, which drops δ
+/// and expands ⋉ and ▷). Fails for ÷ / ⋉⇑ / Dom inputs, for const(·) /
 /// null(·) tests, and for queries that do not resolve against the schemas
 /// of `db`.
 StatusOr<AlgPtr> PrepareForTranslation(const AlgPtr& q, const Database& db);

@@ -111,7 +111,8 @@ class Fig2aTranslator {
   std::vector<Value> query_consts_;
 };
 
-/// PrepareForTranslation, then Desugar's expansion of the ⋉/▷ it keeps.
+/// PrepareForTranslation, then Desugar, which drops δ and expands the ⋉/▷
+/// it keeps.
 StatusOr<AlgPtr> PrepareCore(const AlgPtr& q, const Database& db) {
   auto prepared = PrepareForTranslation(q, db);
   if (!prepared.ok()) return prepared;

@@ -14,8 +14,8 @@ StatusOr<AlgPtr> StripIntersect(const AlgPtr& q) {
 }
 
 /// kUnsupported unless the subtree has no ÷, ⋉⇑ or Dom (after
-/// DesugarToSemijoins and the ∩ strip, it is then the core grammar plus ⋉
-/// and ▷) and no const(·)/null(·) test.
+/// DesugarToSemijoins and the ∩ strip, it is then the core grammar plus ⋉,
+/// ▷ and δ) and no const(·)/null(·) test.
 Status CheckTranslatable(const AlgPtr& q) {
   switch (q->kind) {
     case OpKind::kDivision:
@@ -64,9 +64,9 @@ CondPtr MaybeCond(const CondPtr& c) {
 }
 
 /// Mutually recursive Fig. 2(b) rules. −, σ, ⋉ and ▷ do more than
-/// translate their inputs: R+ = R? = R, and ∪, ×, π, ρ map over their
-/// children. Preconditions: q is PrepareForTranslation output. Beside each
-/// ⋉/▷ rule, its soundness for a valuation v, from the three facts
+/// translate their inputs: R+ = R? = R, and ∪, ×, π, ρ and δ map over
+/// their children. Preconditions: q is PrepareForTranslation output. Beside
+/// each ⋉/▷ rule, its soundness for a valuation v, from the three facts
 /// approx.h lists.
 StatusOr<AlgPtr> Plus(const AlgPtr& q);
 StatusOr<AlgPtr> Maybe(const AlgPtr& q);
@@ -113,6 +113,7 @@ StatusOr<AlgPtr> Plus(const AlgPtr& q) {
     case OpKind::kProduct:
     case OpKind::kProject:
     case OpKind::kRename:
+    case OpKind::kDistinct:  // (δQ)+ = δ(Q+): see approx.h
       return MapChildren(q, Plus);
     default:
       return Status::Unsupported("Q+ translation: run PrepareForTranslation");
@@ -161,6 +162,7 @@ StatusOr<AlgPtr> Maybe(const AlgPtr& q) {
     case OpKind::kProduct:
     case OpKind::kProject:
     case OpKind::kRename:
+    case OpKind::kDistinct:  // (δQ)? = δ(Q?)
       return MapChildren(q, Maybe);
     default:
       return Status::Unsupported("Q? translation: run PrepareForTranslation");

@@ -65,7 +65,12 @@ Status Relation::InsertRow(T&& t, uint64_t count, bool probe) {
     return Status::OK();
   }
   if (rows_.size() >= kNoRow) {
-    return Status::ResourceExhausted("relation exceeds 2^32-1 distinct rows");
+    StatusDetail d;
+    d.budget_used = rows_.size();
+    d.budget_limit = kNoRow - 1;
+    d.site = "relation.insert";
+    return Status::ResourceExhausted("relation exceeds 2^32-1 distinct rows")
+        .WithDetail(std::move(d));
   }
   slot = static_cast<uint32_t>(rows_.size());
   rows_.emplace_back(std::forward<T>(t), count);  // carries t's cached hash

@@ -66,7 +66,9 @@ struct EvalOptions {
   bool enable_unify_index = true;
   /// One-sided filter conjuncts of a join condition move below the join
   /// (through products and renames) at plan-compile time, and so do the
-  /// right-only conjuncts of a semijoin or antijoin condition.
+  /// right-only conjuncts of a semijoin or antijoin condition. The join
+  /// order is not an option: every σ/×/⋈ tree is planned from its join
+  /// graph, each conjunct at the lowest join that covers it (eval/plan.h).
   bool enable_selection_pushdown = true;
   /// Worker threads for the binary physical operators (both joins,
   /// difference, intersection, ⋉⇑, semijoin/antijoin, [NOT] IN). >1 lets

@@ -775,10 +775,65 @@ class Executor {
   }
 
   StatusOr<RelationView> EvalJoin(const PhysNode& n) {
+    if (n.op == PhysOp::kHashJoin && n.left->op == PhysOp::kHashJoin) {
+      auto rc = plan_.refcount.find(n.left.get());
+      const bool shared = rc != plan_.refcount.end() && rc->second > 1;
+      // Rows of a fused left join may repeat; only a fused join merges.
+      if (!shared && (!n.left->fused_proj || n.fused_proj)) {
+        return EvalJoinChain(n);
+      }
+    }
     auto l = Eval(n.left);
     if (!l.ok()) return l;
     auto r = Eval(n.right);
     if (!r.ok()) return r;
+    return JoinOf(n, *l, *r);
+  }
+
+  /// Hash join n over the hash join m = n.left that nothing else reads, as
+  /// the compiler's left-deep σ/×/⋈ chains build them. When n's right
+  /// input is no larger than the rows m probes with (so m's output is
+  /// likely the side n would probe with), n indexes its right input and
+  /// each row m emits probes that index at once, instead of being stored
+  /// and hashed in an intermediate relation first. The rows and their
+  /// order are those of probing n's index with the materialised m: a row
+  /// m emits twice meets the same matches again, and n's fused projection
+  /// merges them into the first occurrence.
+  StatusOr<RelationView> EvalJoinChain(const PhysNode& n) {
+    const PhysNode& m = *n.left;
+    auto ml = Eval(m.left);
+    if (!ml.ok()) return ml;
+    auto mr = Eval(m.right);
+    if (!mr.ok()) return mr;
+    auto r = Eval(n.right);
+    if (!r.ok()) return r;
+    const Rows& rrows = r->rows();
+    const bool build_left = ml->rows().size() <= mr->rows().size();
+    const Rows& build = build_left ? ml->rows() : mr->rows();
+    const Rows& probe = build_left ? mr->rows() : ml->rows();
+    if (rrows.size() > probe.size()) {
+      auto mid = JoinOf(m, *ml, *mr);
+      if (!mid.ok()) return mid;
+      return JoinOf(n, *mid, *r);
+    }
+    const bool set = set_semantics();
+    const KeyIndex index(build, build_left ? m.lkeys : m.rkeys, sql_mode());
+    const KeyIndex rindex(rrows, n.rkeys, sql_mode());
+    return Sweep(
+        n, probe.size(), build.size() + probe.size() + rrows.size(),
+        ChunkOp::kHashJoin,
+        [&](size_t begin, size_t end, auto& pre, auto& sink) -> Status {
+          HashJoinKernel top(n, set, /*build_left=*/false, rrows, rindex);
+          auto into_top = [&](const Tuple& t, uint64_t c) {
+            return top.Probe(t, c, pre, sink);
+          };
+          return HashJoinKernel(m, set, build_left, build, index)
+              .Run(probe, begin, end, batch_size(), pre, into_top);
+        });
+  }
+
+  StatusOr<RelationView> JoinOf(const PhysNode& n, const RelationView& l,
+                                const RelationView& r) {
     const bool set = set_semantics();
 
     // Projection shortcut: a condition-free product projected onto
@@ -786,10 +841,10 @@ class Executor {
     // other side's non-emptiness) under set semantics.
     if (n.op == PhysOp::kNLJoin && n.fused_proj && set &&
         n.cond->kind == CondKind::kTrue) {
-      if (n.proj_left_only && !r->rows().empty()) {
+      if (n.proj_left_only && !r.rows().empty()) {
         Relation out(n.attrs);
         Tuple scratch;
-        for (const auto& [lt, lc] : l->rows()) {
+        for (const auto& [lt, lc] : l.rows()) {
           INCDB_RETURN_IF_ERROR(Checkpoint());
           scratch.AssignProject(lt, n.proj_pos);  // positions are left-local
           INCDB_RETURN_IF_ERROR(out.Insert(scratch, 1));
@@ -798,12 +853,12 @@ class Executor {
         INCDB_RETURN_IF_ERROR(Budget(out.TotalSize(), n.attrs.size()));
         return RelationView::Own(std::move(out));
       }
-      if (n.proj_right_only && !l->rows().empty()) {
+      if (n.proj_right_only && !l.rows().empty()) {
         std::vector<size_t> pos;
         for (size_t i : n.proj_pos) pos.push_back(i - n.left_arity);
         Relation out(n.attrs);
         Tuple scratch;
-        for (const auto& [rt, rc] : r->rows()) {
+        for (const auto& [rt, rc] : r.rows()) {
           INCDB_RETURN_IF_ERROR(Checkpoint());
           scratch.AssignProject(rt, pos);
           INCDB_RETURN_IF_ERROR(out.Insert(scratch, 1));
@@ -812,13 +867,13 @@ class Executor {
         INCDB_RETURN_IF_ERROR(Budget(out.TotalSize(), n.attrs.size()));
         return RelationView::Own(std::move(out));
       }
-      if (l->rows().empty() || r->rows().empty()) {
+      if (l.rows().empty() || r.rows().empty()) {
         return RelationView::Own(Relation(n.attrs));
       }
     }
 
-    const Rows& lrows = l->rows();
-    const Rows& rrows = r->rows();
+    const Rows& lrows = l.rows();
+    const Rows& rrows = r.rows();
     if (n.op == PhysOp::kNLJoin) {
       // Every pair is visited: the work estimate counts pairs. Each chunk
       // transposes the right side for its own kernel, O(right rows) and

@@ -176,14 +176,22 @@ class HashJoinKernel {
       INCDB_RETURN_IF_ERROR(pre(we - wb));
       for (size_t i = wb; i < we; ++i) {
         const auto& [pt, pc] = probe[i];
-        for (uint32_t k = index_.Find(pt, probe_keys_); k != RowIndex::kEmpty;
-             k = index_.Next(k)) {
-          INCDB_RETURN_IF_ERROR(pre(1));
-          const auto& [bt, bc] = build_[index_.row(k)];
-          INCDB_RETURN_IF_ERROR(build_left_ ? emit_(bt, bc, pt, pc, sink)
-                                            : emit_(pt, pc, bt, bc, sink));
-        }
+        INCDB_RETURN_IF_ERROR(Probe(pt, pc, pre, sink));
       }
+    }
+    return Status::OK();
+  }
+
+  /// Joins one probe row (pt, pc) with its key matches; `pre` runs once
+  /// per match.
+  template <typename Pre, typename Sink>
+  Status Probe(const Tuple& pt, uint64_t pc, Pre&& pre, Sink&& sink) {
+    for (uint32_t k = index_.Find(pt, probe_keys_); k != RowIndex::kEmpty;
+         k = index_.Next(k)) {
+      INCDB_RETURN_IF_ERROR(pre(1));
+      const auto& [bt, bc] = build_[index_.row(k)];
+      INCDB_RETURN_IF_ERROR(build_left_ ? emit_(bt, bc, pt, pc, sink)
+                                        : emit_(pt, pc, bt, bc, sink));
     }
     return Status::OK();
   }

@@ -143,9 +143,8 @@ class Compiler {
       case OpKind::kRename:
         return CompileRename(q);
       case OpKind::kProduct:
-        return CompileJoinLike(q->left, q->right, CTrue(), nullptr);
       case OpKind::kJoin:
-        return CompileJoinLike(q->left, q->right, q->cond, nullptr);
+        return CompileJoinTree(q, nullptr);
       case OpKind::kUnion:
         return CompileSetOp(q, PhysOp::kUnion, "union");
       case OpKind::kDifference:
@@ -206,12 +205,10 @@ class Compiler {
   }
 
   StatusOr<PhysPtr> CompileSelect(const AlgPtr& q) {
-    // A selection directly over a product is a join (the predicate decides
+    // A selection over a product or join is a join (the predicate decides
     // which pairs survive) — fold it into the join machinery so the
     // conjunct-split / pushdown / OR-expansion passes see the condition.
-    if (q->left->kind == OpKind::kProduct) {
-      return CompileJoinLike(q->left->left, q->left->right, q->cond, nullptr);
-    }
+    if (IsJoinTree(*q)) return CompileJoinTree(q, nullptr);
     auto in = CompileNode(q->left);
     if (!in.ok()) return in;
     auto node = std::make_shared<PhysNode>();
@@ -228,27 +225,8 @@ class Compiler {
     // shape the desugared [NOT] IN / EXISTS and the Fig. 2 σ?-rules
     // produce).
     const Algebra* child = q->left.get();
-    if (opts_.enable_projection_fusion &&
-        (child->kind == OpKind::kJoin ||
-         (child->kind == OpKind::kSelect &&
-          child->left->kind == OpKind::kProduct) ||
-         child->kind == OpKind::kProduct)) {
-      AlgPtr lq, rq;
-      CondPtr cond;
-      if (child->kind == OpKind::kJoin) {
-        lq = child->left;
-        rq = child->right;
-        cond = child->cond;
-      } else if (child->kind == OpKind::kProduct) {
-        lq = child->left;
-        rq = child->right;
-        cond = CTrue();
-      } else {
-        lq = child->left->left;
-        rq = child->left->right;
-        cond = child->cond;
-      }
-      return CompileJoinLike(lq, rq, cond, &q->attrs);
+    if (opts_.enable_projection_fusion && IsJoinTree(*child)) {
+      return CompileJoinTree(q->left, &q->attrs);
     }
     // π(σ(x)) over a non-join child: one fused pass filters and projects
     // at emit time.
@@ -469,14 +447,97 @@ class Compiler {
     return node;
   }
 
-  StatusOr<PhysPtr> CompileJoinLike(const AlgPtr& lq, const AlgPtr& rq,
-                                    const CondPtr& cond,
+  /// True for the σ/×/⋈ trees that join two or more inputs: × and ⋈,
+  /// and σ over one.
+  static bool IsJoinTree(const Algebra& q) {
+    return q.kind == OpKind::kProduct || q.kind == OpKind::kJoin ||
+           (q.kind == OpKind::kSelect && IsJoinTree(*q.left));
+  }
+
+  /// The inputs of a maximal σ/×/⋈ tree, left to right (the FROM order),
+  /// and the conjuncts of its ⋈ conditions and of the σ over its joins; a
+  /// σ over a single input stays part of that input.
+  static void FlattenJoinTree(const AlgPtr& q, std::vector<AlgPtr>* inputs,
+                              std::vector<CondPtr>* conj) {
+    if (!IsJoinTree(*q)) {
+      inputs->push_back(q);
+      return;
+    }
+    FlattenJoinTree(q->left, inputs, conj);
+    if (q->kind != OpKind::kSelect) FlattenJoinTree(q->right, inputs, conj);
+    if (q->cond) Conjuncts(q->cond, conj);
+  }
+
+  /// The first of `inputs` that a conjunct joins to `tree`: one that reads
+  /// both and nothing else, so it can sit at the join that attaches the
+  /// input. 0 when the join graph leaves them all disconnected.
+  static size_t FirstConnected(const std::vector<CondPtr>& conj,
+                               const std::vector<std::string>& tree,
+                               const std::vector<PhysPtr>& inputs) {
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      const std::vector<std::string>& in = inputs[i]->attrs;
+      std::vector<std::string> joint = tree;
+      joint.insert(joint.end(), in.begin(), in.end());
+      for (const CondPtr& c : conj) {
+        if (CondWithin(c, joint) && !CondWithin(c, tree) &&
+            !CondWithin(c, in)) {
+          return i;
+        }
+      }
+    }
+    return 0;
+  }
+
+  /// A σ/×/⋈ tree, optionally projected at emit time, as a left-deep chain
+  /// of BuildJoin steps that follows the join graph: it starts at the first
+  /// input and attaches, each time, the first input (in FROM order) that a
+  /// conjunct connects to the inputs joined so far — the first one left
+  /// when none is connected — and each conjunct goes to the lowest join
+  /// that covers its attributes, where BuildJoin's passes turn it into a
+  /// hash key, a pushed-down filter or a residual. The order reads
+  /// schemas only, so it is deterministic and plan-cache keys stay valid;
+  /// reordering the inputs of a conjunction of σ over × is sound under
+  /// sets, bags and SQL's 3VL alike. The top join's projection (the fused
+  /// π, or else the FROM order's schema) restores the query's column
+  /// order.
+  StatusOr<PhysPtr> CompileJoinTree(const AlgPtr& q,
                                     const std::vector<std::string>* proj) {
-    auto l = CompileNode(lq);
-    if (!l.ok()) return l;
-    auto r = CompileNode(rq);
-    if (!r.ok()) return r;
-    return BuildJoin(*l, *r, cond, proj);
+    std::vector<AlgPtr> input_algs;
+    std::vector<CondPtr> pending;
+    FlattenJoinTree(q, &input_algs, &pending);
+    std::vector<PhysPtr> inputs;
+    std::vector<std::string> from_attrs;
+    for (const AlgPtr& a : input_algs) {
+      auto in = CompileNode(a);
+      if (!in.ok()) return in;
+      from_attrs.insert(from_attrs.end(), (*in)->attrs.begin(),
+                        (*in)->attrs.end());
+      inputs.push_back(*std::move(in));
+    }
+    PhysPtr tree = inputs.front();
+    inputs.erase(inputs.begin());
+    while (!inputs.empty()) {
+      const size_t pick = FirstConnected(pending, tree->attrs, inputs);
+      PhysPtr in = std::move(inputs[pick]);
+      inputs.erase(inputs.begin() + static_cast<std::ptrdiff_t>(pick));
+      std::vector<std::string> joint = tree->attrs;
+      joint.insert(joint.end(), in->attrs.begin(), in->attrs.end());
+      std::vector<CondPtr> here, rest;
+      for (CondPtr& c : pending) {
+        const bool place = inputs.empty() || CondWithin(c, joint);
+        (place ? here : rest).push_back(std::move(c));
+      }
+      pending = std::move(rest);
+      const std::vector<std::string>* out = nullptr;
+      if (inputs.empty()) {
+        out = proj;
+        if (out == nullptr && joint != from_attrs) out = &from_attrs;
+      }
+      auto joined = BuildJoin(tree, in, CAndAll(here), out);
+      if (!joined.ok()) return joined;
+      tree = *std::move(joined);
+    }
+    return tree;
   }
 
   /// σ_cond(l × r), optionally projected at emit time — the join rewrite

@@ -12,6 +12,10 @@
 ///     call:
 ///       * conjunct split — top-level equality conjuncts of a join
 ///         condition become hash-join keys (enable_hash_join);
+///       * join order — a σ/×/⋈ tree is flattened into its inputs and
+///         conjuncts and rebuilt left-deep from its join graph, each
+///         conjunct at the lowest join that covers it, so no connected
+///         pair is left to a keyless product (always on);
 ///       * selection pushdown — one-sided conjuncts move below the join,
 ///         through products and renames, and right-only conjuncts below
 ///         a semijoin or antijoin (enable_selection_pushdown);
@@ -30,7 +34,9 @@
 ///     RelationView over the database's flat rows (no copy); the binary
 ///     operators optionally split their outer rows into contiguous chunks
 ///     across a small thread pool (EvalOptions::num_threads) and return
-///     the sequential rows in order at any thread count.
+///     the sequential rows in order at any thread count. A hash join over
+///     a hash join that nothing else reads may probe with the lower
+///     join's rows as they are emitted instead of storing them first.
 ///
 /// EvalSet / EvalBag / EvalSql (eval/eval.h) are thin compile+execute
 /// wrappers over this layer, and the FO evaluator (logic/fo_eval.cpp)

@@ -334,8 +334,9 @@ TEST(ApproxBagTest, PlusAndMaybeBracketMinimalMultiplicity) {
 
 TEST(TranslateTest, DistinctAndSqlSugarAreHandled) {
   // The SQL translator emits Distinct and [NOT] IN nodes; the Fig. 2
-  // pipeline accepts them via PrepareForTranslation, which drops δ and
-  // turns NOT IN into the ▷ the Fig. 2(b) rules translate directly.
+  // pipeline accepts them via PrepareForTranslation, which keeps δ (the
+  // Fig. 2(b) rules map over it) and turns NOT IN into the ▷ they
+  // translate directly.
   Database db = FigureOne(true);
   AlgPtr q = Distinct(NotInPredicate(
       Project(Scan("Orders"), {"oid"}),
@@ -343,15 +344,42 @@ TEST(TranslateTest, DistinctAndSqlSugarAreHandled) {
       {"poid"}, CTrue()));
   auto prepared = PrepareForTranslation(q, db);
   ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-  EXPECT_EQ((*prepared)->kind, OpKind::kAntijoin) << (*prepared)->ToString();
-  EXPECT_EQ((*prepared)->cond->ToString(),
+  EXPECT_EQ((*prepared)->kind, OpKind::kDistinct) << (*prepared)->ToString();
+  const AlgPtr& anti = (*prepared)->left;
+  EXPECT_EQ(anti->kind, OpKind::kAntijoin) << anti->ToString();
+  EXPECT_EQ(anti->cond->ToString(),
             CAnd(CTrue(), CEq("oid", "poid"))->ToString());
-  EXPECT_TRUE(IsCoreGrammar((*prepared)->left));
-  EXPECT_TRUE(IsCoreGrammar((*prepared)->right));
-  EXPECT_FALSE(IsCoreGrammar(*prepared));  // ▷ is sugar, kept on purpose
+  EXPECT_TRUE(IsCoreGrammar(anti->left));
+  EXPECT_TRUE(IsCoreGrammar(anti->right));
+  EXPECT_FALSE(IsCoreGrammar(anti));  // ▷ is sugar, kept on purpose
   auto plus = EvalPlus(q, db);
   ASSERT_TRUE(plus.ok());
   EXPECT_TRUE(plus->Empty());  // nothing certainly unpaid under the NULL
+}
+
+TEST(TranslateTest, DistinctKeepsTheBagBracket) {
+  // R = {(1,1), (1,2)} and q = δ(π_a R): □q = 1 for (1). Q+ = δ(π_a R)
+  // counts it once under EvalBag; dropping δ would count it twice, above
+  // the certain multiplicity (Theorem 4.8).
+  Database db;
+  Relation r({"a", "b"});
+  r.Add({Value::Int(1), Value::Int(1)});
+  r.Add({Value::Int(1), Value::Int(2)});
+  db.Put("R", r);
+  AlgPtr q = Distinct(Project(Scan("R"), {"a"}));
+  auto plus = TranslatePlus(q, db);
+  auto maybe = TranslateMaybe(q, db);
+  ASSERT_TRUE(plus.ok() && maybe.ok());
+  auto bag_plus = EvalBag(*plus, db);
+  auto bag_maybe = EvalBag(*maybe, db);
+  ASSERT_TRUE(bag_plus.ok() && bag_maybe.ok());
+  const Tuple one{Value::Int(1)};
+  auto bounds = BagMultiplicityBounds(q, db, one);
+  ASSERT_TRUE(bounds.ok()) << bounds.status().ToString();
+  EXPECT_EQ(bounds->min, 1u);
+  EXPECT_EQ(bag_plus->Count(one), 1u) << (*plus)->ToString();
+  EXPECT_LE(bag_plus->Count(one), bounds->min);
+  EXPECT_LE(bounds->min, bag_maybe->Count(one));
 }
 
 // --- The direct ⋉/▷ rules ------------------------------------------------------
@@ -372,8 +400,7 @@ bool HasSemijoinSugar(const AlgPtr& q) {
 ///    direct rules are sound and at least as precise as translating the
 ///    expansion;
 ///  * v(Q+(D)) ⊆ Q(v(D)) ⊆ v(Q?(D)) for every valuation v (Theorem 4.7);
-///  * #(ā, Q+(D)) ≤ □Q(D, ā) ≤ #(ā, Q?(D)) under EvalBag (Theorem 4.8),
-///    for queries without δ, which PrepareForTranslation drops.
+///  * #(ā, Q+(D)) ≤ □Q(D, ā) ≤ #(ā, Q?(D)) under EvalBag (Theorem 4.8).
 /// cert⊥ and □Q need a generic query, so order comparisons skip them.
 void CheckDirectRules(const AlgPtr& q, const Database& db) {
   const std::string where = q->ToString();
@@ -421,7 +448,7 @@ void CheckDirectRules(const AlgPtr& q, const Database& db) {
   });
   ASSERT_TRUE(st.ok()) << st.ToString();
 
-  if (!generic || HasOp(q, OpKind::kDistinct)) return;
+  if (!generic) return;
   auto plus_q = TranslatePlus(q, db);
   auto maybe_q = TranslateMaybe(q, db);
   ASSERT_TRUE(plus_q.ok() && maybe_q.ok()) << where;

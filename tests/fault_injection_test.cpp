@@ -47,13 +47,15 @@ uint64_t EnvOr(const char* name, uint64_t fallback) {
                                       : fallback;
 }
 
-/// The only statuses an injected fault may surface as. A genuine
-/// kResourceExhausted (budget) is indistinguishable from an injected one
-/// by code — both are acceptable; kInternal and anything unexpected are
-/// not.
+/// The only statuses an injected fault may surface as: kCancelled or
+/// kResourceExhausted with a StatusDetail (an injected fault's names its
+/// site). A genuine kResourceExhausted (budget) is indistinguishable from
+/// an injected one by code — both are acceptable, and both carry a
+/// detail; kInternal, anything unexpected and a bare code are not.
 bool StructuredFaultOutcome(const Status& st) {
-  return st.code() == StatusCode::kCancelled ||
-         st.code() == StatusCode::kResourceExhausted;
+  return (st.code() == StatusCode::kCancelled ||
+          st.code() == StatusCode::kResourceExhausted) &&
+         st.detail() != nullptr;
 }
 
 class FaultSweepTest : public ::testing::Test {
@@ -175,8 +177,7 @@ TEST_F(FaultSweepTest, CertainAnswersUnderFaultsAreExactOrStructured) {
           EXPECT_TRUE(ref->IdenticalTo(*res))
               << where << ": survived faults but diverged";
         } else {
-          EXPECT_TRUE(StructuredFaultOutcome(res.status()) &&
-                      res.status().detail() != nullptr)
+          EXPECT_TRUE(StructuredFaultOutcome(res.status()))
               << where << ": unstructured failure " << res.status().ToString();
         }
         auto after = call();
@@ -315,8 +316,7 @@ TEST_F(FaultSweepTest, CTableWalkerUnderFaultsIsCorrectOrStructured) {
             EXPECT_EQ(res->ToString(), want)
                 << where << ": survived faults but diverged";
           } else {
-            EXPECT_TRUE(StructuredFaultOutcome(res.status()) &&
-                        res.status().detail() != nullptr)
+            EXPECT_TRUE(StructuredFaultOutcome(res.status()))
                 << where << ": unstructured failure "
                 << res.status().ToString();
           }

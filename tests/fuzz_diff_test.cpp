@@ -10,6 +10,9 @@
 //   INCDB_FUZZ_SEED      base RNG seed (default 20260730)
 //   INCDB_FUZZ_CASES     cases per mode (default 500)
 //   INCDB_FUZZ_THREADS   one extra thread count to test (CI uses 4)
+//
+// A second corpus (RandomJoinTree) draws σ over 3–4-input ×/⋈ trees for
+// the compiler's join-graph planning, from the same seed.
 
 #include <gtest/gtest.h>
 
@@ -458,6 +461,157 @@ TEST(FuzzDiffTest, BagModeAgreesWithReferenceWalk) {
 
 TEST(FuzzDiffTest, SqlModeAgreesWithReferenceWalk) {
   RunDifferential(EvalMode::kSetSql, &EvalSql);
+}
+
+// ---------------------------------------------------------------------------
+// The join-graph corpus: σ over random 3–4-input ×/⋈ trees, the shape the
+// compiler flattens and re-plans from its join graph. Inputs are R, S or T
+// renamed apart; conjuncts are =, ≠ and order comparisons between two
+// inputs, comparisons with constants on one, and the θ? disjunction
+// a = b ∨ null(a) ∨ null(b) that Fig. 2(b) makes of an equality. Each
+// conjunct sits in the top σ or in a ⋈ that covers it, and in half the
+// cases no conjunct joins the first two inputs, so the planner has to
+// attach a later input first. Half the trees sit under a π onto some of
+// their columns in random order, which the top join fuses.
+
+AlgPtr RandomJoinTree(std::mt19937_64& rng) {
+  const size_t n = 3 + rng() % 2;
+  std::vector<AlgPtr> inputs;
+  std::vector<std::vector<std::string>> attrs(n);
+  for (size_t i = 0; i < n; ++i) {
+    const std::string base(1, "RST"[rng() % 3]);
+    const size_t arity = base == "T" ? 1 : 2;
+    for (size_t k = 0; k < arity; ++k) {
+      attrs[i].push_back("j" + std::to_string(i) + "_" + std::to_string(k));
+    }
+    inputs.push_back(Rename(Scan(base), attrs[i]));
+  }
+  auto attr = [&](size_t i) { return attrs[i][rng() % attrs[i].size()]; };
+  auto constant = [&] { return Value::Int(static_cast<int64_t>(rng() % 3)); };
+  // (conjunct, lowest input it reads, highest input it reads)
+  struct Conj {
+    CondPtr cond;
+    size_t lo, hi;
+  };
+  std::vector<Conj> conj;
+  const bool split_first_two = rng() % 2 == 0;
+  const size_t pairs = 1 + rng() % 4;
+  for (size_t p = 0; p < pairs; ++p) {
+    size_t i = rng() % n, j = rng() % n;
+    if (i == j) j = (i + 1) % n;
+    if (i > j) std::swap(i, j);
+    if (split_first_two && i == 0 && j == 1) j = 2;
+    const std::string a = attr(i), b = attr(j);
+    CondPtr c;
+    switch (rng() % 6) {
+      case 0:
+      case 1:
+        c = CEq(a, b);
+        break;
+      case 2:
+        c = CNeq(a, b);
+        break;
+      case 3:
+        c = rng() % 2 == 0 ? CLt(a, b) : CLe(b, a);
+        break;
+      default:
+        c = COr(COr(CEq(a, b), CIsNull(a)), CIsNull(b));
+        break;
+    }
+    conj.push_back({c, i, j});
+  }
+  for (size_t k = rng() % 3; k > 0; --k) {
+    const size_t i = rng() % n;
+    const std::string a = attr(i);
+    CondPtr c;
+    switch (rng() % 4) {
+      case 0:
+        c = CEqc(a, constant());
+        break;
+      case 1:
+        c = CNeqc(a, constant());
+        break;
+      case 2:
+        c = CLtc(a, constant());
+        break;
+      default:
+        c = CGec(a, constant());
+        break;
+    }
+    conj.push_back({c, i, i});
+  }
+  std::vector<bool> placed(conj.size(), false);
+  // A random binary tree over inputs [lo, hi); each ⋈ takes, with
+  // probability ½, every unplaced conjunct it covers.
+  std::function<AlgPtr(size_t, size_t)> build = [&](size_t lo,
+                                                    size_t hi) -> AlgPtr {
+    if (hi - lo == 1) return inputs[lo];
+    const size_t mid = lo + 1 + rng() % (hi - lo - 1);
+    AlgPtr l = build(lo, mid);
+    AlgPtr r = build(mid, hi);
+    if (rng() % 2 == 0) return Product(l, r);
+    std::vector<CondPtr> here;
+    for (size_t c = 0; c < conj.size(); ++c) {
+      if (!placed[c] && conj[c].lo >= lo && conj[c].hi < hi &&
+          rng() % 2 == 0) {
+        placed[c] = true;
+        here.push_back(conj[c].cond);
+      }
+    }
+    return Join(l, r, CAndAll(here));
+  };
+  AlgPtr tree = build(0, n);
+  std::vector<CondPtr> top;
+  for (size_t c = 0; c < conj.size(); ++c) {
+    if (!placed[c]) top.push_back(conj[c].cond);
+  }
+  if (!top.empty()) tree = Select(tree, CAndAll(top));
+  if (rng() % 2 == 0) return tree;
+  std::vector<std::string> cols;
+  for (const std::vector<std::string>& in : attrs) {
+    cols.insert(cols.end(), in.begin(), in.end());
+  }
+  std::shuffle(cols.begin(), cols.end(), rng);
+  cols.resize(1 + rng() % cols.size());
+  return Project(tree, cols);
+}
+
+TEST(FuzzDiffTest, JoinGraphPlansAgreeWithReferenceWalk) {
+  const uint64_t seed = EnvOr("INCDB_FUZZ_SEED", 20260730);
+  const uint64_t cases = EnvOr("INCDB_FUZZ_CASES", 500);
+  using Eval = StatusOr<Relation> (*)(const AlgPtr&, const Database&,
+                                      const EvalOptions&);
+  const std::pair<EvalMode, Eval> modes[] = {
+      {EvalMode::kSetNaive, &EvalSet},
+      {EvalMode::kBagNaive, &EvalBag},
+      {EvalMode::kSetSql, &EvalSql}};
+  EvalOptions one, four;
+  four.num_threads = 4;
+  four.parallel_min_rows = 0;
+  std::mt19937_64 rng(seed ^ 0x6a6f696e67726170ull);
+  for (uint64_t i = 0; i < cases; ++i) {
+    const size_t tuples = 3 + i % 4;
+    Database db = (i % 2 == 0) ? RandomDatabase(rng, tuples)
+                               : RandomBagDatabase(rng, tuples);
+    AlgPtr q = RandomJoinTree(rng);
+    for (const auto& [mode, eval] : modes) {
+      const std::string where = "case " + std::to_string(i) + " (mode " +
+                                std::to_string(static_cast<int>(mode)) +
+                                ") " + q->ToString();
+      auto ref = RefEval(q, db, mode);
+      ASSERT_TRUE(ref.ok()) << where << ": " << ref.status().ToString();
+      auto seq = eval(q, db, one);
+      auto par = eval(q, db, four);
+      ASSERT_TRUE(seq.ok() && par.ok())
+          << where << ": " << seq.status().ToString() << " / "
+          << par.status().ToString();
+      ASSERT_TRUE(ref->SameRows(*seq))
+          << where << "\nreference:\n" << ref->ToString() << "\nplan:\n"
+          << seq->ToString();
+      ASSERT_EQ(ref->attrs(), seq->attrs()) << where;
+      ASSERT_TRUE(seq->IdenticalTo(*par)) << where << ": 1 vs 4 threads";
+    }
+  }
 }
 
 // The result cache must be invisible: on the same corpus, a session with

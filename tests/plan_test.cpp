@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -30,6 +31,7 @@
 #include "eval/plan.h"
 #include "eval/plan_cache.h"
 #include "eval/verify.h"
+#include "sql/translate.h"
 #include "tests/testing_util.h"
 #include "tpch/tpch.h"
 
@@ -194,6 +196,21 @@ TEST(PlanShapeTest, PushdownMovesOneSidedConjunctBelowJoin) {
   ASSERT_TRUE(kept.ok());
   // The conjunct stays in the join residual: no filter operator at all.
   EXPECT_EQ(CountOps(**kept, PhysOp::kFilterSel), 0u) << PlanToString(**kept);
+
+  // Without pushdown a join tree is still planned from its join graph: an
+  // equality between two inputs under a product stays a hash key, and a σ
+  // over a single input keeps its own filter.
+  AlgPtr tree = Product(Join(Scan("R"), Scan("S"), CEq("R_b", "S_a")),
+                        Rename(Scan("S"), {"T_a", "T_b"}));
+  auto keyed = Compile(tree, EvalMode::kSetNaive, no_push, db);
+  ASSERT_TRUE(keyed.ok());
+  EXPECT_EQ(CountOps(**keyed, PhysOp::kHashJoin), 1u) << PlanToString(**keyed);
+  AlgPtr leaf =
+      Product(Select(Scan("R"), CEqc("R_a", Value::Int(0))), Scan("S"));
+  auto filtered = Compile(leaf, EvalMode::kSetNaive, no_push, db);
+  ASSERT_TRUE(filtered.ok());
+  EXPECT_EQ(CountOps(**filtered, PhysOp::kFilterSel), 1u)
+      << PlanToString(**filtered);
 }
 
 TEST(PlanShapeTest, OrExpansionSharesCompiledInputs) {
@@ -297,6 +314,98 @@ TEST(PlanShapeTest, TpchQPlusAndQMaybeRunWithoutNestedLoops) {
       }
     }
   }
+}
+
+TEST(PlanShapeTest, W4HashJoinsEveryConnectedPairInEveryFromOrder) {
+  // W4 as SQL text in each of its 6 FROM orders, at scale 0.1 with 5%
+  // nulls. The compiler plans the σ/× tree from its join graph, so each
+  // equality-connected pair is a hash-join key whatever the order: in set,
+  // bag and SQL mode, and in the Fig. 2(b) Q+, which needs no NL join. Q?'s
+  // θ? conjuncts OR-expand, so each of its NL joins reads a null(·) filter
+  // on one input. Every order returns the same rows, identically at 1, 2
+  // and 4 threads.
+  tpch::GenOptions gen;
+  gen.scale = 0.1;
+  gen.null_rate = 0.05;
+  gen.seed = 7;
+  Database db = tpch::Generate(gen);
+  const std::set<std::set<std::string>> edges = {
+      {"c_custkey", "o_custkey"}, {"c_nationkey", "n_nationkey"}};
+  auto bare = [](const std::string& a) { return a.substr(a.rfind('.') + 1); };
+  auto null_filter = [](const PhysNode* n) {
+    while (n->op == PhysOp::kRename) n = n->left.get();
+    return n->op == PhysOp::kFilterSel && n->cond->kind == CondKind::kIsNull;
+  };
+  struct Form {
+    const char* name;
+    EvalMode mode;
+    StatusOr<AlgPtr> (*translate)(const AlgPtr&, const Database&);
+  };
+  const Form forms[] = {{"set", EvalMode::kSetNaive, nullptr},
+                        {"bag", EvalMode::kBagNaive, nullptr},
+                        {"sql", EvalMode::kSetSql, nullptr},
+                        {"Q+", EvalMode::kSetNaive, &TranslatePlus},
+                        {"Q?", EvalMode::kSetNaive, &TranslateMaybe}};
+  std::map<std::string, Relation> first_rows;
+  std::vector<std::string> tables = {"customer", "nation", "orders"};
+  do {
+    const std::string from = tables[0] + ", " + tables[1] + ", " + tables[2];
+    auto q = ParseSqlToAlgebra(
+        "SELECT c_custkey, o_orderkey, n_name FROM " + from +
+            " WHERE c_custkey = o_custkey AND c_nationkey = n_nationkey AND "
+            "o_totalprice > 1000",
+        db);
+    ASSERT_TRUE(q.ok()) << from << ": " << q.status().ToString();
+    for (const Form& f : forms) {
+      const std::string where = std::string(f.name) + " FROM " + from;
+      auto alg = f.translate != nullptr ? f.translate(*q, db) : q;
+      ASSERT_TRUE(alg.ok()) << where << ": " << alg.status().ToString();
+      EvalOptions seq;
+      seq.use_plan_cache = false;
+      auto plan = Compile(*alg, f.mode, seq, db);
+      ASSERT_TRUE(plan.ok()) << where << ": " << plan.status().ToString();
+      EXPECT_TRUE(VerifyPlan(*plan, &db).ok()) << where;
+      const std::string shape = where + "\n" + PlanToString(**plan);
+      std::set<const PhysNode*> seen;
+      std::vector<const PhysNode*> nodes;
+      CollectNodes((*plan)->root, &seen, &nodes);
+      std::set<std::set<std::string>> keys;
+      for (const PhysNode* n : nodes) {
+        if (n->op == PhysOp::kHashJoin) {
+          for (size_t i = 0; i < n->lkeys.size(); ++i) {
+            keys.insert({bare(n->left->attrs[n->lkeys[i]]),
+                         bare(n->right->attrs[n->rkeys[i]])});
+          }
+        }
+        if (n->op == PhysOp::kNLJoin) {
+          EXPECT_EQ(f.translate, &TranslateMaybe) << shape;
+          EXPECT_TRUE(null_filter(n->left.get()) ||
+                      null_filter(n->right.get()))
+              << shape;
+        }
+      }
+      for (const std::set<std::string>& e : edges) {
+        EXPECT_EQ(keys.count(e), 1u) << *e.begin() << " " << shape;
+      }
+      auto ref = Execute(*plan, db);
+      ASSERT_TRUE(ref.ok()) << where << ": " << ref.status().ToString();
+      for (size_t threads : {2, 4}) {
+        EvalOptions par = seq;
+        par.num_threads = threads;
+        par.parallel_min_rows = 0;
+        auto par_plan = Compile(*alg, f.mode, par, db);
+        ASSERT_TRUE(par_plan.ok()) << where;
+        EXPECT_TRUE(VerifyPlan(*par_plan, &db).ok()) << where;
+        auto res = Execute(*par_plan, db);
+        ASSERT_TRUE(res.ok()) << where << ": " << res.status().ToString();
+        EXPECT_TRUE(ref->IdenticalTo(*res))
+            << where << " at " << threads << " threads";
+      }
+      auto [it, fresh] = first_rows.emplace(f.name, *ref);
+      EXPECT_TRUE(fresh || it->second.SameRows(*ref))
+          << where << " disagrees with the first FROM order";
+    }
+  } while (std::next_permutation(tables.begin(), tables.end()));
 }
 
 TEST(PlanExecTest, CompileOnceExecuteManyAcrossDatabases) {
@@ -610,6 +719,73 @@ TEST(PlanExecTest, KeyedOperatorsAgreeWithUnindexedFormsOnDuplicateKeys) {
             << c.indexed->ToString() << " with " << threads << " threads\n"
             << "indexed:\n" << got->ToString() << "\nunindexed:\n"
             << want->ToString();
+      }
+    }
+  }
+}
+
+// A hash join over a hash join that nothing else reads probes its index
+// with the rows the lower join emits, without storing them, when its
+// right input is no larger than the lower join's probe side; otherwise
+// the lower join is materialised first. Both paths, with and without
+// fused projections (a fused lower join emits repeated rows, which only a
+// fused upper join may merge), must give the rows the nested-loop plan
+// gives, identically at 1, 2 and 4 threads.
+TEST(PlanExecTest, ChainedHashJoinsMatchNestedLoopJoins) {
+  Database db;
+  Relation a({"a", "b"}), b({"c", "d"}), c({"e", "f"});
+  auto key = [](int i, int n) {
+    return i % 9 == 8 ? Value::Null(i % 2) : Value::Int(i % n);
+  };
+  for (int i = 0; i < 200; ++i) a.Add({Value::Int(i), key(i, 10)}, 1 + i % 3);
+  for (int i = 0; i < 120; ++i) b.Add({key(i, 10), key(i * 5, 7)}, 1 + i % 2);
+  for (int i = 0; i < 6; ++i) c.Add({key(i, 6), Value::Int(i)});
+  db.Put("A", std::move(a));
+  db.Put("B", std::move(b));
+  db.Put("C", std::move(c));
+  const AlgPtr ab = Join(Scan("A"), Scan("B"), CEq("b", "c"));
+  const AlgPtr ab_bd = Project(ab, {"b", "d"});
+  const AlgPtr queries[] = {
+      Join(ab, Scan("C"), CEq("d", "e")),
+      Project(Join(ab, Scan("C"), CEq("d", "e")), {"a", "f"}),
+      Join(ab_bd, Scan("C"), CEq("d", "e")),
+      Project(Join(ab_bd, Scan("C"), CEq("d", "e")), {"b", "f"}),
+      // The right input (A) outgrows the lower join's probe side (B).
+      Join(Join(Scan("C"), Scan("B"), CEq("e", "d")), Scan("A"),
+           CEq("c", "b")),
+  };
+  EvalOptions nested;
+  nested.enable_hash_join = false;
+  const EvalMode modes[] = {EvalMode::kSetNaive, EvalMode::kBagNaive,
+                            EvalMode::kSetSql};
+  for (const AlgPtr& q : queries) {
+    for (EvalMode mode : modes) {
+      const std::string where =
+          q->ToString() + " mode " + std::to_string(static_cast<int>(mode));
+      auto want_plan = Compile(q, mode, nested, db);
+      ASSERT_TRUE(want_plan.ok()) << where;
+      auto want = Execute(*want_plan, db);
+      ASSERT_TRUE(want.ok()) << where << ": " << want.status().ToString();
+      StatusOr<Relation> first = Status::Internal("unset");
+      for (size_t threads : {1, 2, 4}) {
+        EvalOptions o;
+        o.num_threads = threads;
+        o.parallel_min_rows = 0;
+        auto plan = Compile(q, mode, o, db);
+        ASSERT_TRUE(plan.ok()) << where;
+        const PhysNode& root = *(*plan)->root;
+        ASSERT_EQ(root.op, PhysOp::kHashJoin) << PlanToString(**plan);
+        ASSERT_EQ(root.left->op, PhysOp::kHashJoin) << PlanToString(**plan);
+        auto got = Execute(*plan, db);
+        ASSERT_TRUE(got.ok()) << where << ": " << got.status().ToString();
+        EXPECT_TRUE(want->SameRows(*got))
+            << where << " at " << threads << " threads\nchained:\n"
+            << got->ToString() << "\nnested loops:\n" << want->ToString();
+        if (threads == 1) {
+          first = std::move(got);
+        } else {
+          EXPECT_TRUE(first->IdenticalTo(*got)) << where << " at " << threads;
+        }
       }
     }
   }
