@@ -1,7 +1,7 @@
 // Micro-benchmarks of the hot primitives on the shared runner: tuple
-// unifiability, SQL tuple equality, condition compilation and
-// evaluation, hash join and the naive vs Q+ evaluation of a NOT-IN
-// query at growing scale. These complement the experiment binaries:
+// unifiability, SQL tuple equality, condition evaluation (filters and
+// the binary operators' residuals), hash join and the naive vs Q+
+// evaluation of a NOT-IN query at growing scale. These complement the experiment binaries:
 // E2/E3 measure end-to-end shapes, this file tracks the primitives
 // they rest on.
 
@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/session.h"
@@ -83,31 +84,19 @@ INCDB_BENCH(sql_tuple_eq) {
   ReportBatch(ctx, "sql_tuple_eq", ms);
 }
 
-/// Condition evaluation two ways over the same condition and tuples: the
-/// row-at-a-time compiled closure (compiled_cond_eval_row, what
-/// PhysNode::pred pays per joint tuple in the hash-join, semijoin and IN
-/// residual tests) and the columnar BatchPredicate program
-/// over 256-row windows including the per-window transposition, exactly
-/// what the vectorized filter path pays (compiled_cond_eval — the record
-/// the ≥1.5× acceptance bar tracks).
+/// Condition evaluation: the columnar BatchPredicate program over
+/// 256-row windows including the per-window transposition, exactly what
+/// the vectorized filter path pays.
 INCDB_BENCH(compiled_cond_eval) {
   std::vector<std::string> attrs{"a", "b", "c", "d"};
   CondPtr cond = CAnd(COr(CEq("a", "b"), CNeqc("c", Value::Int(3))),
                       CIsConst("d"));
-  auto pred = CompileCond(cond, attrs, CondMode::kSql);
   std::mt19937_64 rng(3);
   std::vector<Relation::Row> rows;
   for (int i = 0; i < 256; ++i) {
     rows.emplace_back(RandomTuple(rng, 4, 0.2), 1);
   }
   volatile int sink = 0;
-  double row_ms = ctx.TimeMs([&] {
-    for (int i = 0; i < kBatch; ++i) {
-      sink = static_cast<int>((*pred)(rows[i & 255].first));
-    }
-  });
-  ReportBatch(ctx, "compiled_cond_eval_row", row_ms);
-
   auto bp = BatchPredicate::Make(cond, attrs, CondMode::kSql);
   if (!bp.ok()) {
     ctx.SetFailed();
@@ -127,6 +116,62 @@ INCDB_BENCH(compiled_cond_eval) {
   });
   (void)sink;
   ReportBatch(ctx, "compiled_cond_eval", ms);
+}
+
+/// Residuals that read both inputs, as the binary operators evaluate them:
+/// c_acctbal < o_totalprice over customer and orders at TPC-H-lite scale 2
+/// with 5% nulls (seed 7), as a hash join on custkey, an antijoin on
+/// custkey, a keyless semijoin and a correlated NOT IN, each in set, bag
+/// and SQL mode. Reports ms and ns per outer row: the hash join's probe
+/// rows (orders), the other forms' left rows (customer). Uses only
+/// Compile/Execute.
+INCDB_BENCH(residual_eval) {
+  tpch::GenOptions gen;
+  gen.scale = 2.0;
+  gen.null_rate = 0.05;
+  gen.seed = 7;
+  Database db = tpch::Generate(gen);
+  const CondPtr residual = CLt("c_acctbal", "o_totalprice");
+  const CondPtr key = CAnd(CEq("c_custkey", "o_custkey"), residual);
+  const AlgPtr c = Scan("customer");
+  const AlgPtr o = Scan("orders");
+  struct Form {
+    const char* name;
+    AlgPtr q;
+    const char* outer;
+  };
+  const Form forms[] = {
+      {"hash_join", Join(c, o, key), "orders"},
+      {"antijoin", Antijoin(c, o, key), "customer"},
+      {"keyless_semijoin", Semijoin(c, o, residual), "customer"},
+      {"correlated_not_in",
+       NotInPredicate(c, o, {"c_custkey"}, {"o_custkey"}, residual),
+       "customer"}};
+  const std::pair<const char*, EvalMode> modes[] = {
+      {"set", EvalMode::kSetNaive},
+      {"bag", EvalMode::kBagNaive},
+      {"sql", EvalMode::kSetSql}};
+  std::printf("\n%-24s %6s %10s %12s\n", "residual_eval", "mode", "ms",
+              "ns/outer");
+  for (const Form& f : forms) {
+    const size_t outer = db.Find(f.outer)->rows().size();
+    for (const auto& [mode_name, mode] : modes) {
+      auto plan = Compile(f.q, mode, EvalOptions{}, db);
+      if (!plan.ok() || !Execute(*plan, db).ok()) {
+        std::printf("residual_eval: %s %s failed\n", f.name, mode_name);
+        ctx.SetFailed();
+        return;
+      }
+      const double ms = ctx.TimeMs([&] { Execute(*plan, db).ok(); });
+      const double ns = ms * 1e6 / static_cast<double>(outer);
+      std::printf("%-24s %6s %10.3f %12.1f\n", f.name, mode_name, ms, ns);
+      ctx.Report("residual_eval", ms)
+          .Param("form", f.name)
+          .Param("mode", mode_name)
+          .Param("outer_rows", static_cast<int64_t>(outer))
+          .Param("ns_per_outer_row", ns);
+    }
+  }
 }
 
 /// Naive evaluation of the W1 NOT-IN query at growing TPC-H-lite scale,

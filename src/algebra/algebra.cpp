@@ -84,9 +84,7 @@ StatusOr<std::vector<std::string>> OutputAttrs(const AlgPtr& q,
     case OpKind::kSelect: {
       auto in = OutputAttrs(q->left, db);
       if (!in.ok()) return in;
-      // Validate that the condition only references existing attributes.
-      auto compiled = CompileCond(q->cond, *in, CondMode::kNaive);
-      if (!compiled.ok()) return compiled.status();
+      INCDB_RETURN_IF_ERROR(CheckCondAttrs(q->cond, *in));
       return in;
     }
     case OpKind::kProject: {
@@ -124,8 +122,7 @@ StatusOr<std::vector<std::string>> OutputAttrs(const AlgPtr& q,
       std::vector<std::string> out = *l;
       out.insert(out.end(), r->begin(), r->end());
       if (q->kind == OpKind::kJoin) {
-        auto compiled = CompileCond(q->cond, out, CondMode::kNaive);
-        if (!compiled.ok()) return compiled.status();
+        INCDB_RETURN_IF_ERROR(CheckCondAttrs(q->cond, out));
       }
       return out;
     }
@@ -176,8 +173,7 @@ StatusOr<std::vector<std::string>> OutputAttrs(const AlgPtr& q,
       if (!r.ok()) return r;
       std::vector<std::string> joint = *l;
       joint.insert(joint.end(), r->begin(), r->end());
-      auto compiled = CompileCond(q->cond, joint, CondMode::kNaive);
-      if (!compiled.ok()) return compiled.status();
+      INCDB_RETURN_IF_ERROR(CheckCondAttrs(q->cond, joint));
       return l;
     }
     case OpKind::kIn:
@@ -205,8 +201,7 @@ StatusOr<std::vector<std::string>> OutputAttrs(const AlgPtr& q,
         }
         joint.push_back(a);
       }
-      auto compiled = CompileCond(q->cond, joint, CondMode::kNaive);
-      if (!compiled.ok()) return compiled.status();
+      INCDB_RETURN_IF_ERROR(CheckCondAttrs(q->cond, joint));
       return l;
     }
     case OpKind::kDistinct:

@@ -5,7 +5,6 @@
 #include <set>
 
 #include "core/relation.h"
-#include "logic/kleene.h"
 
 namespace incdb {
 
@@ -150,45 +149,23 @@ CondPtr StarTranslate(const CondPtr& c) {
   }
 }
 
-namespace {
-void CollectAttrs(const CondPtr& c, std::set<std::string>* out) {
-  switch (c->kind) {
-    case CondKind::kAnd:
-    case CondKind::kOr:
-      CollectAttrs(c->left, out);
-      CollectAttrs(c->right, out);
-      return;
+size_t CondAttrOperands(CondKind k) {
+  switch (k) {
     case CondKind::kEqAttrAttr:
     case CondKind::kNeqAttrAttr:
     case CondKind::kLtAttrAttr:
     case CondKind::kLeAttrAttr:
-      out->insert(c->lhs);
-      out->insert(c->rhs);
-      return;
-    case CondKind::kEqAttrConst:
-    case CondKind::kNeqAttrConst:
-    case CondKind::kIsConst:
-    case CondKind::kIsNull:
-    case CondKind::kLtAttrConst:
-    case CondKind::kLeAttrConst:
-    case CondKind::kGtAttrConst:
-    case CondKind::kGeAttrConst:
-      out->insert(c->lhs);
-      return;
+      return 2;
+    case CondKind::kTrue:
+    case CondKind::kFalse:
+    case CondKind::kAnd:
+    case CondKind::kOr:
+      return 0;
     default:
-      return;
+      return 1;
   }
 }
-}  // namespace
 
-std::vector<std::string> CondAttrs(const CondPtr& c) {
-  std::set<std::string> s;
-  CollectAttrs(c, &s);
-  return std::vector<std::string>(s.begin(), s.end());
-}
-
-namespace {
-/// True for condition kinds whose `constant` field is live.
 bool KindHasConstant(CondKind k) {
   switch (k) {
     case CondKind::kEqAttrConst:
@@ -202,7 +179,43 @@ bool KindHasConstant(CondKind k) {
       return false;
   }
 }
+
+namespace {
+void CollectAttrs(const CondPtr& c, std::set<std::string>* out) {
+  if (c->kind == CondKind::kAnd || c->kind == CondKind::kOr) {
+    CollectAttrs(c->left, out);
+    CollectAttrs(c->right, out);
+    return;
+  }
+  const size_t operands = CondAttrOperands(c->kind);
+  if (operands >= 1) out->insert(c->lhs);
+  if (operands == 2) out->insert(c->rhs);
+}
 }  // namespace
+
+std::vector<std::string> CondAttrs(const CondPtr& c) {
+  std::set<std::string> s;
+  CollectAttrs(c, &s);
+  return std::vector<std::string>(s.begin(), s.end());
+}
+
+StatusOr<size_t> ResolveCondAttr(const std::vector<std::string>& attrs,
+                                 const std::string& name) {
+  const size_t i = IndexOf(attrs, name);
+  if (i == attrs.size()) {
+    return Status::NotFound("condition references unknown attribute " + name);
+  }
+  return i;
+}
+
+Status CheckCondAttrs(const CondPtr& c,
+                      const std::vector<std::string>& attrs) {
+  for (const std::string& a : CondAttrs(c)) {
+    auto i = ResolveCondAttr(attrs, a);
+    if (!i.ok()) return i.status();
+  }
+  return Status::OK();
+}
 
 bool CondHasParam(const CondPtr& c) {
   if (c->kind == CondKind::kAnd || c->kind == CondKind::kOr) {
@@ -339,131 +352,6 @@ std::string Condition::ToString() const {
       return lhs + " ≥ " + constant.ToString();
   }
   return "?";
-}
-
-namespace {
-
-// Atom truth values (equality and order under each mode) live in
-// condition.h as CondEqTV / CondOrderTV: the columnar evaluator
-// (eval/batch.h) shares them so both evaluators agree bit-for-bit.
-TV3 EqTV(const Value& a, const Value& b, CondMode mode) {
-  return CondEqTV(a, b, mode);
-}
-TV3 OrderTV(const Value& a, const Value& b, bool strict, CondMode mode) {
-  return CondOrderTV(a, b, strict, mode);
-}
-
-struct CompiledCond {
-  CondKind kind;
-  size_t lhs = 0, rhs = 0;
-  Value constant;
-  std::unique_ptr<CompiledCond> left, right;
-};
-
-StatusOr<std::unique_ptr<CompiledCond>> Compile(
-    const CondPtr& c, const std::vector<std::string>& attrs) {
-  auto out = std::make_unique<CompiledCond>();
-  out->kind = c->kind;
-  out->constant = c->constant;
-  auto resolve = [&attrs](const std::string& name) -> StatusOr<size_t> {
-    size_t i = IndexOf(attrs, name);
-    if (i == attrs.size()) {
-      return Status::NotFound("condition references unknown attribute " + name);
-    }
-    return i;
-  };
-  switch (c->kind) {
-    case CondKind::kTrue:
-    case CondKind::kFalse:
-      break;
-    case CondKind::kAnd:
-    case CondKind::kOr: {
-      auto l = Compile(c->left, attrs);
-      if (!l.ok()) return l.status();
-      auto r = Compile(c->right, attrs);
-      if (!r.ok()) return r.status();
-      out->left = std::move(l).value();
-      out->right = std::move(r).value();
-      break;
-    }
-    case CondKind::kEqAttrAttr:
-    case CondKind::kNeqAttrAttr:
-    case CondKind::kLtAttrAttr:
-    case CondKind::kLeAttrAttr: {
-      auto l = resolve(c->lhs);
-      if (!l.ok()) return l.status();
-      auto r = resolve(c->rhs);
-      if (!r.ok()) return r.status();
-      out->lhs = *l;
-      out->rhs = *r;
-      break;
-    }
-    case CondKind::kEqAttrConst:
-    case CondKind::kNeqAttrConst:
-    case CondKind::kIsConst:
-    case CondKind::kIsNull:
-    case CondKind::kLtAttrConst:
-    case CondKind::kLeAttrConst:
-    case CondKind::kGtAttrConst:
-    case CondKind::kGeAttrConst: {
-      auto l = resolve(c->lhs);
-      if (!l.ok()) return l.status();
-      out->lhs = *l;
-      break;
-    }
-  }
-  return out;
-}
-
-TV3 EvalCompiled(const CompiledCond& c, const Tuple& t, CondMode mode) {
-  switch (c.kind) {
-    case CondKind::kTrue:
-      return TV3::kT;
-    case CondKind::kFalse:
-      return TV3::kF;
-    case CondKind::kAnd:
-      return Kleene::And(EvalCompiled(*c.left, t, mode),
-                         EvalCompiled(*c.right, t, mode));
-    case CondKind::kOr:
-      return Kleene::Or(EvalCompiled(*c.left, t, mode),
-                        EvalCompiled(*c.right, t, mode));
-    case CondKind::kEqAttrAttr:
-      return EqTV(t[c.lhs], t[c.rhs], mode);
-    case CondKind::kNeqAttrAttr:
-      return Kleene::Not(EqTV(t[c.lhs], t[c.rhs], mode));
-    case CondKind::kEqAttrConst:
-      return EqTV(t[c.lhs], c.constant, mode);
-    case CondKind::kNeqAttrConst:
-      return Kleene::Not(EqTV(t[c.lhs], c.constant, mode));
-    case CondKind::kIsConst:
-      return FromBool(t[c.lhs].is_const());
-    case CondKind::kIsNull:
-      return FromBool(t[c.lhs].is_null());
-    case CondKind::kLtAttrAttr:
-      return OrderTV(t[c.lhs], t[c.rhs], /*strict=*/true, mode);
-    case CondKind::kLeAttrAttr:
-      return OrderTV(t[c.lhs], t[c.rhs], /*strict=*/false, mode);
-    case CondKind::kLtAttrConst:
-      return OrderTV(t[c.lhs], c.constant, /*strict=*/true, mode);
-    case CondKind::kLeAttrConst:
-      return OrderTV(t[c.lhs], c.constant, /*strict=*/false, mode);
-    case CondKind::kGtAttrConst:
-      return OrderTV(c.constant, t[c.lhs], /*strict=*/true, mode);
-    case CondKind::kGeAttrConst:
-      return OrderTV(c.constant, t[c.lhs], /*strict=*/false, mode);
-  }
-  return TV3::kU;
-}
-
-}  // namespace
-
-StatusOr<std::function<TV3(const Tuple&)>> CompileCond(
-    const CondPtr& c, const std::vector<std::string>& attrs, CondMode mode) {
-  auto compiled = Compile(c, attrs);
-  if (!compiled.ok()) return compiled.status();
-  std::shared_ptr<CompiledCond> cc = std::move(compiled).value();
-  return std::function<TV3(const Tuple&)>(
-      [cc, mode](const Tuple& t) { return EvalCompiled(*cc, t, mode); });
 }
 
 }  // namespace incdb

@@ -8,10 +8,13 @@
 ///
 /// There is no explicit negation; Negate() propagates ¬ through the
 /// grammar, interchanging = with ≠ and const with null. The θ* translation
-/// of §4.2 (Fig. 2) and three evaluation modes (naive two-valued, SQL 3VL,
-/// unification 3VL) are provided.
+/// of §4.2 (Fig. 2) is here, and so are the atoms' truth values under the
+/// three evaluation modes (naive two-valued, SQL 3VL, unification 3VL):
+/// CondEqTV and CondOrderTV. The one condition evaluator, the columnar
+/// program of eval/batch.h, calls them; so do the FO evaluator and the
+/// tests' reference interpreter. This layer only resolves attribute names
+/// (ResolveCondAttr), for every evaluator and validator alike.
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -46,6 +49,14 @@ enum class CondKind : uint8_t {
   kGtAttrConst,  ///< A > c
   kGeAttrConst,  ///< A ≥ c
 };
+
+/// Number of attribute names an atom of kind `k` reads: 2 for A op B (lhs
+/// and rhs), 1 for A op c and const/null(A) (lhs), 0 for true, false and
+/// the connectives.
+size_t CondAttrOperands(CondKind k);
+
+/// True for the kinds whose `constant` field is live: A op c.
+bool KindHasConstant(CondKind k);
 
 /// \brief Immutable selection-condition AST node.
 struct Condition {
@@ -151,9 +162,9 @@ enum class CondMode {
 };
 
 /// Truth value of the comparison a = b under each mode. The single
-/// authority for equality-atom semantics, shared by the per-tuple
-/// compiled predicate below and the columnar evaluator (eval/batch.h) —
-/// the two must agree bit-for-bit.
+/// authority for equality-atom semantics: the columnar evaluator
+/// (eval/batch.h) and the FO evaluator's equality atoms
+/// (logic/fo_eval.cpp) both call it.
 inline TV3 CondEqTV(const Value& a, const Value& b, CondMode mode) {
   switch (mode) {
     case CondMode::kNaive:
@@ -172,7 +183,7 @@ inline TV3 CondEqTV(const Value& a, const Value& b, CondMode mode) {
 /// Truth value of an order comparison under each mode. `strict` selects
 /// < vs ≤. Naive evaluation has no meaningful order on "fresh constants",
 /// so a null operand yields f there (the conservative reading of §6);
-/// SQL/unif yield u. Shared by both condition evaluators, like CondEqTV.
+/// SQL/unif yield u. Shared like CondEqTV.
 inline TV3 CondOrderTV(const Value& a, const Value& b, bool strict,
                        CondMode mode) {
   if (a.is_null() || b.is_null()) {
@@ -189,11 +200,15 @@ inline TV3 CondOrderTV(const Value& a, const Value& b, bool strict,
   return FromBool(strict ? cmp < 0 : cmp <= 0);
 }
 
-/// Resolves attribute names against a schema once; returns an error for
-/// unknown attributes. The returned evaluator computes the condition's
-/// Kleene truth value on a tuple of that schema (kNaive never yields u).
-StatusOr<std::function<TV3(const Tuple&)>> CompileCond(
-    const CondPtr& c, const std::vector<std::string>& attrs, CondMode mode);
+/// Position of attribute `name` in the schema `attrs`; NotFound when the
+/// condition names an attribute the schema lacks. The one name resolver
+/// of conditions: OutputAttrs, the columnar program's compile step and
+/// the c-table evaluator all call it.
+StatusOr<size_t> ResolveCondAttr(const std::vector<std::string>& attrs,
+                                 const std::string& name);
+
+/// OK iff every attribute `c` names resolves against `attrs`.
+Status CheckCondAttrs(const CondPtr& c, const std::vector<std::string>& attrs);
 
 }  // namespace incdb
 

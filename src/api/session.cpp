@@ -178,8 +178,8 @@ struct Cursor::Impl {
   /// (eval/kernel.h); delivery-side dedup and the max_tuples budget run
   /// per pop. The window starts small (a top-k caller that drains ten
   /// rows must not pay for a 1024-row window) and grows 8× per refill up
-  /// to EvalOptions::batch_size (16 → 128 → 1024), so full drains amortize
-  /// to the configured window after two refills.
+  /// to EvalOptions::batch_size (GrowWindow: 16 → 128 → 1024), so full
+  /// drains amortize to the configured window after two refills.
   size_t window = 0;
   WindowKernel kernel;
   /// Rows that survived the stage chain, not yet delivered; `spare` is
@@ -206,9 +206,7 @@ Status RefillBatch(ImplT& I) {
   const std::vector<Relation::Row>& rows = I.base.rows();
   while (I.buf_pos >= I.buf.size() && I.next_row < rows.size()) {
     if (I.limited) INCDB_RETURN_IF_ERROR(I.ctx.Check());
-    const size_t cap = I.plan->opts.batch_size;
-    I.window = I.window == 0 ? std::min<size_t>(cap, 16)
-                             : std::min(cap, I.window * 8);
+    I.window = GrowWindow(I.window, 16, I.plan->opts.batch_size);
     // The span [b, e) of *src moves up the chain: each stage reads it
     // (the base rows themselves for the first) and writes its survivors
     // to whichever buffer the span is not in.

@@ -63,64 +63,39 @@ class CompiledSelCond {
   static StatusOr<std::unique_ptr<Node>> Build(
       const CondPtr& theta, const std::vector<std::string>& attrs,
       const std::vector<Value>& params) {
-    auto resolve = [&attrs](const std::string& name) -> StatusOr<size_t> {
-      size_t i = IndexOf(attrs, name);
-      if (i == attrs.size()) {
-        return Status::NotFound("condition references unknown attribute " +
-                                name);
-      }
-      return i;
-    };
     auto node = std::make_unique<Node>();
     node->kind = theta->kind;
-    switch (theta->kind) {
-      case CondKind::kTrue:
-      case CondKind::kFalse:
-      case CondKind::kIsConst:
-      case CondKind::kIsNull:
-        if (theta->kind == CondKind::kIsConst ||
-            theta->kind == CondKind::kIsNull) {
-          auto i = resolve(theta->lhs);
-          if (!i.ok()) return i.status();
-          node->i = *i;
-        }
-        break;
-      case CondKind::kAnd:
-      case CondKind::kOr: {
-        auto l = Build(theta->left, attrs, params);
-        if (!l.ok()) return l.status();
-        auto r = Build(theta->right, attrs, params);
-        if (!r.ok()) return r.status();
-        node->left = std::move(*l);
-        node->right = std::move(*r);
-        break;
-      }
-      case CondKind::kEqAttrAttr:
-      case CondKind::kNeqAttrAttr: {
-        auto i = resolve(theta->lhs);
-        if (!i.ok()) return i.status();
-        auto j = resolve(theta->rhs);
-        if (!j.ok()) return j.status();
-        node->i = *i;
-        node->j = *j;
-        break;
-      }
-      case CondKind::kEqAttrConst:
-      case CondKind::kNeqAttrConst: {
-        auto i = resolve(theta->lhs);
-        if (!i.ok()) return i.status();
-        node->i = *i;
-        // Parameter resolution: the query keeps the placeholder; the bound
-        // constant lands here, at per-evaluation condition compilation.
-        auto bound = ResolveParamBinding(theta->constant, params);
-        if (!bound.ok()) return bound.status();
-        node->constant = *bound;
-        break;
-      }
-      default:
-        return Status::Unsupported(
-            "the [36] strategies are defined over (in)equality conditions; "
-            "c-table conditions have no order atoms");
+    if (theta->kind == CondKind::kAnd || theta->kind == CondKind::kOr) {
+      auto l = Build(theta->left, attrs, params);
+      if (!l.ok()) return l.status();
+      auto r = Build(theta->right, attrs, params);
+      if (!r.ok()) return r.status();
+      node->left = std::move(*l);
+      node->right = std::move(*r);
+      return node;
+    }
+    if (HasOrderComparison(theta)) {
+      return Status::Unsupported(
+          "the [36] strategies are defined over (in)equality conditions; "
+          "c-table conditions have no order atoms");
+    }
+    const size_t operands = CondAttrOperands(theta->kind);
+    if (operands >= 1) {
+      auto i = ResolveCondAttr(attrs, theta->lhs);
+      if (!i.ok()) return i.status();
+      node->i = *i;
+    }
+    if (operands == 2) {
+      auto j = ResolveCondAttr(attrs, theta->rhs);
+      if (!j.ok()) return j.status();
+      node->j = *j;
+    }
+    if (KindHasConstant(theta->kind)) {
+      // Parameter resolution: the query keeps the placeholder; the bound
+      // constant lands here, at per-evaluation condition compilation.
+      auto bound = ResolveParamBinding(theta->constant, params);
+      if (!bound.ok()) return bound.status();
+      node->constant = *bound;
     }
     return node;
   }

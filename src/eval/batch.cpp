@@ -28,15 +28,13 @@ StatusOr<BatchPredicate> BatchPredicate::Make(
   out.mode_ = mode;
 
   auto resolve = [&](const std::string& name) -> StatusOr<uint32_t> {
-    size_t i = IndexOf(attrs, name);
-    if (i == attrs.size()) {
-      return Status::NotFound("condition references unknown attribute " + name);
-    }
-    if (std::find(out.referenced_.begin(), out.referenced_.end(), i) ==
+    auto i = ResolveCondAttr(attrs, name);
+    if (!i.ok()) return i.status();
+    if (std::find(out.referenced_.begin(), out.referenced_.end(), *i) ==
         out.referenced_.end()) {
-      out.referenced_.push_back(i);
+      out.referenced_.push_back(*i);
     }
-    return static_cast<uint32_t>(i);
+    return static_cast<uint32_t>(*i);
   };
 
   // Postorder flattening over a virtual register stack: atoms push a fresh
@@ -44,62 +42,31 @@ StatusOr<BatchPredicate> BatchPredicate::Make(
   // one, so the program needs exactly condition-depth registers.
   uint32_t depth = 0;
   std::function<Status(const CondPtr&)> build = [&](const CondPtr& n) -> Status {
-    switch (n->kind) {
-      case CondKind::kAnd:
-      case CondKind::kOr: {
-        INCDB_RETURN_IF_ERROR(build(n->left));
-        INCDB_RETURN_IF_ERROR(build(n->right));
-        Insn in;
-        in.kind = n->kind;
-        in.dst = depth - 2;
-        in.src2 = depth - 1;
-        out.prog_.push_back(std::move(in));
-        --depth;
-        return Status::OK();
-      }
-      case CondKind::kEqAttrAttr:
-      case CondKind::kNeqAttrAttr:
-      case CondKind::kLtAttrAttr:
-      case CondKind::kLeAttrAttr: {
-        auto l = resolve(n->lhs);
-        if (!l.ok()) return l.status();
-        auto r = resolve(n->rhs);
-        if (!r.ok()) return r.status();
-        Insn in;
-        in.kind = n->kind;
-        in.col = *l;
-        in.col2 = *r;
-        in.dst = depth++;
-        out.prog_.push_back(std::move(in));
-        break;
-      }
-      case CondKind::kEqAttrConst:
-      case CondKind::kNeqAttrConst:
-      case CondKind::kIsConst:
-      case CondKind::kIsNull:
-      case CondKind::kLtAttrConst:
-      case CondKind::kLeAttrConst:
-      case CondKind::kGtAttrConst:
-      case CondKind::kGeAttrConst: {
-        auto l = resolve(n->lhs);
-        if (!l.ok()) return l.status();
-        Insn in;
-        in.kind = n->kind;
-        in.col = *l;
-        in.constant = n->constant;
-        in.dst = depth++;
-        out.prog_.push_back(std::move(in));
-        break;
-      }
-      case CondKind::kTrue:
-      case CondKind::kFalse: {
-        Insn in;
-        in.kind = n->kind;
-        in.dst = depth++;
-        out.prog_.push_back(std::move(in));
-        break;
-      }
+    Insn in;
+    in.kind = n->kind;
+    if (n->kind == CondKind::kAnd || n->kind == CondKind::kOr) {
+      INCDB_RETURN_IF_ERROR(build(n->left));
+      INCDB_RETURN_IF_ERROR(build(n->right));
+      in.dst = depth - 2;
+      in.src2 = depth - 1;
+      out.prog_.push_back(std::move(in));
+      --depth;
+      return Status::OK();
     }
+    const size_t operands = CondAttrOperands(n->kind);
+    if (operands >= 1) {
+      auto l = resolve(n->lhs);
+      if (!l.ok()) return l.status();
+      in.col = *l;
+    }
+    if (operands == 2) {
+      auto r = resolve(n->rhs);
+      if (!r.ok()) return r.status();
+      in.col2 = *r;
+    }
+    if (KindHasConstant(n->kind)) in.constant = n->constant;
+    in.dst = depth++;
+    out.prog_.push_back(std::move(in));
     out.n_regs_ = std::max(out.n_regs_, depth);
     return Status::OK();
   };
@@ -109,9 +76,10 @@ StatusOr<BatchPredicate> BatchPredicate::Make(
 
 Status BatchPredicate::Validate(size_t input_arity) const {
   if (prog_.empty()) return Status::Internal("empty register program");
-  auto in_referenced = [this](uint32_t col) {
-    return std::find(referenced_.begin(), referenced_.end(), col) !=
-           referenced_.end();
+  auto bad_col = [&](uint32_t col) {
+    return col >= input_arity ||
+           std::find(referenced_.begin(), referenced_.end(), col) ==
+               referenced_.end();
   };
   // Replay the postorder stack discipline Make() compiles: atoms push the
   // register at the current depth, ∧/∨ combine the two topmost in place of
@@ -122,54 +90,37 @@ Status BatchPredicate::Validate(size_t input_arity) const {
   for (size_t pc = 0; pc < prog_.size(); ++pc) {
     const Insn& in = prog_[pc];
     const std::string at = " at instruction " + std::to_string(pc);
-    switch (in.kind) {
-      case CondKind::kAnd:
-      case CondKind::kOr:
-        if (depth < 2) return Status::Internal("stack underflow" + at);
-        if (in.dst != depth - 2 || in.src2 != depth - 1) {
-          return Status::Internal("connective registers break the postorder "
-                                  "stack discipline" +
-                                  at);
-        }
-        --depth;
-        break;
-      case CondKind::kEqAttrAttr:
-      case CondKind::kNeqAttrAttr:
-      case CondKind::kLtAttrAttr:
-      case CondKind::kLeAttrAttr:
-        if (in.col2 >= input_arity || !in_referenced(in.col2)) {
-          return Status::Internal("rhs column operand out of range" + at);
-        }
-        [[fallthrough]];
-      case CondKind::kEqAttrConst:
-      case CondKind::kNeqAttrConst:
-      case CondKind::kIsConst:
-      case CondKind::kIsNull:
-      case CondKind::kLtAttrConst:
-      case CondKind::kLeAttrConst:
-      case CondKind::kGtAttrConst:
-      case CondKind::kGeAttrConst:
-        if (in.col >= input_arity || !in_referenced(in.col)) {
-          return Status::Internal("column operand out of range" + at);
-        }
-        if (in.constant.is_param()) {
-          return Status::Internal("unbound parameter placeholder" + at);
-        }
-        [[fallthrough]];
-      case CondKind::kTrue:
-      case CondKind::kFalse:
-        if (in.dst != depth) {
-          return Status::Internal("atom writes register " +
-                                  std::to_string(in.dst) +
-                                  ", stack top is " + std::to_string(depth) +
-                                  at);
-        }
-        ++depth;
-        max_depth = std::max(max_depth, depth);
-        break;
-      default:
-        return Status::Internal("unknown opcode" + at);
+    if (in.kind == CondKind::kAnd || in.kind == CondKind::kOr) {
+      if (depth < 2) return Status::Internal("stack underflow" + at);
+      if (in.dst != depth - 2 || in.src2 != depth - 1) {
+        return Status::Internal("connective registers break the postorder "
+                                "stack discipline" +
+                                at);
+      }
+      --depth;
+      continue;
     }
+    // kGeAttrConst is the last CondKind.
+    if (in.kind > CondKind::kGeAttrConst) {
+      return Status::Internal("unknown opcode" + at);
+    }
+    const size_t operands = CondAttrOperands(in.kind);
+    if (operands == 2 && bad_col(in.col2)) {
+      return Status::Internal("rhs column operand out of range" + at);
+    }
+    if (operands >= 1 && bad_col(in.col)) {
+      return Status::Internal("column operand out of range" + at);
+    }
+    if (KindHasConstant(in.kind) && in.constant.is_param()) {
+      return Status::Internal("unbound parameter placeholder" + at);
+    }
+    if (in.dst != depth) {
+      return Status::Internal("atom writes register " +
+                              std::to_string(in.dst) + ", stack top is " +
+                              std::to_string(depth) + at);
+    }
+    ++depth;
+    max_depth = std::max(max_depth, depth);
   }
   if (depth != 1) {
     return Status::Internal("program leaves " + std::to_string(depth) +
@@ -293,7 +244,7 @@ void BatchPredicate::Run(const Batch& b, Scratch* s) const {
         break;
       }
       case CondKind::kGtAttrConst: {
-        // Operand order mirrors the scalar evaluator: A > c ≡ c < A.
+        // A > c ≡ c < A.
         const BatchColumn a = b.cols[in.col];
         for (size_t i = 0; i < n; ++i) {
           dst[i] =

@@ -2,19 +2,20 @@
 #define INCDB_EVAL_BATCH_H_
 
 /// \file batch.h
-/// \brief Columnar chunk representation for the vectorized executor
-/// (MonetDB/X100 style).
+/// \brief The one condition evaluator: a selection condition compiled into
+/// a columnar program (MonetDB/X100 style).
 ///
 /// Relations store flat rows (core/relation.h); the operator kernels
-/// (eval/kernel.h) transpose the columns a predicate actually touches into
-/// contiguous `Value` runs of EvalOptions::batch_size rows, evaluate the
-/// condition program column-at-a-time into a selection vector, and gather
-/// the surviving rows from the original row storage. The program is
-/// compiled once per plan node (PhysNode::prog, eval/plan.h). Its atom
-/// truth values are the scalar predicate's (CondEqTV / CondOrderTV in
-/// algebra/condition.h) and the Kleene connectives are branchless min/max
-/// over the f < u < t truth order (logic/kleene.cpp), so a row is selected
-/// exactly when CompileCond's closure returns t for it.
+/// (eval/kernel.h) transpose the columns a program actually reads into
+/// contiguous `Value` runs of at most EvalOptions::batch_size rows,
+/// evaluate the program column-at-a-time into a selection vector, and
+/// gather the surviving rows from the original row storage. Binary
+/// operators pin one outer row's columns at stride 0 and sweep windows of
+/// candidate partners. Every condition-bearing plan node carries its
+/// program (PhysNode::prog, eval/plan.h), compiled once. Its atom truth
+/// values are CondEqTV / CondOrderTV (algebra/condition.h) and the Kleene
+/// connectives are branchless min/max over the f < u < t truth order
+/// (logic/kleene.cpp).
 
 #include <cstdint>
 #include <vector>
@@ -43,9 +44,9 @@ class ColumnVector {
 /// \brief One column of a Batch: a borrowed pointer plus a stride.
 ///
 /// stride 1 reads a contiguous run (the transposed case); stride 0
-/// broadcasts a single value to every row — the nested-loop join pins the
-/// current left tuple's components this way while sweeping right-side
-/// column windows.
+/// broadcasts a single value to every row — the binary operators pin the
+/// current outer row's components this way while sweeping windows of
+/// candidate partners (PartnerSelect, eval/kernel.h).
 struct BatchColumn {
   const Value* data = nullptr;
   size_t stride = 1;
@@ -107,8 +108,8 @@ class BatchGather {
 ///
 /// The condition AST is flattened into a postorder instruction list over a
 /// small stack of truth-value registers (one byte per row per register).
-/// Atoms loop down a column calling the same CondEqTV / CondOrderTV the
-/// scalar predicate uses; ∧/∨ combine registers with branchless min/max
+/// Atoms loop down a column calling CondEqTV / CondOrderTV; ∧/∨ combine
+/// registers with branchless min/max
 /// (Kleene's tables over the f < u < t order); ¬ folds into the ≠ atoms as
 /// 2 − x. Evaluation is re-entrant: callers pass their own Scratch, so
 /// pool workers can share one compiled program.
@@ -120,8 +121,7 @@ class BatchPredicate {
   };
 
   /// Compiles `c` against the input schema `attrs` for `mode`, resolving
-  /// attribute names exactly like CompileCond (same errors on unknown
-  /// attributes).
+  /// attribute names through ResolveCondAttr (NotFound on an unknown one).
   static StatusOr<BatchPredicate> Make(const CondPtr& c,
                                        const std::vector<std::string>& attrs,
                                        CondMode mode);
@@ -135,7 +135,7 @@ class BatchPredicate {
   void SelectTrue(const Batch& b, Scratch* scratch, SelVector* sel) const;
 
   /// Writes the Kleene truth value of every row to out[0..b.rows) (the
-  /// TV3 numeric encoding). Used by tests and the microbenches.
+  /// TV3 numeric encoding). Used by the tests and the microbenches.
   void EvalTruth(const Batch& b, Scratch* scratch, uint8_t* out) const;
 
   /// Structural well-formedness of the compiled program, checked by the

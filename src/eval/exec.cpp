@@ -644,33 +644,35 @@ class Executor {
     // Equality with a null key never evaluates to t in either mode unless
     // syntactically equal (naive) — the key index covers both, as naive
     // equality is exactly key identity and SQL-mode null keys are skipped.
-    // Without key columns every right row shares the empty key, so the
-    // probe walks them all, and the checkpoint weight follows that work —
-    // unless no residual reads the right row: then the first key match
-    // decides, and a keyless probe needs only the first right row.
+    // The candidates are the key-match chain, or every right row without
+    // key columns. A residual that reads no right column is decided by the
+    // first candidate; otherwise the probe sweeps the candidates until the
+    // first partner, and the checkpoint weight of a keyless one follows
+    // that work.
     const Rows& rrows = r->rows();
-    const bool first_match_decides =
-        n.trivial_residual || n.residual_left_only;
-    const std::vector<uint32_t> first_row = {0};
-    const bool keyless_once =
-        n.lkeys.empty() && first_match_decides && !rrows.empty();
-    const KeyIndex index(rrows, n.rkeys, sql_mode(),
-                         keyless_once ? &first_row : nullptr);
+    const bool keyed = !n.lkeys.empty();
+    const bool sweep = !n.trivial_residual && !n.residual_left_only;
+    std::optional<KeyIndex> index;
+    if (keyed) index.emplace(rrows, n.rkeys, sql_mode());
     const bool set = set_semantics();
     return SweepKeep(
         n, ChunkOp::kSemiJoin, l->rows(), rrows,
-        n.lkeys.empty() && !first_match_decides ? 1 + rrows.size() : 1,
-        [&, joint = Tuple()](const Tuple& lt, uint64_t lc) mutable
+        !keyed && sweep ? 1 + rrows.size() : 1,
+        [&, partners = PartnerSelect(n, rrows)](const Tuple& lt,
+                                                uint64_t lc) mutable
         -> uint64_t {
-          bool match = false;
-          for (uint32_t k = index.Find(lt, n.lkeys);
-               !match && k != RowIndex::kEmpty; k = index.Next(k)) {
-            // Without a residual any key match suffices.
-            if (!n.trivial_residual) {
-              joint.AssignConcat(lt, rrows[index.row(k)].first);
-            }
-            match = n.trivial_residual || n.pred(joint) == TV3::kT;
-            if (n.residual_left_only) break;
+          auto any = [](uint32_t) { return true; };
+          const uint32_t k =
+              keyed ? index->Find(lt, n.lkeys) : RowIndex::kEmpty;
+          bool match;
+          if (keyed ? k == RowIndex::kEmpty : rrows.empty()) {
+            match = false;
+          } else if (!sweep) {
+            match = n.trivial_residual || !partners.Range(lt, 0, 1).empty();
+          } else if (keyed) {
+            match = partners.FindInChain(lt, *index, k, batch_size(), any);
+          } else {
+            match = partners.FindInRange(lt, batch_size(), any);
           }
           if (match == n.anti) return 0;
           return set ? 1 : lc;
@@ -714,12 +716,14 @@ class Executor {
       }
     }
 
-    // The correlated path re-scans the right side per left row.
+    // The correlated path sweeps the right side per left row.
     return SweepKeep(
         n, ChunkOp::kIn, l->rows(), rrows,
         n.correlated ? 1 + rrows.size() : 1,
-        [&, lkey = Tuple(), rkey = Tuple(), joint = Tuple()](
-            const Tuple& lt, uint64_t lc) mutable -> uint64_t {
+        [&, lkey = Tuple(), rkey = Tuple(),
+         partners = PartnerSelect(n, rrows)](const Tuple& lt,
+                                             uint64_t lc) mutable
+        -> uint64_t {
           lkey.AssignProject(lt, n.lpos);
           bool keep;
           if (!n.correlated) {
@@ -751,22 +755,19 @@ class Executor {
               }
             }
           } else {
-            // Correlated: filter right rows by θ(l·r) = t, then test.
+            // Correlated: compare the keys of the right rows whose θ(l·r)
+            // is t, until one decides (IN: one compares t; NOT IN: one
+            // does not compare f).
             bool exists_t = false;
             bool all_f = true;
-            for (const auto& [rt, rc] : rrows) {
-              joint.AssignConcat(lt, rt);
-              if (n.pred(joint) != TV3::kT) continue;
-              rkey.AssignProject(rt, n.rpos);
-              if (sql) {
-                TV3 tv = SqlTupleEq(lkey, rkey);
-                if (tv == TV3::kT) exists_t = true;
-                if (tv != TV3::kF) all_f = false;
-              } else {
-                if (lkey == rkey) exists_t = true;
-                if (lkey == rkey) all_f = false;
-              }
-            }
+            partners.FindInRange(lt, batch_size(), [&](uint32_t i) {
+              rkey.AssignProject(rrows[i].first, n.rpos);
+              const TV3 tv =
+                  sql ? SqlTupleEq(lkey, rkey) : FromBool(lkey == rkey);
+              exists_t |= tv == TV3::kT;
+              all_f &= tv == TV3::kF;
+              return negated ? !all_f : exists_t;
+            });
             keep = negated ? all_f : exists_t;
           }
           if (!keep) return 0;
@@ -823,12 +824,13 @@ class Executor {
         n, probe.size(), build.size() + probe.size() + rrows.size(),
         ChunkOp::kHashJoin,
         [&](size_t begin, size_t end, auto& pre, auto& sink) -> Status {
-          HashJoinKernel top(n, set, /*build_left=*/false, rrows, rindex);
+          HashJoinKernel top(n, set, /*build_left=*/false, rrows, rindex,
+                             batch_size());
           auto into_top = [&](const Tuple& t, uint64_t c) {
             return top.Probe(t, c, pre, sink);
           };
-          return HashJoinKernel(m, set, build_left, build, index)
-              .Run(probe, begin, end, batch_size(), pre, into_top);
+          return HashJoinKernel(m, set, build_left, build, index, batch_size())
+              .Run(probe, begin, end, pre, into_top);
         });
   }
 
@@ -894,8 +896,8 @@ class Executor {
     return Sweep(
         n, probe.size(), lrows.size() + rrows.size(), ChunkOp::kHashJoin,
         [&](size_t begin, size_t end, auto& pre, auto& sink) -> Status {
-          return HashJoinKernel(n, set, build_left, build, index)
-              .Run(probe, begin, end, batch_size(), pre, sink);
+          return HashJoinKernel(n, set, build_left, build, index, batch_size())
+              .Run(probe, begin, end, pre, sink);
         });
   }
 

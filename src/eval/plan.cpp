@@ -78,27 +78,9 @@ CondPtr RenameCondAttrs(const CondPtr& c,
     auto it = to_old.find(*name);
     if (it != to_old.end()) *name = it->second;
   };
-  switch (c->kind) {
-    case CondKind::kEqAttrAttr:
-    case CondKind::kNeqAttrAttr:
-    case CondKind::kLtAttrAttr:
-    case CondKind::kLeAttrAttr:
-      translate(&out->lhs);
-      translate(&out->rhs);
-      break;
-    case CondKind::kEqAttrConst:
-    case CondKind::kNeqAttrConst:
-    case CondKind::kIsConst:
-    case CondKind::kIsNull:
-    case CondKind::kLtAttrConst:
-    case CondKind::kLeAttrConst:
-    case CondKind::kGtAttrConst:
-    case CondKind::kGeAttrConst:
-      translate(&out->lhs);
-      break;
-    default:
-      break;
-  }
+  const size_t operands = CondAttrOperands(c->kind);
+  if (operands >= 1) translate(&out->lhs);
+  if (operands == 2) translate(&out->rhs);
   return out;
 }
 
@@ -110,20 +92,17 @@ bool CondWithin(const CondPtr& c, const std::vector<std::string>& attrs) {
   return true;
 }
 
-/// Compiles `node->cond` against the input schema `attrs` into the one
-/// form its operator evaluates: the columnar program for the window
-/// sweeps, the scalar predicate for the per-tuple residual tests.
-Status CompileNodeCond(PhysNode* node, const std::vector<std::string>& attrs,
-                       CondMode mode) {
-  if (OpRunsProgram(node->op)) {
-    auto prog = BatchPredicate::Make(node->cond, attrs, mode);
-    if (!prog.ok()) return prog.status();
-    node->prog = std::make_shared<const BatchPredicate>(std::move(*prog));
-    return Status::OK();
+/// Compiles `node->cond` into the node's columnar program over its input
+/// schema: the left input's, or left·right for the binary operators.
+Status CompileNodeCond(PhysNode* node, CondMode mode) {
+  std::vector<std::string> attrs = node->left->attrs;
+  if (node->right) {
+    attrs.insert(attrs.end(), node->right->attrs.begin(),
+                 node->right->attrs.end());
   }
-  auto pred = CompileCond(node->cond, attrs, mode);
-  if (!pred.ok()) return pred.status();
-  node->pred = std::move(*pred);
+  auto prog = BatchPredicate::Make(node->cond, attrs, mode);
+  if (!prog.ok()) return prog.status();
+  node->prog = std::make_shared<const BatchPredicate>(std::move(*prog));
   return Status::OK();
 }
 
@@ -181,16 +160,11 @@ class Compiler {
  private:
   bool set_semantics() const { return mode_ != EvalMode::kBagNaive; }
 
-  /// Compiles `cond` against `attrs` into the node's predicate or program
-  /// (validating attribute references on the way). Parameterised
-  /// conditions also record the input schema so BindPlanParams can
-  /// recompile once the placeholders are substituted.
-  Status AttachCond(PhysNode* node, const CondPtr& cond,
-                    const std::vector<std::string>& attrs) {
+  /// Attaches `cond` to a node whose inputs are set and compiles its
+  /// program (validating attribute references on the way).
+  Status AttachCond(PhysNode* node, const CondPtr& cond) {
     node->cond = cond;
-    INCDB_RETURN_IF_ERROR(CompileNodeCond(node, attrs, ToCondMode(mode_)));
-    if (CondHasParam(cond)) node->pred_attrs = attrs;
-    return Status::OK();
+    return CompileNodeCond(node, ToCondMode(mode_));
   }
 
   StatusOr<PhysPtr> CompileScan(const AlgPtr& q) {
@@ -215,7 +189,7 @@ class Compiler {
     node->op = PhysOp::kFilterSel;
     node->attrs = (*in)->attrs;
     node->left = *in;
-    INCDB_RETURN_IF_ERROR(AttachCond(node.get(), q->cond, node->attrs));
+    INCDB_RETURN_IF_ERROR(AttachCond(node.get(), q->cond));
     return PhysPtr(node);
   }
 
@@ -236,7 +210,7 @@ class Compiler {
       auto node = std::make_shared<PhysNode>();
       node->op = PhysOp::kFusedProjectFilter;
       node->left = *in;
-      INCDB_RETURN_IF_ERROR(AttachCond(node.get(), child->cond, (*in)->attrs));
+      INCDB_RETURN_IF_ERROR(AttachCond(node.get(), child->cond));
       INCDB_RETURN_IF_ERROR(
           ResolveProjection(q->attrs, (*in)->attrs, &node->proj_pos));
       node->attrs = q->attrs;
@@ -403,7 +377,7 @@ class Compiler {
     node->op = PhysOp::kFilterSel;
     node->attrs = in->attrs;
     node->left = in;
-    INCDB_RETURN_IF_ERROR(AttachCond(node.get(), cond, in->attrs));
+    INCDB_RETURN_IF_ERROR(AttachCond(node.get(), cond));
     return PhysPtr(node);
   }
 
@@ -582,7 +556,7 @@ class Compiler {
     node->left_arity = l->attrs.size();
     node->lkeys = std::move(lkeys);
     node->rkeys = std::move(rkeys);
-    INCDB_RETURN_IF_ERROR(AttachCond(node.get(), CAndAll(residual), *joint));
+    INCDB_RETURN_IF_ERROR(AttachCond(node.get(), CAndAll(residual)));
     if (proj != nullptr) {
       node->fused_proj = true;
       node->proj_left_only = true;
@@ -620,8 +594,7 @@ class Compiler {
   /// compiled inputs.
   StatusOr<PhysPtr> BuildSemiAnti(const PhysPtr& l, PhysPtr r,
                                   const CondPtr& cond, bool anti) {
-    auto joint = JointAttrs(l, r, "semijoin");
-    if (!joint.ok()) return joint.status();
+    INCDB_RETURN_IF_ERROR(JointAttrs(l, r, "semijoin").status());
     // The probe only asks whether some right row passes the conjuncts, so
     // the right-only ones filter the right input. The left-only ones stay:
     // an antijoin keeps the left rows that fail them.
@@ -666,7 +639,7 @@ class Compiler {
     CondPtr res = CAndAll(residual);
     node->residual_left_only =
         !node->trivial_residual && CondWithin(res, l->attrs);
-    INCDB_RETURN_IF_ERROR(AttachCond(node.get(), res, *joint));
+    INCDB_RETURN_IF_ERROR(AttachCond(node.get(), res));
     return PhysPtr(node);
   }
 
@@ -697,9 +670,8 @@ class Compiler {
       }
       node->rpos.push_back(i);
     }
-    auto joint = JointAttrs(*l, *r, "IN");
-    if (!joint.ok()) return joint.status();
-    INCDB_RETURN_IF_ERROR(AttachCond(node.get(), q->cond, *joint));
+    INCDB_RETURN_IF_ERROR(JointAttrs(*l, *r, "IN").status());
+    INCDB_RETURN_IF_ERROR(AttachCond(node.get(), q->cond));
     node->correlated = q->cond->kind != CondKind::kTrue;
     return PhysPtr(node);
   }
@@ -733,11 +705,6 @@ bool OpIsMaintainable(PhysOp op) {
     default:
       return false;
   }
-}
-
-bool OpRunsProgram(PhysOp op) {
-  return op == PhysOp::kFilterSel || op == PhysOp::kFusedProjectFilter ||
-         op == PhysOp::kNLJoin;
 }
 
 namespace {
@@ -852,8 +819,7 @@ class PlanBinder {
       auto cond = BindCondParams(n->cond, params_);
       if (!cond.ok()) return cond.status();
       copy->cond = *cond;
-      INCDB_RETURN_IF_ERROR(CompileNodeCond(copy.get(), n->pred_attrs, mode_));
-      copy->pred_attrs.clear();
+      INCDB_RETURN_IF_ERROR(CompileNodeCond(copy.get(), mode_));
     }
     if (dom_param) {
       for (Value& v : copy->dom_extra) {

@@ -27,7 +27,10 @@
 ///         semantics, each branch re-optimised; a semijoin likewise, and
 ///         an antijoin becomes a chain of per-disjunct antijoins in every
 ///         mode (enable_or_expansion).
-///     The database is consulted for *schemas only*: a compiled plan can be
+///     Every condition-bearing operator (σ, π∘σ, both joins, ⋉/▷,
+///     [NOT] IN) carries its condition compiled once into the engine's one
+///     condition evaluator, the columnar program of eval/batch.h. The
+///     database is consulted for *schemas only*: a compiled plan can be
 ///     executed against any database with the same relation schemas.
 ///
 ///  2. Execute(plan, db) runs the operators. Leaf scans return a borrowed
@@ -44,7 +47,6 @@
 /// executor; the c-table evaluator (ctables/ceval.cpp) walks the algebra
 /// itself.
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -66,7 +68,7 @@ enum class EvalMode : uint8_t { kSetNaive, kBagNaive, kSetSql };
 /// Typed physical operators.
 enum class PhysOp : uint8_t {
   kScanView,           ///< Borrowed view of a base relation.
-  kFilterSel,          ///< σ with a compiled predicate.
+  kFilterSel,          ///< σ with a compiled program.
   kFusedProjectFilter, ///< π(σ(child)) in one pass, projecting at emit time.
   kProject,            ///< Materialising projection.
   kRename,             ///< Attribute replacement (copy-free on views).
@@ -91,12 +93,6 @@ const char* ToString(PhysOp op);
 /// predicate, so the two can never drift apart silently.
 bool OpIsMaintainable(PhysOp op);
 
-/// True for the operators that sweep windows of rows through a columnar
-/// program (PhysNode::prog): σ, the fused π∘σ and the nested-loop join.
-/// Every other condition-bearing operator tests one joint tuple at a time
-/// through PhysNode::pred.
-bool OpRunsProgram(PhysOp op);
-
 class BatchPredicate;
 struct PhysNode;
 using PhysPtr = std::shared_ptr<const PhysNode>;
@@ -110,27 +106,18 @@ struct PhysNode {
 
   std::string rel_name;            ///< kScanView.
   CondPtr cond;                    ///< Filter / join residual / kInPred θ.
-  /// `cond` compiled against the joint (left·right) schema, for the
-  /// operators that test one joint tuple at a time: the hash-join,
-  /// semijoin and IN residuals. Pure and re-entrant: safe to call from the
-  /// join pool's worker threads. Null on every other operator.
-  std::function<TV3(const Tuple&)> pred;
-  /// `cond` compiled into a columnar register program (eval/batch.h)
-  /// against the operator's input schema, for the operators that sweep
-  /// row windows (OpRunsProgram: σ, π∘σ and the NL join over the joint
-  /// schema). Compiled once — by Compile, or by BindPlanParams for a
-  /// parameterised condition — and shared by every copy of the node;
-  /// callers evaluate it with their own scratch, so pool workers share it.
-  /// Null on every other operator.
-  ///
-  /// While `cond` still carries parameter placeholders, `pred` / `prog`
-  /// are validation artifacts only: Execute refuses plans with unbound
-  /// parameters, and BindPlanParams recompiles from the bound condition.
+  /// `cond` compiled into a columnar register program (eval/batch.h), the
+  /// one form every condition-bearing operator evaluates: σ and π∘σ over
+  /// their input's schema; both joins, ⋉/▷ and [NOT] IN over the joint
+  /// (left·right) schema, one outer row against windows of candidate
+  /// partners (PartnerSelect, eval/kernel.h). Compiled once — by Compile,
+  /// or by BindPlanParams for a parameterised condition, which derives the
+  /// input schema from the children — and shared by every copy of the
+  /// node; callers evaluate it with their own scratch, so pool workers
+  /// share it. Null on every other operator. While `cond` still carries
+  /// parameter placeholders the program is a validation artifact only:
+  /// Execute refuses plans with unbound parameters.
   std::shared_ptr<const BatchPredicate> prog;
-  /// Input schema `pred` / `prog` was compiled against — recorded only
-  /// when `cond` carries parameters, so BindPlanParams can recompile after
-  /// substitution.
-  std::vector<std::string> pred_attrs;
 
   std::vector<size_t> proj_pos;    ///< kProject / kFusedProjectFilter / fused join projection.
   bool fused_proj = false;         ///< Join nodes: proj_pos is active.
@@ -205,7 +192,7 @@ StatusOr<PlanPtr> Compile(const AlgPtr& q, EvalMode mode,
 
 /// Substitutes parameter bindings into a compiled plan template: nodes on
 /// a path to a parameterised condition (or Dom extra) are copied with the
-/// condition bound and its predicate recompiled; every parameter-free
+/// condition bound and its program recompiled; every parameter-free
 /// subtree is shared with the original plan. The result has
 /// param_count == 0 and is independently executable — binding the same
 /// template concurrently from many threads is safe (the template is never

@@ -82,36 +82,15 @@ void AppendValue(std::string* k, const Value& v) {
 /// encoding stays unambiguous while touching far fewer bytes.
 void AppendCond(std::string* k, const CondPtr& c) {
   AppendByte(k, static_cast<uint8_t>(c->kind));
-  switch (c->kind) {
-    case CondKind::kTrue:
-    case CondKind::kFalse:
-      break;
-    case CondKind::kAnd:
-    case CondKind::kOr:
-      AppendCond(k, c->left);
-      AppendCond(k, c->right);
-      break;
-    case CondKind::kEqAttrAttr:
-    case CondKind::kNeqAttrAttr:
-    case CondKind::kLtAttrAttr:
-    case CondKind::kLeAttrAttr:
-      AppendStr(k, c->lhs);
-      AppendStr(k, c->rhs);
-      break;
-    case CondKind::kIsConst:
-    case CondKind::kIsNull:
-      AppendStr(k, c->lhs);
-      break;
-    case CondKind::kEqAttrConst:
-    case CondKind::kNeqAttrConst:
-    case CondKind::kLtAttrConst:
-    case CondKind::kLeAttrConst:
-    case CondKind::kGtAttrConst:
-    case CondKind::kGeAttrConst:
-      AppendStr(k, c->lhs);
-      AppendValue(k, c->constant);
-      break;
+  if (c->kind == CondKind::kAnd || c->kind == CondKind::kOr) {
+    AppendCond(k, c->left);
+    AppendCond(k, c->right);
+    return;
   }
+  const size_t operands = CondAttrOperands(c->kind);
+  if (operands >= 1) AppendStr(k, c->lhs);
+  if (operands == 2) AppendStr(k, c->rhs);
+  if (KindHasConstant(c->kind)) AppendValue(k, c->constant);
 }
 
 /// Serializes the tree, kind-driven like AppendCond; each kScan node also

@@ -394,58 +394,34 @@ class PlanVerifier {
     if (n.cond && n.cond->kind != CondKind::kTrue) {
       return FailNode(n, path, "operator carries an unexpected condition");
     }
-    if (!n.pred_attrs.empty()) {
-      return FailNode(n, path, "operator records pred_attrs without a "
-                               "parameterised condition");
-    }
     return Status::OK();
   }
 
   /// Condition-bearing operators: attribute resolution against the input
-  /// schema, pred_attrs discipline, parameter coverage, the compiled form
-  /// the operator evaluates (OpRunsProgram), and — once the condition is
-  /// bound — a well-formed register program.
+  /// schema, parameter coverage, the node's program, and — once the
+  /// condition is bound — a well-formed program.
   Status CheckCond(const PhysNode& n, const std::string& path,
                    const std::vector<std::string>& input) const {
     if (!n.cond) return FailNode(n, path, "missing condition");
-    const bool runs_program = OpRunsProgram(n.op);
-    if (runs_program && !n.prog) {
-      return FailNode(n, path, "missing predicate program");
-    }
-    if (!runs_program && !n.pred) {
-      return FailNode(n, path, "missing compiled predicate");
-    }
+    if (!n.prog) return FailNode(n, path, "missing predicate program");
     for (const std::string& a : CondAttrs(n.cond)) {
       if (IndexOf(input, a) == input.size()) {
         return FailNode(n, path, "condition references attribute " + a +
                                      " outside the input schema");
       }
     }
-    const bool has_param = CondHasParam(n.cond);
-    if (has_param) {
-      if (CondParamCount(n.cond) > plan_.param_count) {
+    if (CondParamCount(n.cond) > plan_.param_count) {
+      return FailNode(n, path,
+                      "condition needs " +
+                          std::to_string(CondParamCount(n.cond)) +
+                          " parameter(s) but param_count is " +
+                          std::to_string(plan_.param_count));
+    }
+    if (!CondHasParam(n.cond)) {
+      Status prog = n.prog->Validate(input.size());
+      if (!prog.ok()) {
         return FailNode(n, path,
-                        "condition needs " +
-                            std::to_string(CondParamCount(n.cond)) +
-                            " parameter(s) but param_count is " +
-                            std::to_string(plan_.param_count));
-      }
-      if (n.pred_attrs != input) {
-        return FailNode(n, path,
-                        "parameterised condition must record its input "
-                        "schema in pred_attrs");
-      }
-    } else {
-      if (!n.pred_attrs.empty()) {
-        return FailNode(n, path,
-                        "pred_attrs recorded for a parameter-free condition");
-      }
-      if (runs_program) {
-        Status prog = n.prog->Validate(input.size());
-        if (!prog.ok()) {
-          return FailNode(n, path,
-                          "malformed predicate program: " + prog.message());
-        }
+                        "malformed predicate program: " + prog.message());
       }
     }
     return Status::OK();

@@ -25,15 +25,14 @@
 ///  * key/column indices: hash-join and semijoin key positions, IN
 ///    compare columns and division alignment positions are in range of
 ///    the side they index, with matching left/right counts;
-///  * predicates: the condition only references attributes of the
-///    operator's input schema (the joint schema for join-like nodes), a
-///    parameterised condition records that schema in pred_attrs (and a
-///    bound one does not), and the parameter-free conditions recompile
-///    into a well-formed columnar register program
-///    (BatchPredicate::Validate — postorder stack discipline, register
-///    count, operand kinds and column bounds); a semijoin's
-///    trivial_residual / residual_left_only flags say exactly whether its
-///    residual is `true` / reads only left columns;
+///  * predicates: every condition-bearing node (σ, π∘σ, both joins,
+///    ⋉/▷, [NOT] IN) carries its columnar program, the condition only
+///    references attributes of the operator's input schema (the joint
+///    schema for join-like nodes), and a parameter-free condition's
+///    program is well-formed (BatchPredicate::Validate — postorder stack
+///    discipline, register count, operand kinds and column bounds); a
+///    semijoin's trivial_residual / residual_left_only flags say exactly
+///    whether its residual is `true` / reads only left columns;
 ///  * scan ↔ catalog: with a database supplied, every ScanView's recorded
 ///    schema matches the catalog's current schema for that relation.
 ///

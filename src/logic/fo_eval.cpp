@@ -21,21 +21,14 @@ StatusOr<Value> ResolveTerm(const Term& t, const Assignment& a) {
   return it->second;
 }
 
+/// Equality atoms under each atom semantics are the condition atoms
+/// CondEqTV of the matching mode: (12) is naive, (13b) unif, and (14)
+/// applied to Eq as an extra relation is SQL's u on any null.
 TV3 EqSem(const Value& a, const Value& b, AtomSem sem) {
-  switch (sem) {
-    case AtomSem::kBool:
-      return FromBool(a == b);
-    case AtomSem::kUnif:
-      // (13b): t if syntactically equal; f only for two distinct constants.
-      if (a == b) return TV3::kT;
-      if (a.is_const() && b.is_const()) return TV3::kF;
-      return TV3::kU;
-    case AtomSem::kNullfree:
-      // (14) applied to Eq as an extra relation: u on any null.
-      if (a.is_null() || b.is_null()) return TV3::kU;
-      return FromBool(a == b);
-  }
-  return TV3::kU;
+  const CondMode mode = sem == AtomSem::kBool   ? CondMode::kNaive
+                        : sem == AtomSem::kUnif ? CondMode::kUnif
+                                                : CondMode::kSql;
+  return CondEqTV(a, b, mode);
 }
 
 TV3 AtomSemEval(const Relation& rel, const Tuple& args, AtomSem sem) {

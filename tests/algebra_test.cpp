@@ -63,9 +63,9 @@ class CondModeTest : public ::testing::Test {
                Value::Null(2)};
 
   TV3 Eval(const CondPtr& c, CondMode mode) {
-    auto f = CompileCond(c, attrs_, mode);
-    EXPECT_TRUE(f.ok()) << f.status().ToString();
-    return (*f)(tuple_);
+    auto tv = testing_util::ProgramTruth(c, attrs_, tuple_, mode);
+    EXPECT_TRUE(tv.ok()) << tv.status().ToString();
+    return tv.ok() ? *tv : TV3::kU;
   }
 };
 
@@ -116,7 +116,8 @@ TEST_F(CondModeTest, KleenePropagationInSqlMode) {
 }
 
 TEST_F(CondModeTest, UnknownAttributeIsError) {
-  auto f = CompileCond(CEq("nope", "c1"), attrs_, CondMode::kNaive);
+  auto f = testing_util::ProgramTruth(CEq("nope", "c1"), attrs_, tuple_,
+                                      CondMode::kNaive);
   EXPECT_FALSE(f.ok());
   EXPECT_EQ(f.status().code(), StatusCode::kNotFound);
 }

@@ -12,13 +12,15 @@
 //   INCDB_FUZZ_THREADS   one extra thread count to test (CI uses 4)
 //
 // A second corpus (RandomJoinTree) draws σ over 3–4-input ×/⋈ trees for
-// the compiler's join-graph planning, from the same seed.
+// the compiler's join-graph planning, and a third (RandomResidualQuery)
+// every residual shape of the binary operators, from the same seed.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <functional>
+#include <optional>
 #include <random>
 #include <string>
 #include <utility>
@@ -62,9 +64,20 @@ uint64_t RefCount(const Relation& rel, const Tuple& t) {
 StatusOr<Relation> RefEval(const AlgPtr& q, const Database& db,
                            EvalMode mode);
 
+/// θ on tuples of schema `attrs`, read by the tests' own interpreter
+/// (testing_util::RefCondTruth), which shares no compile step with the
+/// engine's columnar program.
 StatusOr<std::function<TV3(const Tuple&)>> RefPred(
     const CondPtr& c, const std::vector<std::string>& attrs, EvalMode mode) {
-  return CompileCond(c, attrs, RefCondMode(mode));
+  for (const std::string& a : CondAttrs(c)) {
+    if (IndexOf(attrs, a) == attrs.size()) {
+      return Status::NotFound("reference walk: unknown attribute " + a);
+    }
+  }
+  return std::function<TV3(const Tuple&)>(
+      [c, attrs, m = RefCondMode(mode)](const Tuple& t) {
+        return testing_util::RefCondTruth(c, attrs, t, m);
+      });
 }
 
 /// σ_θ-style EXISTS probe shared by semijoin/antijoin.
@@ -610,6 +623,167 @@ TEST(FuzzDiffTest, JoinGraphPlansAgreeWithReferenceWalk) {
           << seq->ToString();
       ASSERT_EQ(ref->attrs(), seq->attrs()) << where;
       ASSERT_TRUE(seq->IdenticalTo(*par)) << where << ": 1 vs 4 threads";
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The residual corpus: every shape in which a binary operator evaluates its
+// condition through the partner selection (eval/kernel.h) — a hash join
+// whose residual reads both sides, keyed and keyless ⋉/▷ whose residual
+// reads right columns, residuals that read only left columns, and a
+// correlated [NOT] IN. R(R_a, R_b) is the left input, S renamed to
+// (S_x, S_y) the right; the databases are larger than the main corpus's
+// so keyless probes sweep more than one 16-row window.
+
+/// A random condition whose first atom compares a left with a right
+/// column, so it stays a residual however the rest falls.
+CondPtr RandomCrossCond(std::mt19937_64& rng, int depth) {
+  const char* left[] = {"R_a", "R_b"};
+  const char* right[] = {"S_x", "S_y"};
+  auto l = [&] { return std::string(left[rng() % 2]); };
+  auto r = [&] { return std::string(right[rng() % 2]); };
+  auto k = [&] { return Value::Int(static_cast<int64_t>(rng() % 3)); };
+  CondPtr c;
+  switch (rng() % 4) {
+    case 0:
+      c = CLt(l(), r());
+      break;
+    case 1:
+      c = CNeq(r(), l());
+      break;
+    case 2:
+      c = CLe(r(), l());
+      break;
+    default:
+      c = CEq(l(), r());
+      break;
+  }
+  for (int d = 0; d < depth; ++d) {
+    CondPtr a;
+    switch (rng() % 5) {
+      case 0:
+        a = CIsNull(rng() % 2 == 0 ? l() : r());
+        break;
+      case 1:
+        a = CNeqc(r(), k());
+        break;
+      case 2:
+        a = CGec(l(), k());
+        break;
+      case 3:
+        a = CLt(r(), l());
+        break;
+      default:
+        a = CEq(l(), r());
+        break;
+    }
+    c = rng() % 2 == 0 ? CAnd(c, a) : COr(c, a);
+  }
+  return c;
+}
+
+/// A condition over the left columns only.
+CondPtr RandomLeftCond(std::mt19937_64& rng) {
+  switch (rng() % 3) {
+    case 0:
+      return CIsNull("R_a");
+    case 1:
+      return CLtc("R_b", Value::Int(static_cast<int64_t>(rng() % 3)));
+    default:
+      return COr(CNeq("R_a", "R_b"), CIsNull("R_b"));
+  }
+}
+
+AlgPtr RandomResidualQuery(std::mt19937_64& rng) {
+  const AlgPtr r = Scan("R");
+  const AlgPtr s = Rename(Scan("S"), {"S_x", "S_y"});
+  const CondPtr key = CEq("R_b", "S_x");
+  const bool anti = rng() % 2 == 0;
+  auto semi = [&](const CondPtr& c) {
+    return anti ? Antijoin(r, s, c) : Semijoin(r, s, c);
+  };
+  const int depth = static_cast<int>(rng() % 3);
+  switch (rng() % 6) {
+    case 0:  // hash join, residual over both sides
+      return Join(r, s, CAnd(key, RandomCrossCond(rng, depth)));
+    case 1:  // keyed ⋉/▷
+      return semi(CAnd(key, RandomCrossCond(rng, depth)));
+    case 2:  // keyless ⋉/▷
+      return semi(RandomCrossCond(rng, depth));
+    case 3: {  // a residual that reads only left columns
+      const CondPtr left = RandomLeftCond(rng);
+      switch (rng() % 3) {
+        case 0:
+          return semi(CAnd(key, left));
+        case 1:
+          return semi(left);
+        default:  // stays a join residual with pushdown off
+          return Join(r, s, CAnd(key, left));
+      }
+    }
+    default: {  // correlated [NOT] IN
+      const CondPtr theta = RandomCrossCond(rng, depth);
+      return rng() % 2 == 0
+                 ? InPredicate(r, s, {"R_a"}, {"S_x"}, theta)
+                 : NotInPredicate(r, s, {"R_a"}, {"S_y"}, theta);
+    }
+  }
+}
+
+TEST(FuzzDiffTest, ResidualsAgreeWithReferenceWalk) {
+  const uint64_t seed = EnvOr("INCDB_FUZZ_SEED", 20260730);
+  const uint64_t cases = EnvOr("INCDB_FUZZ_CASES", 500) / 2;
+  using Eval = StatusOr<Relation> (*)(const AlgPtr&, const Database&,
+                                      const EvalOptions&);
+  const std::pair<EvalMode, Eval> modes[] = {
+      {EvalMode::kSetNaive, &EvalSet},
+      {EvalMode::kBagNaive, &EvalBag},
+      {EvalMode::kSetSql, &EvalSql}};
+  std::vector<size_t> thread_counts = {1, 2, 8};
+  if (uint64_t extra = EnvOr("INCDB_FUZZ_THREADS", 0)) {
+    thread_counts.push_back(extra);
+  }
+  std::mt19937_64 rng(seed ^ 0x7265736964756aull);
+  for (uint64_t i = 0; i < cases; ++i) {
+    const size_t tuples = 8 + i % 24;
+    Database db = (i % 2 == 0) ? RandomDatabase(rng, tuples, 5, 2)
+                               : RandomBagDatabase(rng, tuples, 5, 2);
+    AlgPtr q = RandomResidualQuery(rng);
+    for (const auto& [mode, eval] : modes) {
+      const std::string where = "case " + std::to_string(i) + " (mode " +
+                                std::to_string(static_cast<int>(mode)) +
+                                ") " + q->ToString();
+      auto ref = RefEval(q, db, mode);
+      ASSERT_TRUE(ref.ok()) << where << ": " << ref.status().ToString();
+      for (bool pushdown : {true, false}) {
+        for (size_t batch : {size_t{1}, size_t{3}, size_t{1024}}) {
+          std::optional<Relation> serial;
+          for (size_t threads : thread_counts) {
+            EvalOptions o;
+            o.enable_selection_pushdown = pushdown;
+            o.batch_size = batch;
+            o.num_threads = threads;
+            o.parallel_min_rows = 0;
+            const std::string cfg = where + " [pushdown " +
+                                    std::to_string(pushdown) + ", b" +
+                                    std::to_string(batch) + "/t" +
+                                    std::to_string(threads) + "]";
+            auto res = eval(q, db, o);
+            ASSERT_TRUE(res.ok()) << cfg << ": " << res.status().ToString();
+            ASSERT_TRUE(ref->SameRows(*res))
+                << cfg << "\nreference:\n" << ref->ToString() << "\nplan:\n"
+                << res->ToString();
+            ASSERT_EQ(ref->attrs(), res->attrs()) << cfg;
+            if (!serial) {
+              serial = std::move(*res);
+            } else {
+              ASSERT_TRUE(serial->IdenticalTo(*res))
+                  << cfg << ": row order differs from 1 thread";
+            }
+          }
+        }
+      }
     }
   }
 }

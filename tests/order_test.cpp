@@ -12,6 +12,7 @@
 #include "eval/eval.h"
 #include "prob/prob.h"
 #include "sql/translate.h"
+#include "tests/testing_util.h"
 
 namespace incdb {
 namespace {
@@ -33,9 +34,9 @@ TEST(OrderCondTest, EvaluationModes) {
   Tuple consts{Value::Int(1), Value::Int(5)};
   Tuple with_null{Value::Int(1), Value::Null(0)};
   auto eval = [&](const CondPtr& c, const Tuple& t, CondMode m) {
-    auto f = CompileCond(c, attrs, m);
-    EXPECT_TRUE(f.ok());
-    return (*f)(t);
+    auto tv = testing_util::ProgramTruth(c, attrs, t, m);
+    EXPECT_TRUE(tv.ok());
+    return tv.ok() ? *tv : TV3::kU;
   };
   // Constants: classical.
   EXPECT_EQ(eval(CLt("a", "b"), consts, CondMode::kSql), TV3::kT);

@@ -270,20 +270,31 @@ TEST(TranslateSqlTest, IntegerOrderIsExactPastTwoToThe53) {
 // A bag join whose pair multiplicity passes 2^64 − 1 (2^32 · 2^32) fails
 // with a structured status instead of wrapping to 0 and vanishing.
 TEST(TranslateSqlTest, BagJoinMultiplicityOverflowIsResourceExhausted) {
+  // r and u hold one row 2^32 times each, so every join path that pairs
+  // them wraps a 64-bit count: the hash join, one with a residual, the
+  // nested-loop join and a hash join chained over another (t joins r to
+  // u once).
   Database db;
-  Relation r({"a"}), t({"b"});
+  Relation r({"a"}), t({"b"}), u({"c"});
   r.Add({Value::Int(1)}, uint64_t{1} << 32);
-  t.Add({Value::Int(1)}, uint64_t{1} << 32);
+  t.Add({Value::Int(1)});
+  u.Add({Value::Int(1)}, uint64_t{1} << 32);
   db.Put("r", std::move(r));
   db.Put("t", std::move(t));
+  db.Put("u", std::move(u));
   Session sess(std::move(db));
-  auto res = sess.Execute("SELECT a, b FROM r, t WHERE a = b", {},
-                          EvalMode::kBagNaive);
-  ASSERT_FALSE(res.ok()) << res->ToString();
-  EXPECT_EQ(res.status().code(), StatusCode::kResourceExhausted)
-      << res.status().ToString();
-  ASSERT_NE(res.status().detail(), nullptr);
-  EXPECT_EQ(res.status().detail()->site, "join.emit");
+  for (const char* sql :
+       {"SELECT a, c FROM r, u WHERE a = c",
+        "SELECT a, c FROM r, u WHERE a = c AND a <= c",
+        "SELECT a, c FROM r, u WHERE a <= c",
+        "SELECT a, b, c FROM r, t, u WHERE a = b AND b = c"}) {
+    auto res = sess.Execute(sql, {}, EvalMode::kBagNaive);
+    ASSERT_FALSE(res.ok()) << sql << ": " << res->ToString();
+    EXPECT_EQ(res.status().code(), StatusCode::kResourceExhausted)
+        << sql << ": " << res.status().ToString();
+    ASSERT_NE(res.status().detail(), nullptr) << sql;
+    EXPECT_EQ(res.status().detail()->site, "join.emit") << sql;
+  }
 }
 
 TEST(TranslateSqlTest, AmbiguousColumnRejected) {

@@ -2,9 +2,10 @@
 #define INCDB_TESTS_TESTING_UTIL_H_
 
 /// Shared helpers for property-style tests: the paper-running example
-/// (Figure 1), seeded random databases, the enumerated query zoo, and the
+/// (Figure 1), seeded random databases, the enumerated query zoo, the
 /// seeded structurally-random query generator behind the differential
-/// fuzzer (tests/fuzz_diff_test.cpp).
+/// fuzzer (tests/fuzz_diff_test.cpp), and a reference condition
+/// interpreter to hold the engine's columnar program against.
 
 #include <algorithm>
 #include <cstdlib>
@@ -16,6 +17,8 @@
 
 #include "algebra/builder.h"
 #include "core/database.h"
+#include "eval/batch.h"
+#include "logic/kleene.h"
 
 namespace incdb {
 namespace testing_util {
@@ -27,6 +30,70 @@ inline uint64_t EnvOr(const char* name, uint64_t fallback) {
   const char* v = std::getenv(name);
   return (v != nullptr && *v != '\0') ? std::strtoull(v, nullptr, 10)
                                       : fallback;
+}
+
+/// The reference reading of θ on tuple `t` of schema `attrs` under `mode`:
+/// a walk of the Condition AST through the atom truth values CondEqTV /
+/// CondOrderTV and Kleene's connectives, with no compile step. Every
+/// attribute θ names must be in `attrs`.
+inline TV3 RefCondTruth(const CondPtr& c, const std::vector<std::string>& attrs,
+                        const Tuple& t, CondMode mode) {
+  auto lhs = [&]() -> const Value& { return t[IndexOf(attrs, c->lhs)]; };
+  auto rhs = [&]() -> const Value& { return t[IndexOf(attrs, c->rhs)]; };
+  switch (c->kind) {
+    case CondKind::kTrue:
+      return TV3::kT;
+    case CondKind::kFalse:
+      return TV3::kF;
+    case CondKind::kAnd:
+      return Kleene::And(RefCondTruth(c->left, attrs, t, mode),
+                         RefCondTruth(c->right, attrs, t, mode));
+    case CondKind::kOr:
+      return Kleene::Or(RefCondTruth(c->left, attrs, t, mode),
+                        RefCondTruth(c->right, attrs, t, mode));
+    case CondKind::kEqAttrAttr:
+      return CondEqTV(lhs(), rhs(), mode);
+    case CondKind::kNeqAttrAttr:
+      return Kleene::Not(CondEqTV(lhs(), rhs(), mode));
+    case CondKind::kEqAttrConst:
+      return CondEqTV(lhs(), c->constant, mode);
+    case CondKind::kNeqAttrConst:
+      return Kleene::Not(CondEqTV(lhs(), c->constant, mode));
+    case CondKind::kIsConst:
+      return FromBool(lhs().is_const());
+    case CondKind::kIsNull:
+      return FromBool(lhs().is_null());
+    case CondKind::kLtAttrAttr:
+      return CondOrderTV(lhs(), rhs(), /*strict=*/true, mode);
+    case CondKind::kLeAttrAttr:
+      return CondOrderTV(lhs(), rhs(), /*strict=*/false, mode);
+    case CondKind::kLtAttrConst:
+      return CondOrderTV(lhs(), c->constant, /*strict=*/true, mode);
+    case CondKind::kLeAttrConst:
+      return CondOrderTV(lhs(), c->constant, /*strict=*/false, mode);
+    case CondKind::kGtAttrConst:
+      return CondOrderTV(c->constant, lhs(), /*strict=*/true, mode);
+    case CondKind::kGeAttrConst:
+      return CondOrderTV(c->constant, lhs(), /*strict=*/false, mode);
+  }
+  return TV3::kU;
+}
+
+/// The engine's reading of θ on `t`: its columnar program
+/// (BatchPredicate::EvalTruth) over the one-row batch that holds `t`.
+/// NotFound when θ names an attribute `attrs` lacks.
+inline StatusOr<TV3> ProgramTruth(const CondPtr& c,
+                                  const std::vector<std::string>& attrs,
+                                  const Tuple& t, CondMode mode) {
+  auto prog = BatchPredicate::Make(c, attrs, mode);
+  if (!prog.ok()) return prog.status();
+  Batch batch;
+  batch.Reset(attrs.size(), 1);
+  for (size_t p : prog->referenced()) batch.cols[p] = BatchColumn{&t[p], 0};
+  BatchPredicate::Scratch scratch;
+  uint8_t out = 0;
+  prog->EvalTruth(batch, &scratch, &out);
+  return static_cast<TV3>(out);
 }
 
 /// The Orders / Payments / Customers database of paper Figure 1.

@@ -9,11 +9,12 @@
 //    keeps the coverage in every build type.
 //
 //  * Negatives: one hand-corrupted plan per check class — bad projection
-//    index, dangling pred_attrs, cyclic DAG share, bogus maintainable,
-//    malformed predicate register program, uncovered parameter slots,
-//    wrong scanned_rels / uses_dom, stale refcounts, catalog mismatch,
-//    out-of-range join keys, unresolved num_threads — each rejected with
-//    a kInternal diagnostic naming the offending node by its root path.
+//    index, a condition node without its program, cyclic DAG share,
+//    bogus maintainable, malformed predicate register program, uncovered
+//    parameter slots, wrong scanned_rels / uses_dom, stale refcounts,
+//    catalog mismatch, out-of-range join keys, unresolved num_threads —
+//    each rejected with a kInternal diagnostic naming the offending node
+//    by its root path.
 
 #include "eval/verify.h"
 
@@ -24,6 +25,7 @@
 #include <random>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "algebra/builder.h"
@@ -238,26 +240,27 @@ TEST(VerifyNegative, ProjectionNameMismatch) {
   ExpectRejected(WithRoot(*plan, bad), &db, "names input position");
 }
 
-TEST(VerifyNegative, DanglingPredAttrs) {
+TEST(VerifyNegative, ConditionNodeWithoutProgram) {
   std::mt19937_64 rng(2);
   Database db = RandomDatabase(rng);
-  // A parameterised condition must record the exact input schema.
-  PlanPtr tmpl =
-      MustCompile(Select(Scan("R"), CEqc("R_a", Value::Param(0))), db);
-  ASSERT_NE(tmpl, nullptr);
-  ASSERT_EQ(tmpl->root->op, PhysOp::kFilterSel);
-  auto bad = std::make_shared<PhysNode>(*tmpl->root);
-  bad->pred_attrs = {"bogus"};
-  ExpectRejected(WithRoot(*tmpl, bad), &db, "pred_attrs");
-
-  // ...and a parameter-free condition must not record one at all (a bound
-  // plan that kept its template's pred_attrs would be re-bound wrongly).
-  PlanPtr plain =
-      MustCompile(Select(Scan("R"), CEqc("R_a", Value::Int(0))), db);
-  ASSERT_NE(plain, nullptr);
-  auto stale = std::make_shared<PhysNode>(*plain->root);
-  stale->pred_attrs = {"R_a", "R_b"};
-  ExpectRejected(WithRoot(*plain, stale), &db, "parameter-free");
+  AlgPtr sxy = Rename(Scan("S"), {"S_x", "S_y"});
+  // Every condition-bearing operator evaluates its condition through its
+  // program: σ, a hash join with a residual, ⋉ and a correlated IN.
+  const std::pair<AlgPtr, PhysOp> cases[] = {
+      {Select(Scan("R"), CEqc("R_a", Value::Int(0))), PhysOp::kFilterSel},
+      {Join(Scan("R"), sxy, CAnd(CEq("R_b", "S_x"), CLt("R_a", "S_y"))),
+       PhysOp::kHashJoin},
+      {Semijoin(Scan("R"), sxy, CLt("R_a", "S_y")), PhysOp::kHashSemi},
+      {InPredicate(Scan("R"), sxy, {"R_a"}, {"S_x"}, CEq("R_b", "S_y")),
+       PhysOp::kInPred}};
+  for (const auto& [q, op] : cases) {
+    PlanPtr plan = MustCompile(q, db);
+    ASSERT_NE(plan, nullptr);
+    ASSERT_EQ(plan->root->op, op) << PlanToString(*plan);
+    auto bad = std::make_shared<PhysNode>(*plan->root);
+    bad->prog = nullptr;
+    ExpectRejected(WithRoot(*plan, bad), &db, "missing predicate program");
+  }
 }
 
 TEST(VerifyNegative, CondReferencesUnknownAttribute) {
