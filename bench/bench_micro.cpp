@@ -1,9 +1,9 @@
 // Micro-benchmarks of the hot primitives on the shared runner: tuple
 // unifiability, SQL tuple equality, condition evaluation (filters and
-// the binary operators' residuals), hash join and the naive vs Q+
-// evaluation of a NOT-IN query at growing scale. These complement the experiment binaries:
-// E2/E3 measure end-to-end shapes, this file tracks the primitives
-// they rest on.
+// the binary operators' residuals), [NOT] IN and its Q+, hash join and
+// the naive vs Q+ evaluation of a NOT-IN query at growing scale. These
+// complement the experiment binaries: E2/E3 measure end-to-end shapes,
+// this file tracks the primitives they rest on.
 
 #include <algorithm>
 #include <chrono>
@@ -170,6 +170,83 @@ INCDB_BENCH(residual_eval) {
           .Param("mode", mode_name)
           .Param("outer_rows", static_cast<int64_t>(outer))
           .Param("ns_per_outer_row", ns);
+    }
+  }
+}
+
+/// SQL's [NOT] IN, which runs as ⋉/▷ (under SQL a NOT IN's key is
+/// null-aware: x = y ∨ null(x) ∨ null(y)), and the Fig. 2(b) Q+ of the
+/// same NOT IN, whose θ? keys the same way. TPC-H-lite scale 2 with 5%
+/// nulls (seed 7). The forms:
+///  * not_in: W1, orders with no lineitem, uncorrelated;
+///  * not_in_2col: lineitem's (l_orderkey, l_partkey) NOT IN the pairs of
+///    the lineitems with l_quantity > 25, nulls on both sides;
+///  * in: orders whose o_custkey is IN the customers with c_acctbal > 0;
+///  * qplus: the Q+ of W1.
+/// The first three run in set, bag and SQL mode, qplus in set mode (as
+/// EvalPlus runs it). Reports ms and ns per row of the left input's base
+/// relation. Uses only Compile/Execute and TranslatePlus.
+INCDB_BENCH(in_predicate) {
+  tpch::GenOptions gen;
+  gen.scale = 2.0;
+  gen.null_rate = 0.05;
+  gen.seed = 7;
+  Database db = tpch::Generate(gen);
+  const AlgPtr w1 = tpch::Workload()[0].algebra;
+  const AlgPtr pairs =
+      Project(Scan("lineitem"), {"l_orderkey", "l_partkey"});
+  const AlgPtr big_pairs = Rename(
+      Project(Select(Scan("lineitem"), CGtc("l_quantity", Value::Int(25))),
+              {"l_orderkey", "l_partkey"}),
+      {"r_orderkey", "r_partkey"});
+  const AlgPtr in = InPredicate(
+      Project(Scan("orders"), {"o_orderkey", "o_custkey"}),
+      Project(Select(Scan("customer"), CGtc("c_acctbal", Value::Int(0))),
+              {"c_custkey"}),
+      {"o_custkey"}, {"c_custkey"}, CTrue());
+  auto plus = TranslatePlus(w1, db);
+  if (!plus.ok()) {
+    ctx.SetFailed();
+    return;
+  }
+  struct Form {
+    const char* name;
+    AlgPtr q;
+    const char* left;
+    bool set_only;
+  };
+  const Form forms[] = {
+      {"not_in", w1, "orders", false},
+      {"not_in_2col",
+       NotInPredicate(pairs, big_pairs, {"l_orderkey", "l_partkey"},
+                      {"r_orderkey", "r_partkey"}, CTrue()),
+       "lineitem", false},
+      {"in", in, "orders", false},
+      {"qplus", *plus, "orders", true}};
+  const std::pair<const char*, EvalMode> modes[] = {
+      {"set", EvalMode::kSetNaive},
+      {"bag", EvalMode::kBagNaive},
+      {"sql", EvalMode::kSetSql}};
+  std::printf("\n%-24s %6s %10s %12s\n", "in_predicate", "mode", "ms",
+              "ns/left");
+  for (const Form& f : forms) {
+    const size_t left = db.Find(f.left)->rows().size();
+    for (const auto& [mode_name, mode] : modes) {
+      if (f.set_only && mode != EvalMode::kSetNaive) continue;
+      auto plan = Compile(f.q, mode, EvalOptions{}, db);
+      if (!plan.ok() || !Execute(*plan, db).ok()) {
+        std::printf("in_predicate: %s %s failed\n", f.name, mode_name);
+        ctx.SetFailed();
+        return;
+      }
+      const double ms = ctx.TimeMs([&] { Execute(*plan, db).ok(); });
+      const double ns = ms * 1e6 / static_cast<double>(left);
+      std::printf("%-24s %6s %10.3f %12.1f\n", f.name, mode_name, ms, ns);
+      ctx.Report("in_predicate", ms)
+          .Param("form", f.name)
+          .Param("mode", mode_name)
+          .Param("left_rows", static_cast<int64_t>(left))
+          .Param("ns_per_left_row", ns);
     }
   }
 }

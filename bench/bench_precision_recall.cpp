@@ -3,8 +3,8 @@
 // precision but its recall degrades quickly as the amount of
 // incompleteness grows; evaluation without guarantees (plain SQL)
 // additionally loses precision (invents non-certain answers). Ground truth
-// is exact cert⊥ by brute-force valuation enumeration, so the instances
-// are kept small (see DESIGN.md §3).
+// is exact cert⊥ by brute-force valuation enumeration, whose cost grows as
+// (values)^(nulls), so the instances are kept small.
 //
 // Query design note: a NOT-IN query against a nulled set has *empty*
 // certain answers (a bare null can be anything), which makes recall

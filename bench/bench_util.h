@@ -1,7 +1,10 @@
 #ifndef INCDB_BENCH_BENCH_UTIL_H_
 #define INCDB_BENCH_BENCH_UTIL_H_
 
-/// Shared runner for the experiment binaries (E1..E10, see DESIGN.md §2).
+/// Shared runner for the experiment binaries: each bench_*.cpp checks one
+/// shape of the paper's results (E1..E11, named by its bench::Header) or
+/// times primitives (bench_micro). BUILDING.md "The benchmark runner"
+/// documents the flags and the JSON records.
 ///
 /// Each bench_*.cpp registers one or more named benchmarks with
 /// INCDB_BENCH(name) { ... } and links against bench_runner, whose

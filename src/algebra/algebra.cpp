@@ -63,6 +63,20 @@ Status CheckInColumns(const AlgPtr& q) {
   return Status::OK();
 }
 
+StatusOr<CondPtr> InSemijoinCond(const AlgPtr& q, bool sql) {
+  INCDB_RETURN_IF_ERROR(CheckInColumns(q));
+  const bool maybe = sql && q->kind == OpKind::kNotIn;
+  CondPtr cond = q->cond;
+  for (size_t i = 0; i < q->attrs.size(); ++i) {
+    const std::string& x = q->attrs[i];
+    const std::string& y = q->attrs2[i];
+    CondPtr cmp = CEq(x, y);
+    if (maybe) cmp = COr(cmp, COr(CIsNull(x), CIsNull(y)));
+    cond = CAnd(cond, cmp);
+  }
+  return cond;
+}
+
 AlgPtr WithChildren(const AlgPtr& q, AlgPtr left, AlgPtr right) {
   if (left == q->left && right == q->right) return q;
   auto out = std::make_shared<Algebra>(*q);

@@ -80,6 +80,14 @@ StatusOr<std::vector<std::string>> OutputAttrs(const AlgPtr& q,
 /// unless its left and right lists are non-empty and of equal length.
 Status CheckInColumns(const AlgPtr& q);
 
+/// The condition of the ⋉ (kIn) or ▷ (kNotIn) that x̄ [NOT] IN (Q2 WHERE θ)
+/// is: θ ∧ ⋀ᵢ cmpᵢ over the compare columns xᵢ, yᵢ, where cmpᵢ is xᵢ = yᵢ.
+/// Under SQL (`sql`) NOT IN drops a row unless every comparison is
+/// certainly false, so there cmpᵢ is xᵢ = yᵢ ∨ null(xᵢ) ∨ null(yᵢ), the θ?
+/// of Fig. 2(b). The one IN-to-⋉/▷ rule, for DesugarToSemijoins (naive)
+/// and the plan compiler. Fails as CheckInColumns does.
+StatusOr<CondPtr> InSemijoinCond(const AlgPtr& q, bool sql);
+
 /// A copy of `q` over the children `left` and `right`, every other field
 /// kept — or `q` itself when both are the children it already has. The one
 /// place a rewrite rebuilds a node as the same operator.

@@ -37,13 +37,10 @@ StatusOr<AlgPtr> DesugarToSemijoins(const AlgPtr& q) {
     case OpKind::kNotIn: {
       // Under naive semantics, [NOT] IN is the semijoin/antijoin on
       // θ ∧ (lcols = rcols).
-      INCDB_RETURN_IF_ERROR(CheckInColumns(q));
-      CondPtr cond = q->cond;
-      for (size_t i = 0; i < q->attrs.size(); ++i) {
-        cond = CAnd(cond, CEq(q->attrs[i], q->attrs2[i]));
-      }
-      return q->kind == OpKind::kIn ? Semijoin(n->left, n->right, cond)
-                                    : Antijoin(n->left, n->right, cond);
+      auto cond = InSemijoinCond(q, /*sql=*/false);
+      if (!cond.ok()) return cond.status();
+      return q->kind == OpKind::kIn ? Semijoin(n->left, n->right, *cond)
+                                    : Antijoin(n->left, n->right, *cond);
     }
     default:
       return out;

@@ -522,8 +522,7 @@ std::string PreparedQuery::Explain() const {
       PhysOp::kProject,       PhysOp::kRename,    PhysOp::kHashJoin,
       PhysOp::kNLJoin,        PhysOp::kUnion,     PhysOp::kHashDiff,
       PhysOp::kHashIntersect, PhysOp::kDivision,  PhysOp::kUnifySemiJoin,
-      PhysOp::kHashSemi,      PhysOp::kInPred,    PhysOp::kDom,
-      PhysOp::kDistinct};
+      PhysOp::kHashSemi,      PhysOp::kDom,       PhysOp::kDistinct};
   out += "ops     :";
   for (PhysOp op : kAllOps) {
     size_t n = CountOps(plan, op);

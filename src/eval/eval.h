@@ -56,9 +56,10 @@ struct EvalOptions {
   uint64_t max_tuples = 100'000'000;
   /// Hash join on top-level equality conjuncts (vs nested loops).
   bool enable_hash_join = true;
-  /// σ_{θ1∨θ2}(l×r) = σ_{θ1}(l×r) ∪ σ_{θ2}(l×r) under set semantics, and
-  /// likewise for ⋉; l ▷_{θ1∨θ2} r = (l ▷_{θ1} r) ▷_{θ2} r in every mode —
-  /// rescues the disjunctions produced by the Fig. 2(b) σ?- and ▷-rules.
+  /// σ_{θ1∨θ2}(l×r) = σ_{θ1}(l×r) ∪ σ_{θ2}(l×r) under set semantics, for
+  /// a join condition without an equality key — rescues the disjunctions
+  /// the Fig. 2(b) σ?-rule puts on joins. (⋉/▷ need no rewrite: their θ?
+  /// disjunctions are null-aware keys, eval/plan.h.)
   bool enable_or_expansion = true;
   /// π(σ(l×r)) projects at emit time instead of materialising pairs.
   bool enable_projection_fusion = true;
@@ -71,11 +72,11 @@ struct EvalOptions {
   /// graph, each conjunct at the lowest join that covers it (eval/plan.h).
   bool enable_selection_pushdown = true;
   /// Worker threads for the binary physical operators (both joins,
-  /// difference, intersection, ⋉⇑, semijoin/antijoin, [NOT] IN). >1 lets
-  /// an operator split its outer rows (left rows, or the hash join's probe
-  /// rows) into this many contiguous chunks on a small thread pool and
-  /// merge their outputs in chunk order, so every operator returns the
-  /// exact sequential rows in the sequential order at any thread count.
+  /// difference, intersection, ⋉⇑, semijoin/antijoin — [NOT] IN runs as
+  /// one). >1 lets an operator split its outer rows (left rows, or the hash
+  /// join's probe rows) into this many contiguous chunks on a small thread
+  /// pool and merge their outputs in chunk order, so every operator returns
+  /// the exact sequential rows in the sequential order at any thread count.
   /// Validated at plan-compile time: 0 means "use hardware_concurrency()",
   /// values above kMaxEvalThreads are clamped (see ResolveNumThreads in
   /// eval/plan.h).

@@ -2,8 +2,9 @@
 //
 // Operators exchange RelationViews: leaf scans borrow the database rows in
 // place, everything that materialises owns its output. The binary
-// operators — difference, intersection, ⋉⇑, semijoin/antijoin, [NOT] IN
-// and both joins — run through one row driver, Executor::Sweep:
+// operators — difference, intersection, ⋉⇑, semijoin/antijoin (which SQL's
+// [NOT] IN compiles to) and both joins — run through one row driver,
+// Executor::Sweep:
 // it emits the output of the operator's outer rows (left rows, or the
 // hash join's probe rows) on the calling thread or, when
 // eval/parallel_policy.h says it pays, in EvalOptions::num_threads
@@ -426,8 +427,6 @@ class Executor {
         return EvalAntijoinUnify(n);
       case PhysOp::kHashSemi:
         return EvalSemiAnti(n);
-      case PhysOp::kInPred:
-        return EvalInPredicate(n);
       case PhysOp::kDom:
         return EvalDom(n);
       case PhysOp::kDistinct: {
@@ -636,24 +635,29 @@ class Executor {
     }
   }
 
+  /// ⋉ and ▷, which [NOT] IN compiles to: an EXISTS probe per left row over
+  /// the right rows that can pass its keys. Keyless, that is every right
+  /// row. Plain keys take the key-match chain: a null key equals only as
+  /// naive identity, so SQL indexes no null key. Null-aware keys match when
+  /// equal or null on either side: a left key holding a null checks every
+  /// right row, any other its chain, then the right rows whose key holds
+  /// one. A residual that reads no right column is decided by the first
+  /// candidate; otherwise the probe sweeps the candidates until the first
+  /// partner, and the checkpoint weight of a keyless one follows that work.
   StatusOr<RelationView> EvalSemiAnti(const PhysNode& n) {
     auto l = Eval(n.left);
     if (!l.ok()) return l;
     auto r = Eval(n.right);
     if (!r.ok()) return r;
-    // Equality with a null key never evaluates to t in either mode unless
-    // syntactically equal (naive) — the key index covers both, as naive
-    // equality is exactly key identity and SQL-mode null keys are skipped.
-    // The candidates are the key-match chain, or every right row without
-    // key columns. A residual that reads no right column is decided by the
-    // first candidate; otherwise the probe sweeps the candidates until the
-    // first partner, and the checkpoint weight of a keyless one follows
-    // that work.
     const Rows& rrows = r->rows();
     const bool keyed = !n.lkeys.empty();
     const bool sweep = !n.trivial_residual && !n.residual_left_only;
     std::optional<KeyIndex> index;
-    if (keyed) index.emplace(rrows, n.rkeys, sql_mode());
+    if (keyed) index.emplace(rrows, n.rkeys, sql_mode() || n.null_aware);
+    std::vector<uint32_t> null_keys;
+    for (uint32_t i = 0; n.null_aware && i < rrows.size(); ++i) {
+      if (NullAt(rrows[i].first, n.rkeys)) null_keys.push_back(i);
+    }
     const bool set = set_semantics();
     return SweepKeep(
         n, ChunkOp::kSemiJoin, l->rows(), rrows,
@@ -661,116 +665,36 @@ class Executor {
         [&, partners = PartnerSelect(n, rrows)](const Tuple& lt,
                                                 uint64_t lc) mutable
         -> uint64_t {
-          auto any = [](uint32_t) { return true; };
-          const uint32_t k =
-              keyed ? index->Find(lt, n.lkeys) : RowIndex::kEmpty;
+          auto key_ok = [&](uint32_t i) {
+            if (!n.null_aware) return true;
+            const Tuple& rt = rrows[i].first;
+            for (size_t k = 0; k < n.lkeys.size(); ++k) {
+              const Value& a = lt[n.lkeys[k]];
+              const Value& b = rt[n.rkeys[k]];
+              if (!a.is_null() && !b.is_null() && a != b) return false;
+            }
+            return true;
+          };
+          const bool scan = !keyed || (n.null_aware && NullAt(lt, n.lkeys));
+          const uint32_t k = scan ? RowIndex::kEmpty : index->Find(lt, n.lkeys);
           bool match;
-          if (keyed ? k == RowIndex::kEmpty : rrows.empty()) {
-            match = false;
-          } else if (!sweep) {
-            match = n.trivial_residual || !partners.Range(lt, 0, 1).empty();
-          } else if (keyed) {
-            match = partners.FindInChain(lt, *index, k, batch_size(), any);
+          if (sweep) {
+            auto any = [](uint32_t) { return true; };
+            match = (k != RowIndex::kEmpty &&
+                     partners.FindInChain(lt, *index, k, batch_size(), any)) ||
+                    (scan ? partners.FindInRange(lt, batch_size(), key_ok)
+                          : partners.FindInList(lt, null_keys, batch_size(),
+                                                key_ok));
           } else {
-            match = partners.FindInRange(lt, batch_size(), any);
+            match = k != RowIndex::kEmpty;
+            const size_t m = scan ? rrows.size() : null_keys.size();
+            for (size_t j = 0; !match && j < m; ++j) {
+              match = key_ok(scan ? static_cast<uint32_t>(j) : null_keys[j]);
+            }
+            match = match &&
+                    (n.trivial_residual || !partners.Range(lt, 0, 1).empty());
           }
           if (match == n.anti) return 0;
-          return set ? 1 : lc;
-        });
-  }
-
-  /// SQL's x̄ [NOT] IN subquery predicate. The right side is first filtered
-  /// per left row by the (possibly correlated) condition θ with 3VL keep-t
-  /// discipline; membership of the left compare columns then follows the
-  /// active mode:
-  ///  * naive: syntactic equality;
-  ///  * SQL:   IN keeps a row iff some right row compares t; NOT IN keeps
-  ///           a row iff *every* right row compares f — one null partner
-  ///           (or a null on the left with a non-empty right side) blocks
-  ///           the row, reproducing SQL's notorious NOT IN behaviour.
-  StatusOr<RelationView> EvalInPredicate(const PhysNode& n) {
-    auto l = Eval(n.left);
-    if (!l.ok()) return l;
-    auto r = Eval(n.right);
-    if (!r.ok()) return r;
-    const bool negated = n.anti;
-    const bool sql = sql_mode();
-    const bool set = set_semantics();
-
-    // Uncorrelated fast path: index the right keys once. Rows whose key
-    // involves a null are listed separately: under SQL 3VL they are the
-    // only right keys an all-constant left key cannot dismiss with one
-    // hash lookup.
-    const Rows& rrows = r->rows();
-    std::optional<KeyIndex> keys;
-    std::vector<uint32_t> null_keys;
-    if (!n.correlated) keys.emplace(rrows, n.rpos, /*sql=*/false);
-    if (!n.correlated && sql && negated) {
-      for (uint32_t i = 0; i < rrows.size(); ++i) {
-        for (size_t p : n.rpos) {
-          if (rrows[i].first[p].is_null()) {
-            null_keys.push_back(i);
-            break;
-          }
-        }
-      }
-    }
-
-    // The correlated path sweeps the right side per left row.
-    return SweepKeep(
-        n, ChunkOp::kIn, l->rows(), rrows,
-        n.correlated ? 1 + rrows.size() : 1,
-        [&, lkey = Tuple(), rkey = Tuple(),
-         partners = PartnerSelect(n, rrows)](const Tuple& lt,
-                                             uint64_t lc) mutable
-        -> uint64_t {
-          lkey.AssignProject(lt, n.lpos);
-          bool keep;
-          if (!n.correlated) {
-            const bool found = keys->Find(lt, n.lpos) != RowIndex::kEmpty;
-            if (!sql) {
-              keep = negated ? !found : found;
-            } else if (!negated) {
-              keep = found && lkey.AllConst();
-            } else if (lkey.AllConst()) {
-              // NOT IN: all comparisons must be certainly false.
-              // All-constant pairs compare t exactly when syntactically
-              // equal, so an all-constant left key needs one hash miss plus
-              // a scan of the (typically few) null-involving right keys.
-              keep = !found;
-              for (uint32_t i : null_keys) {
-                if (!keep) break;
-                rkey.AssignProject(rrows[i].first, n.rpos);
-                if (SqlTupleEq(lkey, rkey) != TV3::kF) keep = false;
-              }
-            } else {
-              // A left key with a null keeps the pairwise 3VL scan.
-              keep = true;
-              for (const auto& [rt, rc] : rrows) {
-                rkey.AssignProject(rt, n.rpos);
-                if (SqlTupleEq(lkey, rkey) != TV3::kF) {
-                  keep = false;
-                  break;
-                }
-              }
-            }
-          } else {
-            // Correlated: compare the keys of the right rows whose θ(l·r)
-            // is t, until one decides (IN: one compares t; NOT IN: one
-            // does not compare f).
-            bool exists_t = false;
-            bool all_f = true;
-            partners.FindInRange(lt, batch_size(), [&](uint32_t i) {
-              rkey.AssignProject(rrows[i].first, n.rpos);
-              const TV3 tv =
-                  sql ? SqlTupleEq(lkey, rkey) : FromBool(lkey == rkey);
-              exists_t |= tv == TV3::kT;
-              all_f &= tv == TV3::kF;
-              return negated ? !all_f : exists_t;
-            });
-            keep = negated ? all_f : exists_t;
-          }
-          if (!keep) return 0;
           return set ? 1 : lc;
         });
   }

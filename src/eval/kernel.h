@@ -137,11 +137,12 @@ inline size_t GrowWindow(size_t w, size_t first, size_t window) {
 /// columns broadcast at stride 0 and the candidates' referenced columns
 /// are read from one of two places. Range reads a window of all of
 /// `cands`, transposed once on first use: the keyless operators (NL join,
-/// keyless ⋉/▷, correlated [NOT] IN) sweep every candidate. Among gathers
-/// the rows of a list of ids: the key-match chain of the hash join and of
-/// a keyed ⋉/▷. An instance uses one of the two. The outer row is a left
-/// row, except when a hash join builds on its left input and probes with
-/// right rows (`outer_right`).
+/// keyless ⋉/▷) and a null-aware ⋉/▷'s left rows whose key holds a null
+/// sweep every candidate. Among gathers the rows of a list of ids: the
+/// key-match chain of the hash join and of a keyed ⋉/▷, and a null-aware
+/// ⋉/▷'s list of right rows whose key holds a null. The outer row is a
+/// left row, except when a hash join builds on its left input and probes
+/// with right rows (`outer_right`).
 class PartnerSelect {
  public:
   PartnerSelect(const PhysNode& n, const Rows& cands, bool outer_right = false)
@@ -149,6 +150,7 @@ class PartnerSelect {
     const size_t arity = n.left_arity + n.right->attrs.size();
     batch_.Reset(arity, 0);
     cols_.resize(arity);
+    gathered_.resize(arity);
     for (size_t p : prog_.referenced()) {
       const size_t local = p < n.left_arity ? p : p - n.left_arity;
       ((p < n.left_arity) != outer_right ? outer_ : cand_)
@@ -170,17 +172,16 @@ class PartnerSelect {
     return Select(outer, end - begin);
   }
 
-  /// Positions in `ids` of the partners among the rows cands[ids[i]],
+  /// Positions i < n of the partners among the rows cands[ids[i]],
   /// ascending. Valid until the next call.
-  const SelVector& Among(const Tuple& outer,
-                         const std::vector<uint32_t>& ids) {
+  const SelVector& Among(const Tuple& outer, const uint32_t* ids, size_t n) {
     for (const auto& [p, local] : cand_) {
-      ColumnVector& col = cols_[p];
+      ColumnVector& col = gathered_[p];
       col.Clear();
-      for (uint32_t id : ids) col.PushBack(cands_[id].first[local]);
+      for (size_t i = 0; i < n; ++i) col.PushBack(cands_[ids[i]].first[local]);
       batch_.cols[p] = BatchColumn{col.data(), 1};
     }
-    return Select(outer, ids.size());
+    return Select(outer, n);
   }
 
   /// The next at most `w` row ids of the key-match chain at `*k`, which
@@ -216,8 +217,22 @@ class PartnerSelect {
     for (size_t w = 0; k != RowIndex::kEmpty;) {
       w = GrowWindow(w, kFirstWindow, window);
       const std::vector<uint32_t>& ids = ChainWindow(index, &k, w);
-      for (uint32_t s : Among(outer, ids)) {
+      for (uint32_t s : Among(outer, ids.data(), ids.size())) {
         if (stop(ids[s])) return true;
+      }
+    }
+    return false;
+  }
+
+  /// FindInRange over the rows cands[ids[i]], in the order of `ids`.
+  template <typename Stop>
+  bool FindInList(const Tuple& outer, const std::vector<uint32_t>& ids,
+                  size_t window, Stop&& stop) {
+    for (size_t b = 0, w = 0; b < ids.size(); b += w) {
+      w = GrowWindow(w, kFirstWindow, window);
+      const size_t n = std::min(ids.size() - b, w);
+      for (uint32_t s : Among(outer, ids.data() + b, n)) {
+        if (stop(ids[b + s])) return true;
       }
     }
     return false;
@@ -250,7 +265,8 @@ class PartnerSelect {
   const Rows& cands_;
   std::vector<Col> outer_, cand_;  ///< Read from the outer row / candidates.
   bool transposed_ = false;
-  std::vector<ColumnVector> cols_;
+  std::vector<ColumnVector> cols_;      ///< Range: every candidate.
+  std::vector<ColumnVector> gathered_;  ///< Among: one window of ids.
   std::vector<uint32_t> ids_;
   Batch batch_;
   BatchPredicate::Scratch scratch_;
@@ -333,7 +349,7 @@ class HashJoinKernel {
       const std::vector<uint32_t>& ids = partners_.ChainWindow(index_, &k,
                                                                window_);
       INCDB_RETURN_IF_ERROR(pre(ids.size()));
-      for (uint32_t s : partners_.Among(pt, ids)) {
+      for (uint32_t s : partners_.Among(pt, ids.data(), ids.size())) {
         INCDB_RETURN_IF_ERROR(Emit(pt, pc, ids[s], sink));
       }
     }

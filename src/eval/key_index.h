@@ -3,7 +3,7 @@
 
 /// \file key_index.h
 /// \brief The executor's hash table: flat rows indexed on key columns,
-/// shared by the hash join (eval/kernel.h), the semijoin and IN operators
+/// shared by the hash join (eval/kernel.h), the semijoin/antijoin
 /// (eval/exec.cpp) and the null-mask groups of UnifyIndex
 /// (eval/unify_index.h).
 
@@ -18,14 +18,23 @@ namespace incdb {
 
 using Rows = std::vector<Relation::Row>;
 
+/// True when some `keys` column of `row` holds a null.
+inline bool NullAt(const Tuple& row, const std::vector<size_t>& keys) {
+  for (size_t k : keys) {
+    if (row[k].is_null()) return true;
+  }
+  return false;
+}
+
 /// \brief Rows indexed on key columns: a RowIndex over the distinct keys,
 /// each key's rows chained through `next` in the order they were given.
 ///
 /// Keys are hashed and compared in place (Tuple::ProjectedHash /
 /// ProjectedEq), so building and probing copy no key tuple. Under SQL
-/// semantics a key holding a null is neither indexed nor probed: it
-/// compares u, never t. Built eagerly; probes are pure reads, safe from
-/// any number of threads. Must not outlive `rows` or `keys`.
+/// semantics (`sql`) a key holding a null is neither indexed nor probed:
+/// it compares u, never t. A null-aware ⋉/▷ asks for the same, and lists
+/// those rows apart. Built eagerly; probes are pure reads, safe from any
+/// number of threads. Must not outlive `rows` or `keys`.
 class KeyIndex {
  public:
   /// Indexes all of `rows`, or only the ids listed in `*ids`.
@@ -77,11 +86,7 @@ class KeyIndex {
   /// skips the row because a key column is null.
   static bool KeyHash(const Tuple& row, const std::vector<size_t>& keys,
                       bool sql, size_t* h) {
-    if (sql) {
-      for (size_t k : keys) {
-        if (row[k].is_null()) return false;
-      }
-    }
+    if (sql && NullAt(row, keys)) return false;
     *h = row.ProjectedHash(keys);
     return true;
   }

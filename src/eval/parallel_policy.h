@@ -11,13 +11,13 @@
 /// order. EvalOptions::parallel_min_rows is a single knob, but the
 /// per-row work of the operators differs by orders of magnitude: a
 /// nested-loop join visits every pair (its weight counts pairs), while
-/// difference/NOT-IN, intersection/IN and the semijoins dismiss most rows
-/// with a single hash probe. At the benchmark's committed 16k-tuple scale
-/// the probe-cheap operators lose more to pool dispatch and chunk merging
-/// than they gain from threads (BENCH_baseline @1t 1.01 ms vs @4t 1.05 ms
-/// before this policy), so each operator divides its weight by a grain
-/// factor reflecting its per-unit cost before comparing against
-/// parallel_min_rows. Tests that force the parallel paths with
+/// difference, intersection and the semijoins/antijoins (SQL's [NOT] IN
+/// among them) dismiss most rows with a single hash probe. At the
+/// benchmark's committed 16k-tuple scale the probe-cheap operators lose
+/// more to pool dispatch and chunk merging than they gain from threads
+/// (BENCH_baseline @1t 1.01 ms vs @4t 1.05 ms before this policy), so
+/// each operator divides its weight by a grain factor reflecting its
+/// per-unit cost before comparing against parallel_min_rows. Tests that force the parallel paths with
 /// parallel_min_rows = 0 still force them: any non-negative scaled weight
 /// clears a zero threshold.
 
@@ -33,7 +33,6 @@ enum class ChunkOp {
   kDifference,    ///< weight = left+right rows; one hash probe per unit
   kIntersect,     ///< weight = left+right rows; one hash probe per unit
   kSemiJoin,      ///< weight = left+right rows; one key probe per unit
-  kIn,            ///< weight = left+right rows; one key probe per unit
 };
 
 /// Work units per "row" of parallel_min_rows for the operator: the weight
@@ -45,7 +44,6 @@ inline constexpr size_t ChunkGrain(ChunkOp op) {
     case ChunkOp::kDifference:
     case ChunkOp::kIntersect:
     case ChunkOp::kSemiJoin:
-    case ChunkOp::kIn:
       return 64;
     default:
       return 1;

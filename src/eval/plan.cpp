@@ -39,8 +39,6 @@ const char* ToString(PhysOp op) {
       return "UnifySemiJoin";
     case PhysOp::kHashSemi:
       return "HashSemi";
-    case PhysOp::kInPred:
-      return "InPred";
     case PhysOp::kDom:
       return "Dom";
     case PhysOp::kDistinct:
@@ -65,6 +63,32 @@ void Conjuncts(const CondPtr& c, std::vector<CondPtr>* out) {
   } else if (c->kind != CondKind::kTrue) {
     out->push_back(c);
   }
+}
+
+/// Extracts the disjuncts of a condition, however its ∨s associate.
+void Disjuncts(const Condition& c, std::vector<const Condition*>* out) {
+  if (c.kind == CondKind::kOr) {
+    Disjuncts(*c.left, out);
+    Disjuncts(*c.right, out);
+  } else {
+    out->push_back(&c);
+  }
+}
+
+/// The equality a = b of a θ?-equality a = b ∨ null(a) ∨ null(b), its
+/// disjuncts associated and ordered in any way; null for any other
+/// condition.
+const Condition* MaybeEquality(const Condition& c) {
+  std::vector<const Condition*> d;
+  Disjuncts(c, &d);
+  const Condition* eq = nullptr;
+  std::multiset<std::string> nulls;
+  for (const Condition* x : d) {
+    if (x->kind == CondKind::kEqAttrAttr) eq = x;
+    if (x->kind == CondKind::kIsNull) nulls.insert(x->lhs);
+  }
+  if (d.size() != 3 || eq == nullptr) return nullptr;
+  return nulls == std::multiset<std::string>{eq->lhs, eq->rhs} ? eq : nullptr;
 }
 
 /// Rewrites the attribute names of a condition through a rename mapping
@@ -141,9 +165,8 @@ class Compiler {
       case OpKind::kAntijoin:
         return CompileSemiAnti(q, /*anti=*/true);
       case OpKind::kIn:
-        return CompileInPredicate(q, /*negated=*/false);
       case OpKind::kNotIn:
-        return CompileInPredicate(q, /*negated=*/true);
+        return CompileIn(q);
       case OpKind::kDistinct: {
         auto in = CompileNode(q->left);
         if (!in.ok()) return in;
@@ -329,25 +352,28 @@ class Compiler {
     return attrs;
   }
 
-  /// Splits `conj` into hash keys (top-level left=right equality conjuncts,
-  /// honouring enable_hash_join) and a residual list.
+  /// Splits `conj` into hash keys and a residual list. A key is a
+  /// top-level equality l = r between the two sides, honouring `extract`
+  /// (enable_hash_join), or with `maybe` the equality of a θ?-equality
+  /// l = r ∨ null(l) ∨ null(r) (MaybeEquality).
   void SplitEquiConjuncts(const std::vector<CondPtr>& conj,
                           const std::vector<std::string>& lattrs,
                           const std::vector<std::string>& rattrs,
-                          bool extract,
+                          bool extract, bool maybe,
                           std::vector<size_t>* lkeys,
                           std::vector<size_t>* rkeys,
                           std::vector<CondPtr>* residual) {
     for (const CondPtr& c : conj) {
-      if (c->kind == CondKind::kEqAttrAttr) {
-        size_t li = IndexOf(lattrs, c->lhs);
-        size_t ri = IndexOf(rattrs, c->rhs);
+      const Condition* eq = maybe ? MaybeEquality(*c) : c.get();
+      if (extract && eq != nullptr && eq->kind == CondKind::kEqAttrAttr) {
+        size_t li = IndexOf(lattrs, eq->lhs);
+        size_t ri = IndexOf(rattrs, eq->rhs);
         if (li == lattrs.size() || ri == rattrs.size()) {
           // Maybe the attributes are swapped.
-          li = IndexOf(lattrs, c->rhs);
-          ri = IndexOf(rattrs, c->lhs);
+          li = IndexOf(lattrs, eq->rhs);
+          ri = IndexOf(rattrs, eq->lhs);
         }
-        if (extract && li != lattrs.size() && ri != rattrs.size()) {
+        if (li != lattrs.size() && ri != rattrs.size()) {
           lkeys->push_back(li);
           rkeys->push_back(ri);
           continue;
@@ -530,8 +556,8 @@ class Compiler {
     // Conjunct split: hashable equi-conjuncts vs residual.
     std::vector<size_t> lkeys, rkeys;
     std::vector<CondPtr> residual;
-    SplitEquiConjuncts(conj, l->attrs, r->attrs, opts_.enable_hash_join, &lkeys,
-                       &rkeys, &residual);
+    SplitEquiConjuncts(conj, l->attrs, r->attrs, opts_.enable_hash_join,
+                       /*maybe=*/false, &lkeys, &rkeys, &residual);
 
     // OR-expansion: a disjunctive join condition with no hashable
     // top-level equality (the shape the Fig. 2(b) σ?-rule produces:
@@ -589,9 +615,25 @@ class Compiler {
     return BuildSemiAnti(*l, *r, q->cond, anti);
   }
 
+  /// x̄ [NOT] IN (Q2 WHERE θ): the ⋉ (▷) on InSemijoinCond's condition.
+  StatusOr<PhysPtr> CompileIn(const AlgPtr& q) {
+    auto l = CompileNode(q->left);
+    if (!l.ok()) return l;
+    auto r = CompileNode(q->right);
+    if (!r.ok()) return r;
+    auto cond = InSemijoinCond(q, mode_ == EvalMode::kSetSql);
+    if (!cond.ok()) return cond.status();
+    for (size_t i = 0; i < q->attrs.size(); ++i) {
+      if (IndexOf((*l)->attrs, q->attrs[i]) == (*l)->attrs.size() ||
+          IndexOf((*r)->attrs, q->attrs2[i]) == (*r)->attrs.size()) {
+        return Status::NotFound("IN: compare columns " + q->attrs[i] + ", " +
+                                q->attrs2[i] + " are not on their sides");
+      }
+    }
+    return BuildSemiAnti(*l, *r, *cond, q->kind == OpKind::kNotIn);
+  }
+
   /// l ⋉cond r, or l ▷cond r with `anti`: an EXISTS probe per left row.
-  /// Also the re-entry point for its OR-expansion, whose links share the
-  /// compiled inputs.
   StatusOr<PhysPtr> BuildSemiAnti(const PhysPtr& l, PhysPtr r,
                                   const CondPtr& cond, bool anti) {
     INCDB_RETURN_IF_ERROR(JointAttrs(l, r, "semijoin").status());
@@ -606,29 +648,25 @@ class Compiler {
     // match, so hashing never loses multiplicities).
     std::vector<size_t> lkeys, rkeys;
     std::vector<CondPtr> residual;
-    SplitEquiConjuncts(conj, l->attrs, r->attrs, /*extract=*/true, &lkeys,
-                       &rkeys, &residual);
-
-    // OR-expansion: a disjunction with no hash key (the θ? of the Fig.
-    // 2(b) ▷ rule: a = b ∨ null(a) ∨ null(b)) would probe every right row
-    // per left row. A left row has a partner under θ1 ∨ θ2 iff it has one
-    // under θ1 or one under θ2, so l ▷θ1∨θ2 r = (l ▷θ1 r) ▷θ2 r under
-    // sets, bags and 3VL alike, and l ⋉θ1∨θ2 r = (l ⋉θ1 r) ∪ (l ⋉θ2 r)
-    // under set semantics. Each link is re-optimised with its own fast
-    // path and shares r, which the executor evaluates once.
-    if (opts_.enable_or_expansion && lkeys.empty() && residual.size() == 1 &&
-        residual[0]->kind == CondKind::kOr && (anti || set_semantics())) {
-      auto a = BuildSemiAnti(l, r, residual[0]->left, anti);
-      if (!a.ok()) return a;
-      if (anti) return BuildSemiAnti(*a, r, residual[0]->right, true);
-      auto b = BuildSemiAnti(l, r, residual[0]->right, false);
-      if (!b.ok()) return b;
-      return UnionOf(*a, *b);
+    SplitEquiConjuncts(conj, l->attrs, r->attrs, /*extract=*/true,
+                       /*maybe=*/false, &lkeys, &rkeys, &residual);
+    // Without an equality key, the θ?-equalities of the Fig. 2(b) rules and
+    // of SQL's NOT IN are null-aware keys: a key column matches when equal
+    // or null on either side, which is when a = b ∨ null(a) ∨ null(b) is t
+    // under every mode.
+    bool null_aware = false;
+    if (lkeys.empty()) {
+      conj = std::move(residual);
+      residual.clear();
+      SplitEquiConjuncts(conj, l->attrs, r->attrs, /*extract=*/true,
+                         /*maybe=*/true, &lkeys, &rkeys, &residual);
+      null_aware = !lkeys.empty();
     }
 
     auto node = std::make_shared<PhysNode>();
     node->op = PhysOp::kHashSemi;
     node->anti = anti;
+    node->null_aware = null_aware;
     node->attrs = l->attrs;
     node->left = l;
     node->right = r;
@@ -640,39 +678,6 @@ class Compiler {
     node->residual_left_only =
         !node->trivial_residual && CondWithin(res, l->attrs);
     INCDB_RETURN_IF_ERROR(AttachCond(node.get(), res));
-    return PhysPtr(node);
-  }
-
-  StatusOr<PhysPtr> CompileInPredicate(const AlgPtr& q, bool negated) {
-    auto l = CompileNode(q->left);
-    if (!l.ok()) return l;
-    auto r = CompileNode(q->right);
-    if (!r.ok()) return r;
-    INCDB_RETURN_IF_ERROR(CheckInColumns(q));
-    auto node = std::make_shared<PhysNode>();
-    node->op = PhysOp::kInPred;
-    node->anti = negated;
-    node->attrs = (*l)->attrs;
-    node->left = *l;
-    node->right = *r;
-    node->left_arity = (*l)->attrs.size();
-    for (const std::string& a : q->attrs) {
-      size_t i = IndexOf((*l)->attrs, a);
-      if (i == (*l)->attrs.size()) {
-        return Status::NotFound("IN: left column " + a + " not in input");
-      }
-      node->lpos.push_back(i);
-    }
-    for (const std::string& a : q->attrs2) {
-      size_t i = IndexOf((*r)->attrs, a);
-      if (i == (*r)->attrs.size()) {
-        return Status::NotFound("IN: right column " + a + " not in input");
-      }
-      node->rpos.push_back(i);
-    }
-    INCDB_RETURN_IF_ERROR(JointAttrs(*l, *r, "IN").status());
-    INCDB_RETURN_IF_ERROR(AttachCond(node.get(), q->cond));
-    node->correlated = q->cond->kind != CondKind::kTrue;
     return PhysPtr(node);
   }
 
@@ -727,6 +732,7 @@ void RenderNode(const PhysPtr& n, size_t depth, std::string* out) {
   if (n->op == PhysOp::kScanView) {
     *out += "(" + n->rel_name + ")";
   }
+  if (n->null_aware) *out += "(null-aware)";
   if (n->cond && n->cond->kind != CondKind::kTrue) {
     *out += "[" + n->cond->ToString() + "]";
   }

@@ -24,14 +24,17 @@
 ///         (enable_projection_fusion);
 ///       * OR-expansion — a disjunctive join condition with no hashable
 ///         equality becomes a union of per-disjunct joins under set
-///         semantics, each branch re-optimised; a semijoin likewise, and
-///         an antijoin becomes a chain of per-disjunct antijoins in every
-///         mode (enable_or_expansion).
-///     Every condition-bearing operator (σ, π∘σ, both joins, ⋉/▷,
-///     [NOT] IN) carries its condition compiled once into the engine's one
-///     condition evaluator, the columnar program of eval/batch.h. The
-///     database is consulted for *schemas only*: a compiled plan can be
-///     executed against any database with the same relation schemas.
+///         semantics, each branch re-optimised (enable_or_expansion);
+///       * EXISTS lowering — x̄ [NOT] IN (Q2 WHERE θ) is the ⋉ (▷) on
+///         θ ∧ x̄ = ȳ, with SQL's NOT IN comparing xᵢ = yᵢ ∨ null(xᵢ) ∨
+///         null(yᵢ) (InSemijoinCond, algebra/algebra.h); a ⋉/▷ without an
+///         equality key takes those θ?-equalities, the shape of the Fig. 2(b)
+///         ▷ rule, as null-aware keys (always on).
+///     Every condition-bearing operator (σ, π∘σ, both joins, ⋉/▷) carries
+///     its condition compiled once into the engine's one condition
+///     evaluator, the columnar program of eval/batch.h. The database is
+///     consulted for *schemas only*: a compiled plan can be executed
+///     against any database with the same relation schemas.
 ///
 ///  2. Execute(plan, db) runs the operators. Leaf scans return a borrowed
 ///     RelationView over the database's flat rows (no copy); the binary
@@ -79,8 +82,7 @@ enum class PhysOp : uint8_t {
   kHashIntersect,      ///< Intersection (hash; IN 3VL under SQL).
   kDivision,           ///< Q1 ÷ Q2.
   kUnifySemiJoin,      ///< ⋉⇑ with the null-mask unifiability index.
-  kHashSemi,           ///< Semijoin / antijoin (EXISTS-style, hashed keys).
-  kInPred,             ///< SQL [NOT] IN predicate.
+  kHashSemi,           ///< ⋉ / ▷ / [NOT] IN (EXISTS, hashed keys).
   kDom,                ///< Dom^k over the active domain.
   kDistinct,           ///< Multiplicity collapse.
 };
@@ -105,10 +107,10 @@ struct PhysNode {
   std::vector<std::string> attrs;  ///< Output schema.
 
   std::string rel_name;            ///< kScanView.
-  CondPtr cond;                    ///< Filter / join residual / kInPred θ.
+  CondPtr cond;                    ///< Filter / join or ⋉/▷ residual.
   /// `cond` compiled into a columnar register program (eval/batch.h), the
   /// one form every condition-bearing operator evaluates: σ and π∘σ over
-  /// their input's schema; both joins, ⋉/▷ and [NOT] IN over the joint
+  /// their input's schema; both joins and ⋉/▷ over the joint
   /// (left·right) schema, one outer row against windows of candidate
   /// partners (PartnerSelect, eval/kernel.h). Compiled once — by Compile,
   /// or by BindPlanParams for a parameterised condition, which derives the
@@ -126,13 +128,14 @@ struct PhysNode {
   size_t left_arity = 0;           ///< Join-like nodes: arity of the left input.
 
   std::vector<size_t> lkeys, rkeys;  ///< kHashJoin / kHashSemi key positions.
-  bool anti = false;               ///< kHashSemi: antijoin; kInPred: NOT IN.
+  bool anti = false;               ///< kHashSemi: antijoin.
+  /// kHashSemi: the keys are θ?-equalities k = k' ∨ null(k) ∨ null(k'):
+  /// a key column matches when equal or null on either side.
+  bool null_aware = false;
   bool trivial_residual = false;   ///< kHashSemi: no residual predicate.
   /// kHashSemi: the residual reads only left columns, so the first key
   /// match decides it.
   bool residual_left_only = false;
-  bool correlated = false;         ///< kInPred: θ references both sides.
-  std::vector<size_t> lpos, rpos;  ///< kInPred compare columns.
   std::vector<size_t> keep_pos, div_l, div_r;  ///< kDivision alignment.
 
   size_t dom_arity = 0;            ///< kDom.

@@ -119,8 +119,6 @@ class PlanVerifier {
         return CheckDivision(n, path);
       case PhysOp::kHashSemi:
         return CheckSemi(n, path);
-      case PhysOp::kInPred:
-        return CheckInPred(n, path);
       case PhysOp::kDom:
         return CheckDom(n, path);
       case PhysOp::kDistinct:
@@ -213,22 +211,31 @@ class PlanVerifier {
     return Status::OK();
   }
 
-  Status CheckJoin(const PhysNode& n, const std::string& path) const {
+  /// The left·right schema a join or ⋉/▷ reads, once left_arity matches
+  /// its left input and no attribute appears on both sides.
+  StatusOr<std::vector<std::string>> JointInput(const PhysNode& n,
+                                                const std::string& path) const {
     const std::vector<std::string>& la = n.left->attrs;
-    const std::vector<std::string>& ra = n.right->attrs;
     if (n.left_arity != la.size()) {
       return FailNode(n, path,
                       "left_arity " + std::to_string(n.left_arity) +
                           " != left input arity " + std::to_string(la.size()));
     }
     std::vector<std::string> joint = la;
-    for (const std::string& a : ra) {
+    for (const std::string& a : n.right->attrs) {
       if (IndexOf(la, a) != la.size()) {
-        return FailNode(n, path,
-                        "attribute " + a + " appears on both join sides");
+        return FailNode(n, path, "attribute " + a + " appears on both sides");
       }
       joint.push_back(a);
     }
+    return joint;
+  }
+
+  Status CheckJoin(const PhysNode& n, const std::string& path) const {
+    const std::vector<std::string>& la = n.left->attrs;
+    const std::vector<std::string>& ra = n.right->attrs;
+    auto joint = JointInput(n, path);
+    if (!joint.ok()) return joint.status();
     if (n.op == PhysOp::kHashJoin) {
       if (n.lkeys.empty()) {
         return FailNode(n, path, "hash join without key columns");
@@ -240,7 +247,7 @@ class PlanVerifier {
       }
     }
     if (n.fused_proj) {
-      INCDB_RETURN_IF_ERROR(CheckProjection(n, path, n.proj_pos, joint));
+      INCDB_RETURN_IF_ERROR(CheckProjection(n, path, n.proj_pos, *joint));
       bool left_only = true, right_only = true;
       for (size_t p : n.proj_pos) {
         (p < n.left_arity ? right_only : left_only) = false;
@@ -254,9 +261,9 @@ class PlanVerifier {
       if (!n.proj_pos.empty()) {
         return FailNode(n, path, "proj_pos set without fused_proj");
       }
-      INCDB_RETURN_IF_ERROR(CheckSchemaEquals(n, path, joint, "joint input"));
+      INCDB_RETURN_IF_ERROR(CheckSchemaEquals(n, path, *joint, "joint input"));
     }
-    return CheckCond(n, path, joint);
+    return CheckCond(n, path, *joint);
   }
 
   Status CheckKeys(const PhysNode& n, const std::string& path, size_t larity,
@@ -286,18 +293,12 @@ class PlanVerifier {
 
   Status CheckSemi(const PhysNode& n, const std::string& path) const {
     INCDB_RETURN_IF_ERROR(CheckSchemaEquals(n, path, n.left->attrs, "left"));
-    if (n.left_arity != n.left->attrs.size()) {
-      return FailNode(n, path, "left_arity != left input arity");
-    }
+    auto joint = JointInput(n, path);
+    if (!joint.ok()) return joint.status();
     INCDB_RETURN_IF_ERROR(
         CheckKeys(n, path, n.left->attrs.size(), n.right->attrs.size()));
-    std::vector<std::string> joint = n.left->attrs;
-    for (const std::string& a : n.right->attrs) {
-      if (IndexOf(n.left->attrs, a) != n.left->attrs.size()) {
-        return FailNode(n, path,
-                        "attribute " + a + " appears on both semijoin sides");
-      }
-      joint.push_back(a);
+    if (n.null_aware && n.lkeys.empty()) {
+      return FailNode(n, path, "null-aware semijoin without key columns");
     }
     if (!n.cond) return FailNode(n, path, "semijoin without residual condition");
     if (n.trivial_residual != (n.cond->kind == CondKind::kTrue)) {
@@ -312,39 +313,7 @@ class PlanVerifier {
       return FailNode(n, path,
                       "residual_left_only flag disagrees with the condition");
     }
-    return CheckCond(n, path, joint);
-  }
-
-  Status CheckInPred(const PhysNode& n, const std::string& path) const {
-    INCDB_RETURN_IF_ERROR(CheckSchemaEquals(n, path, n.left->attrs, "left"));
-    if (n.left_arity != n.left->attrs.size()) {
-      return FailNode(n, path, "left_arity != left input arity");
-    }
-    if (n.lpos.size() != n.rpos.size()) {
-      return FailNode(n, path,
-                      "IN compare column counts disagree: " +
-                          std::to_string(n.lpos.size()) + " left vs " +
-                          std::to_string(n.rpos.size()) + " right");
-    }
-    for (size_t p : n.lpos) {
-      if (p >= n.left->attrs.size()) {
-        return FailNode(n, path, "IN left column " + std::to_string(p) +
-                                     " out of range");
-      }
-    }
-    for (size_t p : n.rpos) {
-      if (p >= n.right->attrs.size()) {
-        return FailNode(n, path, "IN right column " + std::to_string(p) +
-                                     " out of range");
-      }
-    }
-    std::vector<std::string> joint = n.left->attrs;
-    for (const std::string& a : n.right->attrs) joint.push_back(a);
-    if (!n.cond) return FailNode(n, path, "IN predicate without condition");
-    if (n.correlated != (n.cond->kind != CondKind::kTrue)) {
-      return FailNode(n, path, "correlated flag disagrees with the condition");
-    }
-    return CheckCond(n, path, joint);
+    return CheckCond(n, path, *joint);
   }
 
   Status CheckDivision(const PhysNode& n, const std::string& path) const {

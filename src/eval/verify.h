@@ -22,11 +22,11 @@
 ///    input arity (and names where the operator preserves them), joins
 ///    concatenate disjoint input schemas, projections map every output
 ///    position to an in-bounds input position with the matching name;
-///  * key/column indices: hash-join and semijoin key positions, IN
-///    compare columns and division alignment positions are in range of
-///    the side they index, with matching left/right counts;
+///  * key/column indices: hash-join and semijoin key positions and
+///    division alignment positions are in range of the side they index,
+///    with matching left/right counts; a null-aware semijoin has keys;
 ///  * predicates: every condition-bearing node (σ, π∘σ, both joins,
-///    ⋉/▷, [NOT] IN) carries its columnar program, the condition only
+///    ⋉/▷) carries its columnar program, the condition only
 ///    references attributes of the operator's input schema (the joint
 ///    schema for join-like nodes), and a parameter-free condition's
 ///    program is well-formed (BatchPredicate::Validate — postorder stack

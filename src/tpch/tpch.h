@@ -11,16 +11,21 @@
 /// generates a *scaled-down* schema-compatible instance with a seeded RNG
 /// and configurable null injection, and expresses the negation-heavy
 /// decision-support queries (the NOT IN / NOT EXISTS family the study
-/// highlights) in incdb's algebra. See DESIGN.md §3 for why this preserves
-/// the experiments' shape.
+/// highlights) in incdb's algebra. The experiments compare evaluations of
+/// the same instance (SQL against Q+ cost, answers against certain
+/// answers), so their shape rests on what the instance keeps: the schema,
+/// the key/foreign-key structure and the null rate, not the row count.
 ///
-/// Schema (keys are never nulled; nullable columns marked *):
+/// Schema (nullable columns marked *; the other keys are never nulled):
 ///   nation  (n_nationkey, n_name, n_regionkey*)
 ///   customer(c_custkey, c_name, c_nationkey*, c_acctbal*)
 ///   supplier(s_suppkey, s_name, s_nationkey*, s_acctbal*)
 ///   part    (p_partkey, p_name, p_brand*, p_size*)
 ///   orders  (o_orderkey, o_custkey*, o_totalprice*, o_status*)
-///   lineitem(l_orderkey, l_partkey*, l_suppkey*, l_quantity*, l_price*)
+///   lineitem(l_orderkey*, l_partkey*, l_suppkey*, l_quantity*, l_price*)
+/// A null l_orderkey is a lineitem of an unknown order. Under SQL's 3VL one
+/// makes `o_orderkey NOT IN (SELECT l_orderkey ...)` u for every order not
+/// listed, so W1 and W3 return no rows in SQL mode: §1's false negatives.
 
 #include <cstdint>
 

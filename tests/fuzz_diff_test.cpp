@@ -12,8 +12,9 @@
 //   INCDB_FUZZ_THREADS   one extra thread count to test (CI uses 4)
 //
 // A second corpus (RandomJoinTree) draws σ over 3–4-input ×/⋈ trees for
-// the compiler's join-graph planning, and a third (RandomResidualQuery)
-// every residual shape of the binary operators, from the same seed.
+// the compiler's join-graph planning, a third (RandomResidualQuery)
+// every residual shape of the binary operators, and a fourth the Fig. 2(b)
+// Q+ and Q? of RandomQueryGen queries, from the same seed.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +29,7 @@
 
 #include "algebra/builder.h"
 #include "api/session.h"
+#include "approx/approx.h"
 #include "eval/eval.h"
 #include "eval/plan.h"
 #include "tests/testing_util.h"
@@ -631,10 +633,12 @@ TEST(FuzzDiffTest, JoinGraphPlansAgreeWithReferenceWalk) {
 // The residual corpus: every shape in which a binary operator evaluates its
 // condition through the partner selection (eval/kernel.h) — a hash join
 // whose residual reads both sides, keyed and keyless ⋉/▷ whose residual
-// reads right columns, residuals that read only left columns, and a
-// correlated [NOT] IN. R(R_a, R_b) is the left input, S renamed to
-// (S_x, S_y) the right; the databases are larger than the main corpus's
-// so keyless probes sweep more than one 16-row window.
+// reads right columns, residuals that read only left columns, ⋉/▷ on
+// θ?-equalities (null-aware keys) alone, beside a left-only or a cross
+// residual and beside a plain key, and [NOT] IN over one or two compare
+// columns, correlated and uncorrelated. R(R_a, R_b) is the left input, S
+// renamed to (S_x, S_y) the right; the databases are larger than the main
+// corpus's so keyless probes sweep more than one 16-row window.
 
 /// A random condition whose first atom compares a left with a right
 /// column, so it stays a residual however the rest falls.
@@ -695,6 +699,16 @@ CondPtr RandomLeftCond(std::mt19937_64& rng) {
   }
 }
 
+/// The θ? of the Fig. 2(b) ▷ rule for a = b, a = b ∨ null(a) ∨ null(b),
+/// with the equality's operands in either order and the ∨s nested to the
+/// right (as MaybeCond builds it) or to the left.
+CondPtr RandomMaybeEq(std::mt19937_64& rng, const std::string& a,
+                      const std::string& b) {
+  const CondPtr eq = rng() % 2 == 0 ? CEq(a, b) : CEq(b, a);
+  if (rng() % 2 == 0) return COr(eq, COr(CIsNull(a), CIsNull(b)));
+  return COr(COr(eq, CIsNull(a)), CIsNull(b));
+}
+
 AlgPtr RandomResidualQuery(std::mt19937_64& rng) {
   const AlgPtr r = Scan("R");
   const AlgPtr s = Rename(Scan("S"), {"S_x", "S_y"});
@@ -704,7 +718,12 @@ AlgPtr RandomResidualQuery(std::mt19937_64& rng) {
     return anti ? Antijoin(r, s, c) : Semijoin(r, s, c);
   };
   const int depth = static_cast<int>(rng() % 3);
-  switch (rng() % 6) {
+  // One or two θ?-equalities between a left and a right column.
+  auto maybe_eqs = [&] {
+    CondPtr c = RandomMaybeEq(rng, "R_b", "S_x");
+    return rng() % 2 == 0 ? c : CAnd(c, RandomMaybeEq(rng, "R_a", "S_y"));
+  };
+  switch (rng() % 9) {
     case 0:  // hash join, residual over both sides
       return Join(r, s, CAnd(key, RandomCrossCond(rng, depth)));
     case 1:  // keyed ⋉/▷
@@ -721,6 +740,21 @@ AlgPtr RandomResidualQuery(std::mt19937_64& rng) {
         default:  // stays a join residual with pushdown off
           return Join(r, s, CAnd(key, left));
       }
+    }
+    case 4:  // null-aware keys alone, or beside a left-only residual
+      return semi(rng() % 2 == 0 ? maybe_eqs()
+                                 : CAnd(maybe_eqs(), RandomLeftCond(rng)));
+    case 5:  // null-aware keys beside a cross residual, or a plain key
+      return semi(rng() % 2 == 0
+                      ? CAnd(maybe_eqs(), RandomCrossCond(rng, depth))
+                      : CAnd(maybe_eqs(), CEq("R_a", "S_y")));
+    case 6: {  // [NOT] IN over two compare columns
+      const CondPtr theta =
+          rng() % 2 == 0 ? CTrue() : RandomCrossCond(rng, depth);
+      return rng() % 2 == 0
+                 ? InPredicate(r, s, {"R_a", "R_b"}, {"S_x", "S_y"}, theta)
+                 : NotInPredicate(r, s, {"R_b", "R_a"}, {"S_x", "S_y"},
+                                  theta);
     }
     default: {  // correlated [NOT] IN
       const CondPtr theta = RandomCrossCond(rng, depth);
@@ -786,6 +820,69 @@ TEST(FuzzDiffTest, ResidualsAgreeWithReferenceWalk) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The Fig. 2(b) corpus: Q+ and Q? of the RandomQueryGen queries that
+// PrepareForTranslation accepts, evaluated by EvalSet and EvalBag against
+// the reference walk. Their ⋉/▷ on θ? compile to null-aware keys and
+// those on θ* to plain ones. The Theorem 4.7 sandwich holds for an empty
+// Q+, so it cannot see a probe that drops rows it should keep; this test
+// can.
+TEST(FuzzDiffTest, Fig2bTranslationsAgreeWithReferenceWalk) {
+  const uint64_t seed = EnvOr("INCDB_FUZZ_SEED", 20260730);
+  const uint64_t cases = EnvOr("INCDB_FUZZ_CASES", 500);
+  using Eval = StatusOr<Relation> (*)(const AlgPtr&, const Database&,
+                                      const EvalOptions&);
+  const std::pair<EvalMode, Eval> modes[] = {{EvalMode::kSetNaive, &EvalSet},
+                                             {EvalMode::kBagNaive, &EvalBag}};
+  // The default plan; the same plan at an awkward window on the pool,
+  // which must return identical rows in identical order; every pass off.
+  EvalOptions windowed;
+  windowed.batch_size = 3;
+  windowed.num_threads = std::max<uint64_t>(2, EnvOr("INCDB_FUZZ_THREADS", 0));
+  windowed.parallel_min_rows = 0;
+  EvalOptions bare;
+  bare.enable_hash_join = false;
+  bare.enable_or_expansion = false;
+  bare.enable_projection_fusion = false;
+  bare.enable_unify_index = false;
+  bare.enable_selection_pushdown = false;
+  std::mt19937_64 rng(seed ^ 0x66696732627471ull);
+  RandomQueryGen gen(rng);
+  uint64_t translated = 0;
+  for (uint64_t i = 0; i < cases; ++i) {
+    const size_t tuples = 3 + i % 4;
+    Database db = (i % 2 == 0) ? RandomDatabase(rng, tuples)
+                               : RandomBagDatabase(rng, tuples);
+    AlgPtr q = gen.Gen(2 + static_cast<int>(i % 3));
+    if (!PrepareForTranslation(q, db).ok()) continue;
+    ++translated;
+    for (bool plus : {true, false}) {
+      auto t = plus ? TranslatePlus(q, db) : TranslateMaybe(q, db);
+      ASSERT_TRUE(t.ok()) << "case " << i << ": " << t.status().ToString();
+      for (const auto& [mode, eval] : modes) {
+        const std::string where =
+            "case " + std::to_string(i) + (plus ? " Q+" : " Q?") +
+            " (mode " + std::to_string(static_cast<int>(mode)) + ") of " +
+            q->ToString() + " = " + (*t)->ToString();
+        auto ref = RefEval(*t, db, mode);
+        ASSERT_TRUE(ref.ok()) << where << ": " << ref.status().ToString();
+        auto dflt = eval(*t, db, EvalOptions{});
+        auto win = eval(*t, db, windowed);
+        auto none = eval(*t, db, bare);
+        ASSERT_TRUE(dflt.ok() && win.ok() && none.ok()) << where;
+        ASSERT_TRUE(ref->SameRows(*dflt))
+            << where << "\nreference:\n" << ref->ToString() << "\nplan:\n"
+            << dflt->ToString();
+        ASSERT_EQ(ref->attrs(), dflt->attrs()) << where;
+        ASSERT_TRUE(dflt->IdenticalTo(*win)) << where << ": b3/t"
+                                             << windowed.num_threads;
+        ASSERT_TRUE(ref->SameRows(*none)) << where << ": every pass off";
+      }
+    }
+  }
+  EXPECT_GT(translated, cases / 4) << "too few queries were translatable";
 }
 
 // The result cache must be invisible: on the same corpus, a session with

@@ -4,11 +4,11 @@
 // shape (a conjunctive query joins with exactly one HashJoin and no
 // NLJoin); leaf scans borrow the database rows instead of copying; every
 // operator the executor splits into chunks (both joins, difference,
-// intersection, ⋉⇑, the semijoins, [NOT] IN) is row-for-row identical to
-// sequential at every thread count; and the query-identity
-// plan cache (src/eval/plan_cache.h) accounts hits/misses, distinguishes
-// α-renamed from structurally identical queries, invalidates on schema
-// change and survives concurrent lookups.
+// intersection, ⋉⇑, the semijoins that [NOT] IN compiles to) is
+// row-for-row identical to sequential at every thread count; and the
+// query-identity plan cache (src/eval/plan_cache.h) accounts hits/misses,
+// distinguishes α-renamed from structurally identical queries,
+// invalidates on schema change and survives concurrent lookups.
 
 #include <gtest/gtest.h>
 
@@ -244,11 +244,11 @@ void CollectNodes(const PhysPtr& n, std::set<const PhysNode*>* seen,
 
 TEST(PlanShapeTest, TpchQPlusAndQMaybeRunWithoutNestedLoops) {
   // The Fig. 2(b) translations of TPC-H-lite W1–W8 at scale 0.1 with 5%
-  // nulls. The ▷ rule's θ? = k = k' ∨ null(k) ∨ null(k') compiles to an
-  // antijoin chain (hash antijoin, null-key drop, "some right key is
-  // null" test) over one shared right input, so no plan needs a nested
-  // loop but W4's Q?, whose join conditions are conjunctions of such
-  // disjunctions. No semijoin probes every right row per left row.
+  // nulls. The ▷ rule's θ? = k = k' ∨ null(k) ∨ null(k') compiles to one
+  // antijoin whose null-aware key is k, so no plan needs a nested loop
+  // but W4's Q?, whose join conditions are conjunctions of such
+  // disjunctions. Every ⋉/▷ has keys, and none is a link of a chain of
+  // antijoins over one right input.
   tpch::GenOptions gen;
   gen.scale = 0.1;
   gen.null_rate = 0.05;
@@ -274,29 +274,10 @@ TEST(PlanShapeTest, TpchQPlusAndQMaybeRunWithoutNestedLoops) {
       CollectNodes((*plan)->root, &seen, &nodes);
       for (const PhysNode* n : nodes) {
         if (n->op != PhysOp::kHashSemi) continue;
-        if (n->lkeys.empty()) {
-          EXPECT_TRUE(n->trivial_residual || n->residual_left_only) << shape;
-          for (const std::string& a : CondAttrs(n->cond)) {
-            EXPECT_NE(IndexOf(n->left->attrs, a), n->left->attrs.size())
-                << shape;
-          }
+        EXPECT_FALSE(n->lkeys.empty()) << shape;
+        if (n->anti && n->left->op == PhysOp::kHashSemi && n->left->anti) {
+          EXPECT_NE(n->left->right, n->right) << shape;
         }
-        // An antijoin chain: its links read one shared right input, which
-        // the executor memoises.
-        if (!n->anti || n->left->op != PhysOp::kHashSemi || !n->left->anti) {
-          continue;
-        }
-        std::map<const PhysNode*, size_t> rights;
-        for (const PhysNode* link = n;
-             link->op == PhysOp::kHashSemi && link->anti;
-             link = link->left.get()) {
-          ++rights[link->right.get()];
-        }
-        bool shared = false;
-        for (const auto& [right, links] : rights) {
-          shared |= links >= 2 && (*plan)->refcount.at(right) >= 2;
-        }
-        EXPECT_TRUE(shared) << shape;
       }
       auto ref = Execute(*plan, db);
       ASSERT_TRUE(ref.ok()) << where << ": " << ref.status().ToString();
@@ -311,6 +292,59 @@ TEST(PlanShapeTest, TpchQPlusAndQMaybeRunWithoutNestedLoops) {
         ASSERT_TRUE(res.ok()) << where << ": " << res.status().ToString();
         EXPECT_TRUE(ref->IdenticalTo(*res)) << where << " at " << threads
                                             << " threads";
+      }
+    }
+  }
+}
+
+TEST(PlanShapeTest, SqlNotInIsOneNullAwareAntijoin) {
+  // perfbench's W1/W3/W5/W8 as SQL. Each [NOT] IN compiles to one
+  // HashSemi; under SQL's 3VL a NOT IN compares xᵢ = yᵢ ∨ null(xᵢ) ∨
+  // null(yᵢ), so its key is null-aware, while the naive readings of W1
+  // (set and bag) key on x = y.
+  tpch::GenOptions gen;
+  gen.scale = 0.1;
+  gen.null_rate = 0.05;
+  gen.seed = 7;
+  Database db = tpch::Generate(gen);
+  const std::pair<const char*, size_t> queries[] = {
+      {"SELECT o_orderkey FROM orders WHERE o_totalprice > ? AND o_orderkey "
+       "NOT IN ( SELECT l_orderkey FROM lineitem )",
+       1},
+      {"SELECT o_orderkey FROM orders WHERE o_status <> 'F' AND "
+       "o_totalprice > ? AND o_orderkey NOT IN ( SELECT l_orderkey FROM "
+       "lineitem )",
+       1},
+      {"SELECT p_partkey FROM part WHERE p_partkey NOT IN ( SELECT l_partkey "
+       "FROM lineitem WHERE l_price > ? )",
+       1},
+      {"SELECT o_orderkey FROM orders WHERE o_orderkey NOT IN ( SELECT "
+       "o2.o_orderkey FROM orders o2 WHERE o2.o_status <> 'F' AND "
+       "o2.o_totalprice > ? AND o2.o_orderkey NOT IN ( SELECT l_orderkey "
+       "FROM lineitem ) )",
+       2}};
+  for (const auto& [sql, not_ins] : queries) {
+    auto q = ParseSqlToAlgebra(sql, db);
+    ASSERT_TRUE(q.ok()) << sql << ": " << q.status().ToString();
+    const bool w1 = sql == queries[0].first;
+    for (EvalMode mode :
+         {EvalMode::kSetSql, EvalMode::kSetNaive, EvalMode::kBagNaive}) {
+      if (mode != EvalMode::kSetSql && !w1) continue;
+      auto plan = Compile(*q, mode, EvalOptions{}, db);
+      ASSERT_TRUE(plan.ok()) << sql << ": " << plan.status().ToString();
+      const std::string shape = std::string(sql) + "\n" + PlanToString(**plan);
+      EXPECT_EQ(CountOps(**plan, PhysOp::kHashSemi), not_ins) << shape;
+      EXPECT_EQ(CountOps(**plan, PhysOp::kNLJoin), 0u) << shape;
+      EXPECT_EQ(CountOps(**plan, PhysOp::kUnion), 0u) << shape;
+      std::set<const PhysNode*> seen;
+      std::vector<const PhysNode*> nodes;
+      CollectNodes((*plan)->root, &seen, &nodes);
+      for (const PhysNode* n : nodes) {
+        if (n->op != PhysOp::kHashSemi) continue;
+        EXPECT_TRUE(n->anti) << shape;
+        EXPECT_EQ(n->lkeys.size(), 1u) << shape;
+        EXPECT_TRUE(n->trivial_residual) << shape;
+        EXPECT_EQ(n->null_aware, mode == EvalMode::kSetSql) << shape;
       }
     }
   }
@@ -659,12 +693,13 @@ TEST(PlanExecTest, ParallelNLJoinHonoursBudget) {
   EXPECT_EQ(res.status().code(), StatusCode::kResourceExhausted);
 }
 
-// Hash join, semijoin/antijoin, [NOT] IN and ⋉⇑ over keys with heavy
-// duplication and repeated marked nulls, in every mode, each against a
-// form of the same query that takes no key index: the NL join, a semijoin
-// whose condition hides its equality in a disjunction (so nothing is
-// hashed), the correlated IN scan (an always-true correlation) and the
-// unindexed ⋉⇑ scan.
+// Hash join, semijoin/antijoin (on plain and on null-aware keys), [NOT] IN
+// and ⋉⇑ over keys with heavy duplication and repeated marked nulls, in
+// every mode, each against a form of the same query that takes no key
+// index: the NL join, a semijoin/antijoin whose condition hides its key in
+// a disjunction with false (so nothing is hashed) and the unindexed ⋉⇑
+// scan. [NOT] IN compares against that ⋉/▷ on its lowered condition: x = y,
+// and under SQL's NOT IN x = y ∨ null(x) ∨ null(y).
 TEST(PlanExecTest, KeyedOperatorsAgreeWithUnindexedFormsOnDuplicateKeys) {
   Database db;
   Relation l({"a", "b"}), r({"c", "d"});
@@ -681,10 +716,14 @@ TEST(PlanExecTest, KeyedOperatorsAgreeWithUnindexedFormsOnDuplicateKeys) {
   const AlgPtr R = Scan("R");
   const CondPtr eq = CEq("a", "c");
   const CondPtr eq_unhashed = COr(eq, CFalse());
-  const CondPtr always = COr(CIsConst("d"), CIsNull("d"));
+  const CondPtr maybe_eq = COr(eq, COr(CIsNull("a"), CIsNull("c")));
+  const CondPtr maybe_eq_left = COr(COr(CEq("c", "a"), CIsNull("a")),
+                                    CIsNull("c"));
+  const CondPtr maybe_unhashed = COr(maybe_eq, CFalse());
   struct Case {
     AlgPtr indexed, unindexed;
     EvalOptions unindexed_opts;
+    AlgPtr sql_unindexed = nullptr;  ///< The unindexed form under SQL.
   };
   EvalOptions no_hash_join;
   no_hash_join.enable_hash_join = false;
@@ -694,17 +733,37 @@ TEST(PlanExecTest, KeyedOperatorsAgreeWithUnindexedFormsOnDuplicateKeys) {
       {Join(L, R, eq), Join(L, R, eq), no_hash_join},
       {Semijoin(L, R, eq), Semijoin(L, R, eq_unhashed), {}},
       {Antijoin(L, R, eq), Antijoin(L, R, eq_unhashed), {}},
-      {InPredicate(L, R, {"a"}, {"c"}, CTrue()),
-       InPredicate(L, R, {"a"}, {"c"}, always), {}},
+      {Semijoin(L, R, maybe_eq), Semijoin(L, R, maybe_unhashed), {}},
+      {Antijoin(L, R, maybe_eq_left), Antijoin(L, R, maybe_unhashed), {}},
+      {InPredicate(L, R, {"a"}, {"c"}, CTrue()), Semijoin(L, R, eq_unhashed),
+       {}},
       {NotInPredicate(L, R, {"a"}, {"c"}, CTrue()),
-       NotInPredicate(L, R, {"a"}, {"c"}, always), {}},
+       Antijoin(L, R, eq_unhashed), {}, Antijoin(L, R, maybe_unhashed)},
       {AntijoinUnify(L, R), AntijoinUnify(L, R), no_unify_index},
   };
   using EvalFn = StatusOr<Relation> (*)(const AlgPtr&, const Database&,
                                          const EvalOptions&);
+  const std::pair<EvalMode, EvalFn> modes[] = {
+      {EvalMode::kSetNaive, &EvalSet},
+      {EvalMode::kBagNaive, &EvalBag},
+      {EvalMode::kSetSql, &EvalSql}};
+  // Key columns of the ⋉/▷ a form compiles to.
+  auto semi_keys = [&db](const AlgPtr& q, EvalMode mode) {
+    auto plan = Compile(q, mode, EvalOptions{}, db);
+    EXPECT_TRUE(plan.ok() && (*plan)->root->op == PhysOp::kHashSemi);
+    return plan.ok() ? (*plan)->root->lkeys.size() : 0;
+  };
   for (const Case& c : cases) {
-    for (EvalFn eval : {EvalFn(&EvalSet), EvalFn(&EvalBag), EvalFn(&EvalSql)}) {
-      auto want = (*eval)(c.unindexed, db, c.unindexed_opts);
+    for (const auto& [mode, eval] : modes) {
+      const AlgPtr& unindexed = mode == EvalMode::kSetSql && c.sql_unindexed
+                                    ? c.sql_unindexed
+                                    : c.unindexed;
+      if (c.indexed->kind != OpKind::kJoin &&
+          c.indexed->kind != OpKind::kAntijoinUnify) {
+        EXPECT_EQ(semi_keys(c.indexed, mode), 1u) << c.indexed->ToString();
+        EXPECT_EQ(semi_keys(unindexed, mode), 0u) << unindexed->ToString();
+      }
+      auto want = (*eval)(unindexed, db, c.unindexed_opts);
       ASSERT_TRUE(want.ok()) << want.status().ToString();
       for (size_t threads : {1, 2, 4}) {
         EvalOptions o;
@@ -1125,8 +1184,9 @@ TEST(ParallelPolicyTest, PairCountingOpsKeepUnitGrain) {
 }
 
 // The hash join keeps its threshold of build + probe rows ≥
-// parallel_min_rows (grain 1). Intersection/IN, the semijoins and [NOT] IN
-// cost one hash probe per row, like the difference, and take its grain.
+// parallel_min_rows (grain 1). Intersection and the semijoins/antijoins
+// (SQL's [NOT] IN among them) cost one hash probe per row, like the
+// difference, and take its grain.
 TEST(ParallelPolicyTest, ChunkedHashProbeOpsTakeTheDifferenceGrain) {
   constexpr size_t kDefaultMinRows = EvalOptions{}.parallel_min_rows;
   EXPECT_EQ(ChunkGrain(ChunkOp::kHashJoin), 1u);
@@ -1134,7 +1194,7 @@ TEST(ParallelPolicyTest, ChunkedHashProbeOpsTakeTheDifferenceGrain) {
                                          kDefaultMinRows, ChunkOp::kHashJoin));
   EXPECT_FALSE(ChunkParallelismProfitable(
       4, 600, kDefaultMinRows - 1, kDefaultMinRows, ChunkOp::kHashJoin));
-  for (ChunkOp op : {ChunkOp::kIntersect, ChunkOp::kSemiJoin, ChunkOp::kIn}) {
+  for (ChunkOp op : {ChunkOp::kIntersect, ChunkOp::kSemiJoin}) {
     EXPECT_EQ(ChunkGrain(op), ChunkGrain(ChunkOp::kDifference));
     EXPECT_EQ(ChunkGrain(op), 64u);
     // The difference's bench shape stays sequential for them too.

@@ -12,7 +12,8 @@
 //    index, a condition node without its program, cyclic DAG share,
 //    bogus maintainable, malformed predicate register program, uncovered
 //    parameter slots, wrong scanned_rels / uses_dom, stale refcounts,
-//    catalog mismatch, out-of-range join keys, unresolved num_threads —
+//    catalog mismatch, out-of-range join keys, a null-aware semijoin
+//    without keys, unresolved num_threads —
 //    each rejected with a kInternal diagnostic naming the offending node
 //    by its root path.
 
@@ -245,14 +246,15 @@ TEST(VerifyNegative, ConditionNodeWithoutProgram) {
   Database db = RandomDatabase(rng);
   AlgPtr sxy = Rename(Scan("S"), {"S_x", "S_y"});
   // Every condition-bearing operator evaluates its condition through its
-  // program: σ, a hash join with a residual, ⋉ and a correlated IN.
+  // program: σ, a hash join with a residual, ⋉ and a correlated IN, which
+  // compiles to a keyed ⋉.
   const std::pair<AlgPtr, PhysOp> cases[] = {
       {Select(Scan("R"), CEqc("R_a", Value::Int(0))), PhysOp::kFilterSel},
       {Join(Scan("R"), sxy, CAnd(CEq("R_b", "S_x"), CLt("R_a", "S_y"))),
        PhysOp::kHashJoin},
       {Semijoin(Scan("R"), sxy, CLt("R_a", "S_y")), PhysOp::kHashSemi},
       {InPredicate(Scan("R"), sxy, {"R_a"}, {"S_x"}, CEq("R_b", "S_y")),
-       PhysOp::kInPred}};
+       PhysOp::kHashSemi}};
   for (const auto& [q, op] : cases) {
     PlanPtr plan = MustCompile(q, db);
     ASSERT_NE(plan, nullptr);
@@ -480,6 +482,25 @@ TEST(VerifyNegative, JoinKeyOutOfRange) {
   keyless->lkeys.clear();
   keyless->rkeys.clear();
   ExpectRejected(WithRoot(*plan, keyless), &db, "without key columns");
+}
+
+TEST(VerifyNegative, NullAwareSemijoinWithoutKeys) {
+  std::mt19937_64 rng(11);
+  Database db = RandomDatabase(rng);
+  AlgPtr sxy = Rename(Scan("S"), {"S_x", "S_y"});
+  // SQL's NOT IN keys on R_a = S_x ∨ null(R_a) ∨ null(S_x), null-aware.
+  PlanPtr plan = MustCompile(
+      NotInPredicate(Scan("R"), sxy, {"R_a"}, {"S_x"}, CTrue()), db,
+      EvalMode::kSetSql);
+  ASSERT_NE(plan, nullptr);
+  ASSERT_EQ(plan->root->op, PhysOp::kHashSemi) << PlanToString(*plan);
+  ASSERT_TRUE(plan->root->null_aware) << PlanToString(*plan);
+  EXPECT_TRUE(VerifyPlan(*plan, &db).ok());
+  auto keyless = std::make_shared<PhysNode>(*plan->root);
+  keyless->lkeys.clear();
+  keyless->rkeys.clear();
+  ExpectRejected(WithRoot(*plan, keyless), &db,
+                 "null-aware semijoin without key columns");
 }
 
 TEST(VerifyNegative, UnresolvedNumThreads) {
