@@ -5,7 +5,9 @@
 // mutex and publishes it with an atomic shared_ptr store; Snapshot() pins
 // the latest instance with an atomic load. Version stamps come from one
 // process-wide counter, so any two distinct relation states ever created
-// carry distinct stamps — the invariant the result cache keys on.
+// carry distinct stamps — the invariant the result cache keys on. Each
+// new state also gets a fresh key-index memo (NewEntry), so a memo only
+// ever indexes the rows it was made for.
 
 #include "core/database.h"
 
@@ -13,6 +15,8 @@
 #include <cassert>
 #include <sstream>
 #include <unordered_map>
+
+#include "core/key_index.h"
 
 namespace incdb {
 
@@ -27,6 +31,11 @@ uint64_t NextVersion() {
 }
 
 }  // namespace
+
+Database::Entry Database::NewEntry(std::shared_ptr<const Relation> rel) {
+  auto indexes = std::make_shared<KeyIndexMemo>(*rel);
+  return Entry{std::move(rel), NextVersion(), std::move(indexes)};
+}
 
 Database::Database() : inst_(std::make_shared<const Instance>()) {}
 
@@ -69,9 +78,9 @@ void Database::PublishEdit(const std::function<void(Instance&)>& edit) {
 void Database::Put(const std::string& name, Relation rel) {
   auto shared = std::make_shared<const Relation>(std::move(rel));
   PublishEdit([&](Instance& next) {
-    uint64_t v = NextVersion();
-    next.rels[name] = Entry{std::move(shared), v};
-    next.epoch = v;
+    Entry& e = next.rels[name];
+    e = NewEntry(std::move(shared));
+    next.epoch = e.version;
   });
 }
 
@@ -111,18 +120,24 @@ const Relation& Database::at(const std::string& name) const {
   return *it->second.rel;
 }
 
+KeyIndexMemo* Database::KeyIndexes(const std::string& name) const {
+  auto it = inst_->rels.find(name);
+  return it == inst_->rels.end() ? nullptr : it->second.indexes.get();
+}
+
 Relation* Database::mutable_at(const std::string& name) {
   // Detach a private copy of the relation state so snapshots pinned before
   // this call keep the old rows, then publish an instance pointing at the
   // (caller-mutable) copy. Single-threaded by contract: the caller writes
-  // through the returned pointer after publication.
+  // through the returned pointer after publication, so the state gets no
+  // key-index memo.
   auto it = inst_->rels.find(name);
   assert(it != inst_->rels.end());
   auto detached = std::make_shared<Relation>(*it->second.rel);
   Relation* raw = detached.get();
   PublishEdit([&](Instance& next) {
     uint64_t v = NextVersion();
-    next.rels[name] = Entry{std::move(detached), v};
+    next.rels[name] = Entry{std::move(detached), v, nullptr};
     next.epoch = v;
   });
   return raw;
@@ -346,8 +361,7 @@ Status Database::Commit(Txn&& txn, CommitInfo* info) {
     }
     if (rel.has_value()) {
       next->rels[name] =
-          Entry{std::make_shared<const Relation>(std::move(*rel)),
-                NextVersion()};
+          NewEntry(std::make_shared<const Relation>(std::move(*rel)));
     } else {
       next->rels.erase(name);
     }

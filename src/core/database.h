@@ -20,6 +20,11 @@
 ///    ever produced in the process carries a distinct version stamp; equal
 ///    stamps imply the same shared immutable rows. The result cache
 ///    (eval/result_cache.h) keys on them.
+///  * **Indexes live with the state.** Each relation state carries a
+///    KeyIndexMemo (core/key_index.h): the key indexes queries built over
+///    its rows, shared by every snapshot of the state. A Put, Drop or
+///    Commit of the relation publishes a new state with an empty memo, so
+///    no index is ever invalidated by hand.
 ///
 /// **Thread-safety contract.** Snapshot(), Begin()/Commit() and the
 /// single-relation mutators (Put/Drop) may race with each other on one
@@ -60,6 +65,7 @@ struct RelationDelta {
 };
 
 struct CommitInfo;
+class KeyIndexMemo;
 
 /// \brief An incomplete database instance.
 ///
@@ -67,12 +73,17 @@ struct CommitInfo;
 /// mentions no nulls. Relation name lookup is case-sensitive.
 class Database {
  private:
-  /// One named relation: shared immutable rows + the version stamp of the
-  /// state. Stamps come from a process-wide counter, so distinct states
-  /// never collide (two entries with equal stamps share the same object).
+  /// One named relation state: shared immutable rows, the version stamp of
+  /// the state and its key-index memo. Stamps come from a process-wide
+  /// counter, so distinct states never collide (two entries with equal
+  /// stamps share the same objects). Copying an instance copies entries,
+  /// so every snapshot of a state shares its memo; each new state gets a
+  /// new one (NewEntry). The state mutable_at hands out for writing has
+  /// none: its rows may still change.
   struct Entry {
     std::shared_ptr<const Relation> rel;
     uint64_t version = 0;
+    std::shared_ptr<KeyIndexMemo> indexes;
   };
   using RelMap = std::map<std::string, Entry>;
 
@@ -118,6 +129,10 @@ class Database {
   const Relation* Find(const std::string& name) const;
   /// Unchecked access; aborts if absent (for internal use after validation).
   const Relation& at(const std::string& name) const;
+  /// The key-index memo (core/key_index.h) of relation `name`'s current
+  /// state, shared by every snapshot of that state; nullptr when absent and
+  /// for a state mutable_at handed out. Valid as long as Find's pointer.
+  KeyIndexMemo* KeyIndexes(const std::string& name) const;
   /// In-place mutable access: detaches a private copy of the relation (and
   /// instance) if shared, bumps its version, and returns the detached
   /// relation. Single-threaded only — the returned pointer writes through
@@ -291,6 +306,10 @@ class Database {
 
  private:
   explicit Database(InstPtr inst) : inst_(std::move(inst)) {}
+
+  /// A new relation state of `rel`: a fresh version stamp and an empty
+  /// key-index memo.
+  static Entry NewEntry(std::shared_ptr<const Relation> rel);
 
   /// Atomically pins the latest published instance (safe vs writers).
   InstPtr LoadInstance() const;

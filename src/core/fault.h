@@ -7,10 +7,12 @@
 /// FaultInjector is a seeded, process-wide source of synthetic failures.
 /// Named injection sites sit at allocation-heavy / status-returning
 /// boundaries (relation materialization, pool dispatch, cache insert,
-/// snapshot pin, node evaluation). When armed, each site roll either
-/// passes or returns a *structured* error — kCancelled or
-/// kResourceExhausted with StatusDetail::site naming the boundary —
-/// never kInternal, never a crash. The differential-fuzzer fault sweep
+/// snapshot pin, node evaluation, key-index build: "exec.key_index" in
+/// KeyIndexMemo::Get, core/key_index.h, before a built index is
+/// published). When armed, each site roll either passes or returns a
+/// *structured* error — kCancelled or kResourceExhausted with
+/// StatusDetail::site naming the boundary — never kInternal, never a
+/// crash. The differential-fuzzer fault sweep
 /// (tests/fault_injection_test.cpp) asserts exactly that contract.
 ///
 /// The sites compile to nothing unless INCDB_FAULT_INJECTION is defined

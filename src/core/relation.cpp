@@ -61,6 +61,7 @@ Status Relation::InsertRow(T&& t, uint64_t count, bool probe) {
     if (__builtin_add_overflow(have, count, &sum)) {
       return MultiplicityOverflow("relation.insert", have, count);
     }
+    if (have == 1) ++multi_;
     have = sum;
     return Status::OK();
   }
@@ -74,6 +75,7 @@ Status Relation::InsertRow(T&& t, uint64_t count, bool probe) {
   }
   slot = static_cast<uint32_t>(rows_.size());
   rows_.emplace_back(std::forward<T>(t), count);  // carries t's cached hash
+  if (count > 1) ++multi_;
   return Status::OK();
 }
 
@@ -113,6 +115,7 @@ Status Relation::Erase(const Tuple& t, uint64_t count) {
         t.ToString() + ", only " + std::to_string(rows_[row].second) +
         " present");
   }
+  if (rows_[row].second > 1 && rows_[row].second - count <= 1) --multi_;
   rows_[row].second -= count;
   if (rows_[row].second > 0) return Status::OK();
   // Last occurrence gone: drop the row's index entry, then move the final
@@ -168,13 +171,6 @@ Status Relation::RenameAttrs(std::vector<std::string> attrs) {
   }
   attrs_ = std::move(attrs);
   return Status::OK();
-}
-
-bool Relation::IsSet() const {
-  for (const auto& [t, c] : rows_) {
-    if (c != 1) return false;
-  }
-  return true;
 }
 
 std::vector<Tuple> Relation::SortedTuples() const {

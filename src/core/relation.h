@@ -104,9 +104,11 @@ class Relation {
   /// In-place ToSet: collapses every multiplicity of `this` to 1.
   void CollapseCounts() {
     for (Row& row : rows_) row.second = 1;
+    multi_ = 0;
   }
-  /// True iff every multiplicity is 1.
-  bool IsSet() const;
+  /// True iff every multiplicity is 1. O(1): the mutators count the rows
+  /// whose multiplicity is above 1.
+  bool IsSet() const { return multi_ == 0; }
 
   /// Replaces the attribute names without touching row storage (the
   /// zero-copy backing of the rename operator). Arity must match.
@@ -161,6 +163,8 @@ class Relation {
   std::vector<Row> rows_;
   /// Row ids keyed by their tuples' cached hashes.
   RowIndex index_;
+  /// Rows whose multiplicity is above 1.
+  size_t multi_ = 0;
 };
 
 /// kResourceExhausted for a bag multiplicity `a ⊕ b` (a sum or product,
@@ -173,6 +177,8 @@ Status MultiplicityOverflow(const char* site, uint64_t a, uint64_t b);
 /// condition resolution (schemas are short, so a linear scan beats hashing).
 size_t IndexOf(const std::vector<std::string>& attrs, const std::string& name);
 
+class KeyIndexMemo;
+
 /// \brief A read-only, possibly borrowed view of a Relation.
 ///
 /// Physical operators exchange RelationViews: leaf scans *borrow* the
@@ -181,15 +187,20 @@ size_t IndexOf(const std::vector<std::string>& attrs, const std::string& name);
 /// makes views cheap to pass around and to memoise for plan DAGs. A
 /// borrowed view must not outlive the relation it points into. Renaming
 /// wraps the same rows with replacement attribute names, so renames of
-/// borrowed scans stay copy-free too.
+/// borrowed scans stay copy-free too. A view of a stored relation state
+/// carries that state's key-index memo (core/key_index.h), so an operator
+/// that indexes it reuses the indexes earlier queries built.
 class RelationView {
  public:
   RelationView() = default;
 
   /// Borrows `rel` in place; the caller guarantees it outlives the view.
-  static RelationView Borrow(const Relation& rel) {
+  /// `indexes` is the memo of the stored state `rel` is, if it is one.
+  static RelationView Borrow(const Relation& rel,
+                             KeyIndexMemo* indexes = nullptr) {
     RelationView v;
     v.rel_ = &rel;
+    v.indexes_ = indexes;
     return v;
   }
   /// Takes ownership of a materialised relation.
@@ -215,6 +226,8 @@ class RelationView {
   /// The viewed relation. Its attrs() are the *original* names; a renamed
   /// view reports the replacement names via RelationView::attrs().
   const Relation& rel() const { return *rel_; }
+  /// The key-index memo of the stored state this view borrows, or null.
+  KeyIndexMemo* indexes() const { return indexes_; }
 
   /// The same rows under replacement attribute names (arity must match).
   RelationView Renamed(std::vector<std::string> attrs) const {
@@ -230,6 +243,7 @@ class RelationView {
  private:
   std::shared_ptr<Relation> owned_;   ///< null when borrowed
   const Relation* rel_ = nullptr;     ///< always the row provider
+  KeyIndexMemo* indexes_ = nullptr;   ///< Borrow of a stored state only
   std::optional<std::vector<std::string>> renamed_;
 };
 

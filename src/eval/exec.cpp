@@ -11,6 +11,12 @@
 // contiguous chunks on a process-wide worker pool whose outputs merge in
 // chunk order. Either way every operator returns the sequential rows in
 // the sequential order (Relation::IdenticalTo) at any thread count.
+//
+// A hash join, join chain or ⋉/▷ that indexes a scan's borrowed view
+// takes the index from the relation state's memo (core/key_index.h,
+// Executor::IndexOn): the first query over that state builds it, later
+// ones probe it. Materialised inputs and set-collapsed copies are indexed
+// per call.
 
 #include <algorithm>
 #include <atomic>
@@ -42,20 +48,17 @@ StatusOr<RelationView> ScanResolver::Resolve(const std::string& name,
     return Status::NotFound("no relation named " + name);
   }
   const Relation& rel = *found;
-  if (!collapse_to_set) return RelationView::Borrow(rel);
-  // The IsSet() scan and any collapse run once per relation; repeated
-  // resolutions (the FO evaluator re-resolves inside quantifier loops)
-  // hit the cached decision.
-  auto it = collapsed_.find(name);
-  if (it == collapsed_.end()) {
-    // Base relations are usually sets already, in which case the scan is
-    // a pure borrow (cached as null); otherwise the collapsed copy is
-    // materialised once.
-    std::unique_ptr<Relation> copy;
-    if (!rel.IsSet()) copy = std::make_unique<Relation>(rel.ToSet());
-    it = collapsed_.emplace(name, std::move(copy)).first;
+  // Base relations are usually sets already: the scan borrows the stored
+  // state in place, with its key-index memo.
+  if (!collapse_to_set || rel.IsSet()) {
+    return RelationView::Borrow(rel, db_->KeyIndexes(name));
   }
-  return RelationView::Borrow(it->second ? *it->second : rel);
+  // Otherwise the collapsed copy is materialised once per relation;
+  // repeated resolutions (the FO evaluator re-resolves inside quantifier
+  // loops) reuse it.
+  auto it = collapsed_.find(name);
+  if (it == collapsed_.end()) it = collapsed_.emplace(name, rel.ToSet()).first;
+  return RelationView::Borrow(it->second);
 }
 
 namespace {
@@ -652,12 +655,18 @@ class Executor {
     const Rows& rrows = r->rows();
     const bool keyed = !n.lkeys.empty();
     const bool sweep = !n.trivial_residual && !n.residual_left_only;
-    std::optional<KeyIndex> index;
-    if (keyed) index.emplace(rrows, n.rkeys, sql_mode() || n.null_aware);
-    std::vector<uint32_t> null_keys;
-    for (uint32_t i = 0; n.null_aware && i < rrows.size(); ++i) {
-      if (NullAt(rrows[i].first, n.rkeys)) null_keys.push_back(i);
+    std::optional<KeyIndex> own;
+    const KeyIndex* index = nullptr;
+    if (keyed) {
+      auto on = IndexOn(*r, n.rkeys, sql_mode() || n.null_aware, &own);
+      if (!on.ok()) return on.status();
+      index = *on;
     }
+    // The right rows whose null-aware key holds a null: the ones the index
+    // skipped.
+    const std::vector<uint32_t> none;
+    const std::vector<uint32_t>& null_keys =
+        n.null_aware ? index->skipped() : none;
     const bool set = set_semantics();
     return SweepKeep(
         n, ChunkOp::kSemiJoin, l->rows(), rrows,
@@ -742,18 +751,23 @@ class Executor {
       return JoinOf(n, *mid, *r);
     }
     const bool set = set_semantics();
-    const KeyIndex index(build, build_left ? m.lkeys : m.rkeys, sql_mode());
-    const KeyIndex rindex(rrows, n.rkeys, sql_mode());
+    std::optional<KeyIndex> own, rown;
+    auto index = IndexOn(build_left ? *ml : *mr, build_left ? m.lkeys : m.rkeys,
+                         sql_mode(), &own);
+    if (!index.ok()) return index.status();
+    auto rindex = IndexOn(*r, n.rkeys, sql_mode(), &rown);
+    if (!rindex.ok()) return rindex.status();
     return Sweep(
         n, probe.size(), build.size() + probe.size() + rrows.size(),
         ChunkOp::kHashJoin,
         [&](size_t begin, size_t end, auto& pre, auto& sink) -> Status {
-          HashJoinKernel top(n, set, /*build_left=*/false, rrows, rindex,
+          HashJoinKernel top(n, set, /*build_left=*/false, rrows, **rindex,
                              batch_size());
           auto into_top = [&](const Tuple& t, uint64_t c) {
             return top.Probe(t, c, pre, sink);
           };
-          return HashJoinKernel(m, set, build_left, build, index, batch_size())
+          return HashJoinKernel(m, set, build_left, build, **index,
+                                batch_size())
               .Run(probe, begin, end, pre, into_top);
         });
   }
@@ -816,13 +830,32 @@ class Executor {
     const bool build_left = lrows.size() <= rrows.size();
     const Rows& build = build_left ? lrows : rrows;
     const Rows& probe = build_left ? rrows : lrows;
-    const KeyIndex index(build, build_left ? n.lkeys : n.rkeys, sql_mode());
+    std::optional<KeyIndex> own;
+    auto index = IndexOn(build_left ? l : r, build_left ? n.lkeys : n.rkeys,
+                         sql_mode(), &own);
+    if (!index.ok()) return index.status();
     return Sweep(
         n, probe.size(), lrows.size() + rrows.size(), ChunkOp::kHashJoin,
         [&](size_t begin, size_t end, auto& pre, auto& sink) -> Status {
-          return HashJoinKernel(n, set, build_left, build, index, batch_size())
+          return HashJoinKernel(n, set, build_left, build, **index,
+                                batch_size())
               .Run(probe, begin, end, pre, sink);
         });
+  }
+
+  /// The key index of `side`'s rows on `keys`, skipping null keys with
+  /// `skip_nulls`. A side that borrows a stored relation state probes the
+  /// state's memoised index (core/key_index.h), which the first query that
+  /// needs it builds; any other side is indexed into `*own` for this call.
+  static StatusOr<const KeyIndex*> IndexOn(const RelationView& side,
+                                           const std::vector<size_t>& keys,
+                                           bool skip_nulls,
+                                           std::optional<KeyIndex>* own) {
+    if (side.indexes() != nullptr) {
+      return side.indexes()->Get(keys, skip_nulls);
+    }
+    own->emplace(side.rows(), keys, skip_nulls);
+    return &**own;
   }
 
   const Plan& plan_;

@@ -20,18 +20,19 @@
 /// their input, the binary operators through PartnerSelect, one outer row
 /// broadcast against a window of candidate partners. Kernels own only
 /// scratch: use one instance per thread. The hash join's KeyIndex is built
-/// by the caller and may be probed from any number of threads.
+/// (or taken from a relation state's memo) by the caller and may be probed
+/// from any number of threads.
 
 #include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "core/key_index.h"
 #include "core/relation.h"
 #include "core/row_index.h"
 #include "core/status.h"
 #include "core/tuple.h"
 #include "eval/batch.h"
-#include "eval/key_index.h"
 #include "eval/plan.h"
 
 namespace incdb {

@@ -643,6 +643,17 @@ class Compiler {
     std::vector<CondPtr> conj;
     Conjuncts(cond, &conj);
     INCDB_RETURN_IF_ERROR(PushDown(&conj, nullptr, &r));
+    // The probe reads only the columns the conditions name, and no right
+    // multiplicity reaches the output: a π or δ over the right input
+    // changes no answer, under sets, bags and SQL alike. Reading past them
+    // lets a right input that is a (renamed) scan be probed in place,
+    // through its relation state's memoised index, unless that would
+    // expose a name the left side also has. A π∘σ stays: it keeps far
+    // fewer rows than its σ alone would materialise.
+    while ((r->op == PhysOp::kProject || r->op == PhysOp::kDistinct) &&
+           JointAttrs(l, r->left, "semijoin").ok()) {
+      r = r->left;
+    }
     // Split into equi-conjuncts usable for hashing and a residual
     // predicate (always extracted: the EXISTS probe needs only *any*
     // match, so hashing never loses multiplicities).

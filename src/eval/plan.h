@@ -29,7 +29,10 @@
 ///         θ ∧ x̄ = ȳ, with SQL's NOT IN comparing xᵢ = yᵢ ∨ null(xᵢ) ∨
 ///         null(yᵢ) (InSemijoinCond, algebra/algebra.h); a ⋉/▷ without an
 ///         equality key takes those θ?-equalities, the shape of the Fig. 2(b)
-///         ▷ rule, as null-aware keys (always on).
+///         ▷ rule, as null-aware keys; every ⋉/▷ reads its right input
+///         past the π and δ on top of it, which change no answer, unless
+///         that would expose a name the left side has (always on). A π∘σ
+///         stays.
 ///     Every condition-bearing operator (σ, π∘σ, both joins, ⋉/▷) carries
 ///     its condition compiled once into the engine's one condition
 ///     evaluator, the columnar program of eval/batch.h. The database is
@@ -37,7 +40,9 @@
 ///     against any database with the same relation schemas.
 ///
 ///  2. Execute(plan, db) runs the operators. Leaf scans return a borrowed
-///     RelationView over the database's flat rows (no copy); the binary
+///     RelationView over the database's flat rows (no copy), and an
+///     operator that indexes such a view probes the key index its
+///     relation state memoises (core/key_index.h); the binary
 ///     operators optionally split their outer rows into contiguous chunks
 ///     across a small thread pool (EvalOptions::num_threads) and return
 ///     the sequential rows in order at any thread count. A hash join over
@@ -235,9 +240,10 @@ std::string PlanToString(const Plan& plan);
 ///
 /// Under set semantics a scan of a non-set base relation needs a one-off
 /// multiplicity collapse; ScanResolver materialises that copy at most once
-/// per relation and otherwise borrows the database's rows in place. Used
-/// by the plan executor and the FO evaluator (logic/fo_eval.cpp), whose
-/// atom scans re-resolve inside quantifier loops.
+/// per relation and otherwise borrows the database's rows in place, with
+/// the stored state's key-index memo (core/key_index.h). Used by the plan
+/// executor and the FO evaluator (logic/fo_eval.cpp), whose atom scans
+/// re-resolve inside quantifier loops.
 class ScanResolver {
  public:
   explicit ScanResolver(const Database& db) : db_(&db) {}
@@ -248,10 +254,8 @@ class ScanResolver {
 
  private:
   const Database* db_;
-  /// Per-relation resolution cache: null ⇒ borrow the stored relation
-  /// (already a set), else the lazily materialised collapsed copy. The
-  /// IsSet() row scan runs once per name, not once per resolution.
-  std::map<std::string, std::unique_ptr<Relation>> collapsed_;
+  /// The collapsed copies of the resolved relations that are not sets.
+  std::map<std::string, Relation> collapsed_;
 };
 
 }  // namespace incdb

@@ -16,14 +16,13 @@
 /// number of threads.
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <vector>
 
+#include "core/key_index.h"
 #include "core/relation.h"
 #include "core/row_index.h"
 #include "core/tuple.h"
-#include "eval/key_index.h"
 
 namespace incdb {
 
@@ -45,7 +44,7 @@ class UnifyIndex {
       for (size_t p = 0; p < arity; ++p) {
         if (!(mask & (1ULL << p))) cols.push_back(p);
       }
-      groups_.emplace_back(rows, std::move(cols), ids);
+      groups_.emplace_back(rows, std::move(cols), /*skip_nulls=*/false, &ids);
     }
   }
 
@@ -58,32 +57,21 @@ class UnifyIndex {
       }
       return false;
     }
-    for (const Group& g : groups_) {
-      for (uint32_t k = g.index.Find(probe, g.cols); k != RowIndex::kEmpty;
-           k = g.index.Next(k)) {
-        if (Unifiable(probe, rows_[g.index.row(k)].first)) return true;
+    for (const KeyIndex& g : groups_) {
+      for (uint32_t k = g.Find(probe, g.keys()); k != RowIndex::kEmpty;
+           k = g.Next(k)) {
+        if (Unifiable(probe, rows_[g.row(k)].first)) return true;
       }
     }
     return false;
   }
 
  private:
-  /// The rows sharing one null mask, keyed on the positions outside it.
-  struct Group {
-    Group(const Rows& rows, std::vector<size_t> c,
-          const std::vector<uint32_t>& ids)
-        : cols(std::move(c)), index(rows, cols, /*sql=*/false, &ids) {}
-    Group(const Group&) = delete;  // `index` references `cols`
-    Group& operator=(const Group&) = delete;
-
-    std::vector<size_t> cols;
-    KeyIndex index;
-  };
-
   const Rows& rows_;
   size_t arity_;
   bool use_index_;
-  std::deque<Group> groups_;  ///< a deque: emplace never moves a group
+  /// One group per null mask: its rows, keyed on the positions outside it.
+  std::vector<KeyIndex> groups_;
 };
 
 }  // namespace incdb

@@ -14,6 +14,9 @@
 #include <vector>
 
 #include "api/session.h"
+#include "core/key_index.h"
+#include "tests/testing_util.h"
+#include "tpch/tpch.h"
 
 namespace incdb {
 namespace {
@@ -377,6 +380,74 @@ TEST(ConcurrencyTest, SecondThreadCancelsParallelNLJoin) {
   auto again = pq->Execute();
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(full->SameRows(*again));
+}
+
+// perfbench's W1: its NOT IN is a ▷ that probes lineitem in place, with
+// null-aware keys in SQL mode and plain ones in set mode. Eight readers
+// race to build lineitem's two key indexes in its state's memo and then
+// probe them, while a writer commits to customer, which W1 does not read:
+// lineitem keeps its state and memo. Every answer is the one computed
+// before the threads start, row for row.
+TEST(ConcurrencyTest, ReadersShareOneRelationStatesKeyIndexes) {
+  tpch::GenOptions gen;
+  gen.scale = 0.25;
+  gen.null_rate = 0.05;
+  gen.seed = 7;
+  EvalOptions opts;
+  opts.use_result_cache = false;  // every Execute runs the plan
+  Session sess(tpch::Generate(gen), opts);
+  const std::string w1 =
+      "SELECT o_orderkey FROM orders WHERE o_totalprice > ? AND o_orderkey "
+      "NOT IN ( SELECT l_orderkey FROM lineitem )";
+  const EvalMode modes[] = {EvalMode::kSetSql, EvalMode::kSetNaive};
+  const int64_t bindings[] = {0, 20000, 100000};
+  std::vector<PreparedQuery> pqs;
+  std::vector<Relation> want;  // per (mode, binding), on copied relations
+  for (EvalMode mode : modes) {
+    auto pq = sess.Prepare(w1, mode);
+    ASSERT_TRUE(pq.ok()) << pq.status().ToString();
+    pqs.push_back(*pq);
+    for (int64_t b : bindings) {
+      Session ref(testing_util::FreshStates(sess.db()), opts);
+      auto res = ref.Execute(w1, {Value::Int(b)}, mode);
+      ASSERT_TRUE(res.ok()) << res.status().ToString();
+      want.push_back(*std::move(res));
+    }
+  }
+  EXPECT_GT(want[3].rows().size(), 0u) << "set mode keeps some orders";
+  const Database before = sess.db().Snapshot();
+
+  constexpr int kReaders = 8;
+  constexpr int kRuns = 24;
+  std::atomic<int> bad{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      for (int k = 0; k < kRuns; ++k) {
+        const size_t m = static_cast<size_t>(r + k) % 2;
+        const size_t b = static_cast<size_t>(r + k) % 3;
+        auto res = pqs[m].Execute({Value::Int(bindings[b])});
+        if (!res.ok() || !res->IdenticalTo(want[3 * m + b])) {
+          bad.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  const Relation& customer = before.at("customer");
+  const Tuple row = customer.rows().front().first;
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(sess.Mutate([&](Database::Txn& txn) {
+                      return i % 2 == 0 ? txn.Remove("customer", row)
+                                        : txn.Insert("customer", row);
+                    })
+                    .ok());
+  }
+  for (std::thread& th : readers) th.join();
+  EXPECT_EQ(bad.load(), 0);
+  const Database after = sess.db().Snapshot();
+  EXPECT_NE(after.Version("customer"), before.Version("customer"));
+  EXPECT_EQ(after.KeyIndexes("lineitem"), before.KeyIndexes("lineitem"))
+      << "commits to customer keep lineitem's state and its indexes";
 }
 
 }  // namespace

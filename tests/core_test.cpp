@@ -13,7 +13,9 @@
 
 #include "core/database.h"
 #include "core/intern.h"
+#include "core/key_index.h"
 #include "core/relation.h"
+#include "core/row_index.h"
 #include "core/status.h"
 #include "core/tuple.h"
 #include "core/valuation.h"
@@ -258,6 +260,38 @@ TEST(RelationTest, InsertCountAndMultiplicity) {
   EXPECT_EQ(s.TotalSize(), 2u);
 }
 
+// IsSet reads a count of the rows whose multiplicity is above 1, which
+// every mutator keeps: each count transition in and out of "above 1".
+TEST(RelationTest, IsSetFollowsEveryCountTransition) {
+  const Tuple a{Value::Int(1)};
+  const Tuple b{Value::Int(2)};
+  Relation r({"x"});
+  EXPECT_TRUE(r.IsSet());
+  ASSERT_TRUE(r.Insert(a).ok());
+  EXPECT_TRUE(r.IsSet());
+  ASSERT_TRUE(r.Insert(a).ok());  // 1 → 2
+  EXPECT_FALSE(r.IsSet());
+  ASSERT_TRUE(r.Erase(a).ok());  // 2 → 1
+  EXPECT_TRUE(r.IsSet());
+  ASSERT_TRUE(r.InsertUnique(b, 2).ok());  // a new row at 2
+  EXPECT_FALSE(r.IsSet());
+  ASSERT_TRUE(r.Insert(a, 2).ok());  // 1 → 3: two rows above 1
+  ASSERT_TRUE(r.Erase(b, 2).ok());   // 2 → 0
+  EXPECT_FALSE(r.IsSet());
+  ASSERT_TRUE(r.Erase(a, 2).ok());  // 3 → 1
+  EXPECT_TRUE(r.IsSet());
+  ASSERT_TRUE(r.Insert(b, 3).ok());
+  ASSERT_TRUE(r.Insert(a, 4).ok());
+  EXPECT_FALSE(r.IsSet());
+  r.CollapseCounts();
+  EXPECT_TRUE(r.IsSet());
+  ASSERT_TRUE(r.Insert(b).ok());  // collapsed to 1, then 1 → 2
+  EXPECT_FALSE(r.IsSet());
+  EXPECT_TRUE(r.ToSet().IsSet());
+  Relation copy = r;
+  EXPECT_FALSE(copy.IsSet());
+}
+
 TEST(RelationTest, ArityMismatchRejected) {
   Relation r({"a"});
   Status st = r.Insert(Tuple{Value::Int(1), Value::Int(2)});
@@ -385,6 +419,11 @@ TEST(RelationModelTest, RandomMutationsAgreeWithMapOracle) {
       ASSERT_TRUE(expect.InsertUnique(o, counts[o]).ok());
     }
     ASSERT_TRUE(rel.IdenticalTo(expect)) << "step " << step;
+    ASSERT_EQ(rel.IsSet(), std::all_of(counts.begin(), counts.end(),
+                                       [](const auto& e) {
+                                         return e.second == 1;
+                                       }))
+        << "step " << step;
     for (const Tuple& d : domain) {
       auto it = counts.find(d);
       ASSERT_EQ(rel.Count(d), it == counts.end() ? 0 : it->second)
@@ -511,6 +550,62 @@ TEST(DatabaseVersionTest, SnapshotPinsPreMutationState) {
   EXPECT_NE(db.Version("R"), v_before);
   EXPECT_EQ(before.at("R").TotalSize(), 1u);
   EXPECT_EQ(db.at("R").TotalSize(), 2u);
+}
+
+// The key indexes built over a relation state live on its entry: every
+// snapshot of the state shares them, and each new state of the relation
+// starts with none.
+TEST(DatabaseVersionTest, KeyIndexMemoLivesWithTheRelationState) {
+  Database db;
+  db.Put("R", OneInt("x", 1));
+  db.Put("S", OneInt("y", 1));
+  KeyIndexMemo* memo = db.KeyIndexes("R");
+  ASSERT_NE(memo, nullptr);
+  auto built = memo->Get({0}, /*skip_nulls=*/false);
+  ASSERT_TRUE(built.ok());
+  const KeyIndex* index = *built;
+  EXPECT_EQ(*memo->Get({0}, false), index) << "built once";
+  EXPECT_NE(*memo->Get({0}, true), index) << "keyed by null handling too";
+
+  // A snapshot of the same version shares the memo.
+  Database pinned = db.Snapshot();
+  EXPECT_EQ(pinned.KeyIndexes("R"), memo);
+
+  // A commit to another relation keeps it.
+  Database::Txn other = db.Begin();
+  ASSERT_TRUE(other.Insert("S", Tuple{Value::Int(2)}).ok());
+  ASSERT_TRUE(db.Commit(std::move(other)).ok());
+  EXPECT_EQ(db.KeyIndexes("R"), memo);
+  EXPECT_EQ(*db.KeyIndexes("R")->Get({0}, false), index);
+
+  // A commit to the relation itself gives the new state a fresh memo,
+  // whose index sees the new row; the snapshot pinned across the commit
+  // keeps its own memo and index.
+  Database::Txn own = db.Begin();
+  ASSERT_TRUE(own.Insert("R", Tuple{Value::Int(2)}).ok());
+  ASSERT_TRUE(db.Commit(std::move(own)).ok());
+  KeyIndexMemo* committed = db.KeyIndexes("R");
+  ASSERT_NE(committed, nullptr);
+  EXPECT_NE(committed, memo);
+  const KeyIndex* fresh = *committed->Get({0}, false);
+  EXPECT_NE(fresh, index);
+  EXPECT_NE(fresh->Find(Tuple{Value::Int(2)}, {0}), RowIndex::kEmpty);
+  EXPECT_EQ(pinned.KeyIndexes("R"), memo);
+  EXPECT_EQ(*pinned.KeyIndexes("R")->Get({0}, false), index);
+  EXPECT_EQ(index->Find(Tuple{Value::Int(2)}, {0}), RowIndex::kEmpty);
+
+  // Put and Drop replace it as well.
+  Database before_put = db.Snapshot();
+  db.Put("R", OneInt("x", 1));
+  EXPECT_NE(db.KeyIndexes("R"), nullptr);
+  EXPECT_NE(db.KeyIndexes("R"), committed);
+  EXPECT_EQ(before_put.KeyIndexes("R"), committed);
+  ASSERT_TRUE(db.Drop("R").ok());
+  EXPECT_EQ(db.KeyIndexes("R"), nullptr);
+
+  // The state mutable_at hands out may still change: it has no memo.
+  ASSERT_NE(db.mutable_at("S"), nullptr);
+  EXPECT_EQ(db.KeyIndexes("S"), nullptr);
 }
 
 TEST(DatabaseVersionTest, RelationsViewSurvivesSourceMutation) {

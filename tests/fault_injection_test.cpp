@@ -1,9 +1,9 @@
 // The fault sweep: the differential-fuzzer corpus re-run with the
 // deterministic FaultInjector armed. The contract under injected faults
 // at every site (scan resolve, node eval, materialization, pool
-// dispatch, snapshot pin, result-cache insert, c-table node) is strict —
-// for plain queries, cursors, the c-table walker and the Q+/Q? answers
-// of Session::CertainPlus / CertainMaybe:
+// dispatch, key-index build, snapshot pin, result-cache insert, c-table
+// node) is strict — for plain queries, cursors, the c-table walker and
+// the Q+/Q? answers of Session::CertainPlus / CertainMaybe:
 //
 //  * every outcome is either the bit-identical correct result or a
 //    *structured* error — kCancelled / kResourceExhausted with
@@ -37,6 +37,7 @@
 namespace incdb {
 namespace {
 
+using testing_util::FreshStates;
 using testing_util::RandomBagDatabase;
 using testing_util::RandomDatabase;
 using testing_util::RandomQueryGen;
@@ -83,7 +84,7 @@ TEST_F(FaultSweepTest, FuzzerCorpusUnderFaultsIsCorrectOrStructured) {
   std::mt19937_64 rng(EnvOr("INCDB_FUZZ_SEED", 20260730));
   RandomQueryGen gen(rng);
   FaultInjector& fi = FaultInjector::Global();
-  uint64_t injected_total = 0;
+  uint64_t injected_total = 0, index_faults = 0;
 
   for (uint64_t i = 0; i < cases; ++i) {
     const size_t tuples = 3 + i % 4;
@@ -93,7 +94,7 @@ TEST_F(FaultSweepTest, FuzzerCorpusUnderFaultsIsCorrectOrStructured) {
 
     EvalOptions opts;
     opts.use_result_cache = (i % 3 == 0);  // exercise the insert site too
-    Session sess(std::move(db), opts);
+    Session sess(FreshStates(db), opts);
     auto pq = sess.Prepare(q, EvalMode::kSetSql);
     if (!pq.ok()) continue;  // corpus shape unsupported under SQL mode
     auto ref = pq->Execute();
@@ -101,8 +102,14 @@ TEST_F(FaultSweepTest, FuzzerCorpusUnderFaultsIsCorrectOrStructured) {
                           << ref.status().ToString();
 
     for (uint64_t fseed : fault_seeds) {
+      // The armed run is the first over its relation states, so it also
+      // builds their key indexes (the exec.key_index site); the run after
+      // it must build whatever a failed build left out.
+      Session armed(FreshStates(db), opts);
+      auto apq = armed.Prepare(q, EvalMode::kSetSql);
+      ASSERT_TRUE(apq.ok()) << apq.status().ToString();
       fi.Configure(fseed, rate);
-      auto res = pq->Execute();
+      auto res = apq->Execute();
       const uint64_t fired = fi.injected();
       fi.Disable();
       injected_total += fired;
@@ -114,10 +121,12 @@ TEST_F(FaultSweepTest, FuzzerCorpusUnderFaultsIsCorrectOrStructured) {
         EXPECT_TRUE(StructuredFaultOutcome(res.status()))
             << "case " << i << " fault_seed " << fseed << " rate " << rate
             << ": unstructured failure " << res.status().ToString();
+        const StatusDetail* d = res.status().detail();
+        if (d != nullptr && d->site == "exec.key_index") ++index_faults;
       }
       // The session must shrug off any injected failure: the very next
       // fault-free execution answers bit-identically.
-      auto after = pq->Execute();
+      auto after = apq->Execute();
       ASSERT_TRUE(after.ok())
           << "case " << i << " fault_seed " << fseed
           << ": session unusable after fault: " << after.status().ToString();
@@ -128,6 +137,7 @@ TEST_F(FaultSweepTest, FuzzerCorpusUnderFaultsIsCorrectOrStructured) {
   }
   // The sweep is meaningless if the roll rate never actually fired.
   EXPECT_GT(injected_total, 0u) << "no fault ever injected — dead sweep";
+  EXPECT_GT(index_faults, 0u) << "no key-index build ever failed";
 }
 
 // Theorem 4.7's gate with faults armed: the random corpus the sandwich

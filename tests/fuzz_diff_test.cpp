@@ -13,8 +13,9 @@
 //
 // A second corpus (RandomJoinTree) draws σ over 3–4-input ×/⋈ trees for
 // the compiler's join-graph planning, a third (RandomResidualQuery)
-// every residual shape of the binary operators, and a fourth the Fig. 2(b)
-// Q+ and Q? of RandomQueryGen queries, from the same seed.
+// every residual shape of the binary operators, each run again where a
+// stored relation's key indexes are reused or built anew, and a fourth
+// the Fig. 2(b) Q+ and Q? of RandomQueryGen queries, from the same seed.
 
 #include <gtest/gtest.h>
 
@@ -38,6 +39,7 @@ namespace incdb {
 namespace {
 
 using testing_util::EnvOr;
+using testing_util::FreshStates;
 using testing_util::RandomBagDatabase;
 using testing_util::RandomDatabase;
 using testing_util::RandomQueryGen;
@@ -641,12 +643,14 @@ TEST(FuzzDiffTest, JoinGraphPlansAgreeWithReferenceWalk) {
 // corpus's so keyless probes sweep more than one 16-row window.
 
 /// A random condition whose first atom compares a left with a right
-/// column, so it stays a residual however the rest falls.
-CondPtr RandomCrossCond(std::mt19937_64& rng, int depth) {
+/// column, so it stays a residual however the rest falls. It reads the
+/// right columns `right`.
+CondPtr RandomCrossCond(std::mt19937_64& rng, int depth,
+                        const std::vector<std::string>& right = {"S_x",
+                                                                 "S_y"}) {
   const char* left[] = {"R_a", "R_b"};
-  const char* right[] = {"S_x", "S_y"};
   auto l = [&] { return std::string(left[rng() % 2]); };
-  auto r = [&] { return std::string(right[rng() % 2]); };
+  auto r = [&] { return right[rng() % right.size()]; };
   auto k = [&] { return Value::Int(static_cast<int64_t>(rng() % 3)); };
   CondPtr c;
   switch (rng() % 4) {
@@ -714,16 +718,17 @@ AlgPtr RandomResidualQuery(std::mt19937_64& rng) {
   const AlgPtr s = Rename(Scan("S"), {"S_x", "S_y"});
   const CondPtr key = CEq("R_b", "S_x");
   const bool anti = rng() % 2 == 0;
-  auto semi = [&](const CondPtr& c) {
-    return anti ? Antijoin(r, s, c) : Semijoin(r, s, c);
+  auto semi_over = [&](const AlgPtr& right, const CondPtr& c) {
+    return anti ? Antijoin(r, right, c) : Semijoin(r, right, c);
   };
+  auto semi = [&](const CondPtr& c) { return semi_over(s, c); };
   const int depth = static_cast<int>(rng() % 3);
   // One or two θ?-equalities between a left and a right column.
   auto maybe_eqs = [&] {
     CondPtr c = RandomMaybeEq(rng, "R_b", "S_x");
     return rng() % 2 == 0 ? c : CAnd(c, RandomMaybeEq(rng, "R_a", "S_y"));
   };
-  switch (rng() % 9) {
+  switch (rng() % 10) {
     case 0:  // hash join, residual over both sides
       return Join(r, s, CAnd(key, RandomCrossCond(rng, depth)));
     case 1:  // keyed ⋉/▷
@@ -756,11 +761,48 @@ AlgPtr RandomResidualQuery(std::mt19937_64& rng) {
                  : NotInPredicate(r, s, {"R_b", "R_a"}, {"S_x", "S_y"},
                                   theta);
     }
-    default: {  // correlated [NOT] IN
+    case 8: {  // correlated [NOT] IN
       const CondPtr theta = RandomCrossCond(rng, depth);
       return rng() % 2 == 0
                  ? InPredicate(r, s, {"R_a"}, {"S_x"}, theta)
                  : NotInPredicate(r, s, {"R_a"}, {"S_y"}, theta);
+    }
+    default: {
+      // A π or δ over the renamed scan as the right input, which the
+      // compiler reads past, so S_x repeats where π{S_x} had one row per
+      // value. The last π drops a column named like a left one: reading
+      // past it would clash, so it stays.
+      AlgPtr right;
+      switch (rng() % 4) {
+        case 0:
+          right = Project(s, {"S_x"});
+          break;
+        case 1:
+          right = Distinct(Project(s, {"S_x"}));
+          break;
+        case 2:
+          right = Distinct(s);
+          break;
+        default:
+          right = Project(Rename(Scan("S"), {"S_x", "R_a"}), {"S_x"});
+          break;
+      }
+      const CondPtr cross = RandomCrossCond(rng, depth, {"S_x"});
+      switch (rng() % 3) {
+        case 0:  // plain key
+          return semi_over(right, CAnd(CEq("R_b", "S_x"), cross));
+        case 1:  // null-aware key
+          return semi_over(right, rng() % 2 == 0
+                                      ? RandomMaybeEq(rng, "R_b", "S_x")
+                                      : CAnd(RandomMaybeEq(rng, "R_a", "S_x"),
+                                             cross));
+        default: {
+          const CondPtr theta = rng() % 2 == 0 ? CTrue() : cross;
+          return rng() % 2 == 0
+                     ? InPredicate(r, right, {"R_b"}, {"S_x"}, theta)
+                     : NotInPredicate(r, right, {"R_a"}, {"S_x"}, theta);
+        }
+      }
     }
   }
 }
@@ -809,6 +851,31 @@ TEST(FuzzDiffTest, ResidualsAgreeWithReferenceWalk) {
                 << cfg << "\nreference:\n" << ref->ToString() << "\nplan:\n"
                 << res->ToString();
             ASSERT_EQ(ref->attrs(), res->attrs()) << cfg;
+            // Stored relations are indexed once per state: a second run
+            // probes the indexes the first one built, a run after a
+            // commit (one that inserts a row of a scanned relation and
+            // removes it again) builds them anew, and so does a run over
+            // copies of the relations. All answer alike, row for row.
+            auto again = eval(q, db, o);
+            ASSERT_TRUE(again.ok())
+                << cfg << ": " << again.status().ToString();
+            ASSERT_TRUE(res->IdenticalTo(*again)) << cfg << ": second run";
+            Database::Txn txn = db.Begin();
+            const char* touched = i % 2 == 0 ? "S" : "R";
+            const Tuple row{Value::Int(7), Value::Null(9)};
+            ASSERT_TRUE(txn.Insert(touched, row).ok());
+            ASSERT_TRUE(txn.Remove(touched, row).ok());
+            ASSERT_TRUE(db.Commit(std::move(txn)).ok());
+            auto committed = eval(q, db, o);
+            ASSERT_TRUE(committed.ok())
+                << cfg << ": " << committed.status().ToString();
+            ASSERT_TRUE(res->IdenticalTo(*committed))
+                << cfg << ": run after a commit to " << touched;
+            auto copied = eval(q, FreshStates(db), o);
+            ASSERT_TRUE(copied.ok())
+                << cfg << ": " << copied.status().ToString();
+            ASSERT_TRUE(res->IdenticalTo(*copied))
+                << cfg << ": copied relations";
             if (!serial) {
               serial = std::move(*res);
             } else {

@@ -350,6 +350,103 @@ TEST(PlanShapeTest, SqlNotInIsOneNullAwareAntijoin) {
   }
 }
 
+TEST(PlanShapeTest, SemiAntiReadsItsRightInputPastProjectAndDistinct) {
+  // perfbench's W1, W3, W6 and W8 as SQL: every ▷ reads its right input
+  // past the π the translator puts there, so the innermost one probes
+  // ρ(lineitem) (ρ(orders) for W6) in place, and W8's outer ▷ reads the
+  // inner one's rows. So in set, bag and SQL mode and in the Q+ and Q? of
+  // each. W2's and W5's right inputs are a π∘σ, which stays fused.
+  tpch::GenOptions gen;
+  gen.scale = 0.1;
+  gen.null_rate = 0.05;
+  gen.seed = 7;
+  Database db = tpch::Generate(gen);
+  struct Case {
+    const char* sql;
+    const char* scanned;  ///< the innermost ▷'s right scan; null: π∘σ
+  };
+  const Case cases[] = {
+      {"SELECT o_orderkey FROM orders WHERE o_totalprice > ? AND o_orderkey "
+       "NOT IN ( SELECT l_orderkey FROM lineitem )",
+       "lineitem"},
+      {"SELECT o_orderkey FROM orders WHERE o_status <> 'F' AND "
+       "o_totalprice > ? AND o_orderkey NOT IN ( SELECT l_orderkey FROM "
+       "lineitem )",
+       "lineitem"},
+      {"SELECT c_custkey, c_acctbal FROM customer WHERE c_acctbal > ? AND NOT "
+       "EXISTS ( SELECT * FROM orders WHERE o_custkey = c_custkey )",
+       "orders"},
+      {"SELECT o_orderkey FROM orders WHERE o_orderkey NOT IN ( SELECT "
+       "o2.o_orderkey FROM orders o2 WHERE o2.o_status <> 'F' AND "
+       "o2.o_totalprice > ? AND o2.o_orderkey NOT IN ( SELECT l_orderkey "
+       "FROM lineitem ) )",
+       "lineitem"},
+      {"SELECT c_custkey FROM customer WHERE NOT EXISTS ( SELECT * FROM "
+       "orders WHERE o_custkey = c_custkey AND o_totalprice > ? )",
+       nullptr},
+      {"SELECT p_partkey FROM part WHERE p_partkey NOT IN ( SELECT l_partkey "
+       "FROM lineitem WHERE l_price > ? )",
+       nullptr}};
+  for (const Case& c : cases) {
+    auto q = ParseSqlToAlgebra(c.sql, db);
+    ASSERT_TRUE(q.ok()) << c.sql << ": " << q.status().ToString();
+    auto bound = BindParams(*q, {Value::Int(1000)});
+    ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+    std::vector<std::pair<AlgPtr, EvalMode>> forms;
+    for (EvalMode mode :
+         {EvalMode::kSetSql, EvalMode::kSetNaive, EvalMode::kBagNaive}) {
+      forms.emplace_back(*q, mode);
+    }
+    for (auto translate : {&TranslatePlus, &TranslateMaybe}) {
+      auto t = translate(*bound, db);
+      ASSERT_TRUE(t.ok()) << c.sql << ": " << t.status().ToString();
+      forms.emplace_back(*t, EvalMode::kSetNaive);
+    }
+    for (const auto& [form, mode] : forms) {
+      auto plan = Compile(form, mode, EvalOptions{}, db);
+      ASSERT_TRUE(plan.ok()) << c.sql << ": " << plan.status().ToString();
+      const std::string shape =
+          std::string(c.sql) + "\n" + PlanToString(**plan);
+      std::set<const PhysNode*> seen;
+      std::vector<const PhysNode*> nodes;
+      CollectNodes((*plan)->root, &seen, &nodes);
+      size_t innermost = 0;
+      for (const PhysNode* n : nodes) {
+        if (n->op != PhysOp::kHashSemi) continue;
+        const PhysNode& right = *n->right;
+        if (c.scanned == nullptr) {
+          EXPECT_EQ(right.op, PhysOp::kFusedProjectFilter) << shape;
+          continue;
+        }
+        EXPECT_NE(right.op, PhysOp::kProject) << shape;
+        EXPECT_NE(right.op, PhysOp::kDistinct) << shape;
+        if (right.op == PhysOp::kHashSemi) continue;
+        ++innermost;
+        ASSERT_EQ(right.op, PhysOp::kRename) << shape;
+        EXPECT_EQ(right.left->op, PhysOp::kScanView) << shape;
+        EXPECT_EQ(right.left->rel_name, c.scanned) << shape;
+      }
+      if (c.scanned != nullptr) {
+        EXPECT_EQ(innermost, 1u) << shape;
+      }
+    }
+  }
+
+  // A π whose dropped column is named like a left one stays: reading past
+  // it would put that name on both sides. A δ over it still goes.
+  std::mt19937_64 rng(3);
+  Database rs = RandomDatabase(rng, 4);
+  const AlgPtr clash = Project(Rename(Scan("S"), {"S_a", "R_a"}), {"S_a"});
+  for (const AlgPtr& right : {clash, Distinct(clash)}) {
+    auto plan = Compile(Antijoin(Scan("R"), right, CEq("R_b", "S_a")),
+                        EvalMode::kBagNaive, EvalOptions{}, rs);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    const PhysNode& semi = *(*plan)->root;
+    ASSERT_EQ(semi.op, PhysOp::kHashSemi) << PlanToString(**plan);
+    EXPECT_EQ(semi.right->op, PhysOp::kProject) << PlanToString(**plan);
+  }
+}
+
 TEST(PlanShapeTest, W4HashJoinsEveryConnectedPairInEveryFromOrder) {
   // W4 as SQL text in each of its 6 FROM orders, at scale 0.1 with 5%
   // nulls. The compiler plans the σ/× tree from its join graph, so each

@@ -239,6 +239,14 @@ inline Database RandomBagDatabase(std::mt19937_64& rng,
   return db;
 }
 
+/// The relations of `db` copied into new relation states: no query has
+/// run over them, so none has a key index built yet (core/key_index.h).
+inline Database FreshStates(const Database& db) {
+  Database out;
+  for (const auto& [name, rel] : db.relations()) out.Put(name, Relation(rel));
+  return out;
+}
+
 /// `c` with every Int constant i of a comparison replaced by the
 /// placeholder ?i, so binding ?i to Int(i) gives back `c`.
 inline CondPtr ParameteriseCond(const CondPtr& c) {
